@@ -24,9 +24,9 @@
 //! tests and by the audit): `achieved + Σ missed == potential`, where
 //! all three are page counts over fingerprint groups with ≥ 2 PTEs.
 
-use mem::{FrameId, Tick};
+use mem::{Fingerprint, FrameId, IdMap, Tick};
 use paging::HostMm;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// How many fingerprint groups to keep as worked examples in the report.
@@ -195,14 +195,11 @@ impl MergeMissReport {
 ///
 /// * `cap` — the scanner's `max_page_sharing` chain cap (≥ 2).
 /// * `horizon` — the scanner's current volatility horizon
-///   ([`KsmScanner::volatility_horizon`]): frames written at or after it
+///   (`KsmScanner::volatility_horizon`): frames written at or after it
 ///   are what the checksum filter would still call volatile.
 /// * `broken` — `(space, vpn)` mappings known to have COW-broken a KSM
 ///   page (the tracer's broken-mapping set; pass an empty set when
 ///   tracing was off — those misses then report as plain `Volatile`).
-///
-/// [`KsmScanner::volatility_horizon`]:
-///     https://docs.rs/ksm/latest/ksm/struct.KsmScanner.html
 #[must_use]
 pub fn diagnose_misses(
     mm: &HostMm,
@@ -211,25 +208,31 @@ pub fn diagnose_misses(
     broken: &HashSet<(u32, u64)>,
 ) -> MergeMissReport {
     assert!(cap >= 2, "max_page_sharing cap must be at least 2");
-    // Group live frames by content. BTreeMap + index-ordered frame lists
-    // keep everything deterministic.
-    let mut groups: BTreeMap<u128, Vec<FrameId>> = BTreeMap::new();
-    for (id, frame) in mm.phys().iter() {
-        groups
-            .entry(frame.fingerprint().as_u128())
-            .or_default()
-            .push(id);
+    // Only contents held by two or more PTEs form a group, and they are
+    // few among the live frames: count PTEs per fingerprint, then sort
+    // just those frames as (fingerprint, frame) pairs. Groups come out
+    // in fingerprint order with their frames in index order.
+    let phys = mm.phys();
+    let mut ptes_of: IdMap<Fingerprint, u64> = IdMap::default();
+    for (_, frame) in phys.iter() {
+        *ptes_of.entry(frame.fingerprint()).or_default() += u64::from(frame.refcount());
     }
+    let mut pairs: Vec<(u128, FrameId)> = phys
+        .iter()
+        .filter(|(_, frame)| ptes_of[&frame.fingerprint()] >= 2)
+        .map(|(id, frame)| (frame.fingerprint().as_u128(), id))
+        .collect();
+    pairs.sort_unstable();
 
     let mut report = MergeMissReport::default();
     let mut examples: Vec<MissGroup> = Vec::new();
-    for (fp, mut frames) in groups {
-        let phys = mm.phys();
-        let ptes: u64 = frames.iter().map(|&f| u64::from(phys.refcount(f))).sum();
-        if ptes < 2 {
-            continue;
-        }
-        let n = frames.len() as u64;
+    for group in pairs.chunk_by_mut(|a, b| a.0 == b.0) {
+        let fp = group[0].0;
+        let ptes: u64 = group
+            .iter()
+            .map(|&(_, f)| u64::from(phys.refcount(f)))
+            .sum();
+        let n = group.len() as u64;
         let needed = ptes.div_ceil(u64::from(cap));
         report.groups_considered += 1;
         report.achieved_pages += ptes - n;
@@ -241,14 +244,14 @@ pub fn diagnose_misses(
 
         // The frames an ideal merger would have kept: already-stable
         // frames first, then the most-referenced, index as tiebreak.
-        frames.sort_by_key(|&f| {
+        group.sort_by_key(|&(_, f)| {
             (
                 std::cmp::Reverse(phys.is_ksm_shared(f)),
                 std::cmp::Reverse(phys.refcount(f)),
                 f.index(),
             )
         });
-        for &frame in frames.iter().skip(needed.min(n) as usize) {
+        for &(_, frame) in group.iter().skip(needed.min(n) as usize) {
             let reason = classify_frame(mm, frame, horizon, broken);
             group_missed[reason.index()] += 1;
         }
@@ -311,7 +314,157 @@ fn classify_frame(
 mod tests {
     use super::*;
     use mem::{Fingerprint, Tick};
-    use paging::{HostMm, MemTag};
+    use paging::{HostMm, MemTag, Vpn};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The map-based grouping [`diagnose_misses`] used before it counted
+    /// PTEs per fingerprint and sorted the duplicates' `(fingerprint,
+    /// frame)` pairs, kept as its differential reference.
+    fn diagnose_misses_btree(
+        mm: &HostMm,
+        cap: u32,
+        horizon: Tick,
+        broken: &HashSet<(u32, u64)>,
+    ) -> MergeMissReport {
+        assert!(cap >= 2, "max_page_sharing cap must be at least 2");
+        // Group live frames by content. BTreeMap + index-ordered frame lists
+        // keep everything deterministic.
+        let mut groups: BTreeMap<u128, Vec<FrameId>> = BTreeMap::new();
+        for (id, frame) in mm.phys().iter() {
+            groups
+                .entry(frame.fingerprint().as_u128())
+                .or_default()
+                .push(id);
+        }
+
+        let mut report = MergeMissReport::default();
+        let mut examples: Vec<MissGroup> = Vec::new();
+        for (fp, mut frames) in groups {
+            let phys = mm.phys();
+            let ptes: u64 = frames.iter().map(|&f| u64::from(phys.refcount(f))).sum();
+            if ptes < 2 {
+                continue;
+            }
+            let n = frames.len() as u64;
+            let needed = ptes.div_ceil(u64::from(cap));
+            report.groups_considered += 1;
+            report.achieved_pages += ptes - n;
+            report.potential_pages += ptes - 1;
+
+            let mut group_missed = [0u64; 5];
+            // Copies the chain cap makes unavoidable, beyond the ideal one.
+            group_missed[MissReason::ChainCapped.index()] = needed.min(n).saturating_sub(1);
+
+            // The frames an ideal merger would have kept: already-stable
+            // frames first, then the most-referenced, index as tiebreak.
+            frames.sort_by_key(|&f| {
+                (
+                    std::cmp::Reverse(phys.is_ksm_shared(f)),
+                    std::cmp::Reverse(phys.refcount(f)),
+                    f.index(),
+                )
+            });
+            for &frame in frames.iter().skip(needed.min(n) as usize) {
+                let reason = classify_frame(mm, frame, horizon, broken);
+                group_missed[reason.index()] += 1;
+            }
+
+            for (i, &pages) in group_missed.iter().enumerate() {
+                report.missed[i] += pages;
+            }
+            let missed_pages: u64 = group_missed.iter().sum();
+            if missed_pages > 0 {
+                let dominant = MissReason::ALL
+                    .into_iter()
+                    .max_by_key(|r| group_missed[r.index()])
+                    .expect("five reasons");
+                examples.push(MissGroup {
+                    fingerprint: fp,
+                    frames: n,
+                    ptes,
+                    missed_pages,
+                    dominant,
+                });
+            }
+        }
+
+        examples.sort_by_key(|g| (std::cmp::Reverse(g.missed_pages), g.fingerprint));
+        examples.truncate(TOP_GROUPS);
+        report.top_groups = examples;
+        report
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Small random worlds: 2–4 spaces, each with two regions of
+        /// drawn mergeability, written from a six-value alphabet at
+        /// ticks on both sides of the horizon, with some equal-content
+        /// frames merged and later COW-broken, and a random
+        /// broken-mapping set. The sorted grouping must reproduce the
+        /// map-based report exactly, `top_groups` included.
+        #[test]
+        fn sorted_grouping_matches_btree_reference(
+            spaces in prop::collection::vec(
+                (1..5usize, any::<bool>(), 1..5usize, any::<bool>()),
+                2..5,
+            ),
+            writes in prop::collection::vec((0..4usize, 0..8usize, 0..6u64, 1..20u64), 4..40),
+            merges in prop::collection::vec((0..64usize, 0..64usize), 0..16),
+            rewrites in prop::collection::vec((0..4usize, 0..8usize, 0..6u64, 1..20u64), 0..8),
+            broken in prop::collection::vec((0..4usize, 0..8usize), 0..6),
+            cap in 2..5u32,
+            horizon in 0..20u64,
+        ) {
+            let mut mm = HostMm::new();
+            // Every space's pages, in region order.
+            let mut pages: Vec<(paging::AsId, Vec<Vpn>)> = Vec::new();
+            for (i, &(a, a_mergeable, b, b_mergeable)) in spaces.iter().enumerate() {
+                let s = mm.create_space(format!("s{i}"));
+                let ra = mm.map_region(s, a, MemTag::JavaHeap, a_mergeable);
+                let rb = mm.map_region(s, b, MemTag::OtherProcess, b_mergeable);
+                let vpns = (0..a as u64)
+                    .map(|p| ra.offset(p))
+                    .chain((0..b as u64).map(|p| rb.offset(p)))
+                    .collect();
+                pages.push((s, vpns));
+            }
+            let at = |space: usize, page: usize| {
+                let (s, vpns) = &pages[space % pages.len()];
+                (*s, vpns[page % vpns.len()])
+            };
+            let write = |mm: &mut HostMm, ops: &[(usize, usize, u64, u64)]| {
+                for &(space, page, fp, tick) in ops {
+                    let (s, vpn) = at(space, page);
+                    mm.write_page(s, vpn, Fingerprint::of(&[fp]), Tick(tick));
+                }
+            };
+            write(&mut mm, &writes);
+            for &(x, y) in &merges {
+                let live: Vec<FrameId> = mm.phys().iter().map(|(id, _)| id).collect();
+                let (dup, canonical) = (live[x % live.len()], live[y % live.len()]);
+                let phys = mm.phys();
+                if dup != canonical && phys.fingerprint(dup) == phys.fingerprint(canonical) {
+                    mm.merge_frames(dup, canonical);
+                }
+            }
+            write(&mut mm, &rewrites);
+            let broken: HashSet<(u32, u64)> = broken
+                .iter()
+                .map(|&(space, page)| {
+                    let (s, vpn) = at(space, page);
+                    (s.index() as u32, vpn.0)
+                })
+                .collect();
+
+            let horizon = Tick(horizon);
+            prop_assert_eq!(
+                diagnose_misses(&mm, cap, horizon, &broken),
+                diagnose_misses_btree(&mm, cap, horizon, &broken)
+            );
+        }
+    }
 
     /// Two spaces each writing the same content into mergeable regions,
     /// never scanned: everything is a Pending miss.

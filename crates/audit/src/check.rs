@@ -20,7 +20,8 @@
 //!   (guest totals sum to the global total, which equals the frame
 //!   pool's size). The frame-indexed snapshot engine is also checked
 //!   differentially: its output must be field-identical to the retained
-//!   naive reference walk on the same world.
+//!   naive reference walk on the same world, and its rollup exactly
+//!   equal to the retained map-based one.
 //! * **KSM layer** — `pages_shared`/`pages_sharing` equal a from-scratch
 //!   recount over the scanner's stable tree, i.e. for every valid
 //!   stable node the frame refcount contributes `sharing + 1`.
@@ -213,6 +214,15 @@ pub enum Violation {
         /// attributed frame sets themselves differ).
         frame: Option<FrameId>,
     },
+    /// The owner-oriented rollup diverged from the retained map-based
+    /// reference: [`MemorySnapshot::breakdown`] and
+    /// [`MemorySnapshot::breakdown_naive`] are not exactly equal on the
+    /// same snapshot.
+    BreakdownDivergence {
+        /// The first part that differs (`"guests"`, `"javas"` or
+        /// `"total owned"`).
+        what: &'static str,
+    },
     /// The attribution walk did not claim every allocated frame exactly
     /// once (frame or PTE counts disagree with the ground truth).
     AttributionIncomplete {
@@ -273,6 +283,7 @@ impl Violation {
             | Violation::BalloonedPageResident { .. }
             | Violation::MemslotPageUnclaimed { .. } => Layer::Guest,
             Violation::SnapshotDivergence { .. }
+            | Violation::BreakdownDivergence { .. }
             | Violation::AttributionIncomplete { .. }
             | Violation::AccountingDrift { .. } => Layer::Attribution,
             Violation::KsmStatsMismatch { .. } | Violation::KsmShardMisplaced { .. } => Layer::Ksm,
@@ -373,6 +384,10 @@ impl std::fmt::Display for Violation {
                     "engine and naive walks attribute different frame sets"
                 ),
             },
+            Violation::BreakdownDivergence { what } => write!(
+                f,
+                "breakdown and its naive reference disagree on {what}"
+            ),
             Violation::AttributionIncomplete {
                 what,
                 expected,
@@ -640,7 +655,9 @@ fn check_guest_layer(
 /// resident memory. The frame-indexed engine behind
 /// [`MemorySnapshot::collect`] is additionally validated differentially
 /// against the retained naive reference walk
-/// ([`MemorySnapshot::collect_naive`]): the two must be field-identical.
+/// ([`MemorySnapshot::collect_naive`]): the two must be field-identical,
+/// and so must [`MemorySnapshot::breakdown`] and the retained
+/// [`MemorySnapshot::breakdown_naive`].
 fn check_attribution(world: &World<'_>, report: &mut AuditReport) -> Result<(), Violation> {
     let phys = world.mm.phys();
     let snapshot = MemorySnapshot::collect(world.mm, &world.guests);
@@ -667,6 +684,17 @@ fn check_attribution(world: &World<'_>, report: &mut AuditReport) -> Result<(), 
         });
     }
     let breakdown = snapshot.breakdown();
+    let reference = naive.breakdown_naive();
+    if breakdown != reference {
+        let what = if breakdown.guests != reference.guests {
+            "guests"
+        } else if breakdown.javas != reference.javas {
+            "javas"
+        } else {
+            "total owned"
+        };
+        return Err(Violation::BreakdownDivergence { what });
+    }
     let resident_mib = pages_to_mib(phys.allocated_frames());
     if (breakdown.total_owned_mib - resident_mib).abs() > MIB_EPS {
         return Err(Violation::AccountingDrift {

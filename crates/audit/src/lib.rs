@@ -111,6 +111,9 @@ mod tests {
         };
         assert_eq!(v.layer(), Layer::Ksm);
         assert!(v.to_string().contains("pages_sharing"));
+        let v = Violation::BreakdownDivergence { what: "javas" };
+        assert_eq!(v.layer(), Layer::Attribution);
+        assert!(v.to_string().contains("attribution layer"));
     }
 
     /// One booted guest whose "java" process fills enough pages that the

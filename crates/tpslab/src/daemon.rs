@@ -17,6 +17,9 @@
 //! for the daemon's lifetime, so each publish re-walks only the address
 //! spaces whose region generations moved since the previous second
 //! (and none at all on an idle world, via the epoch short-circuit).
+//! After the final epoch the world no longer changes: the daemon keeps
+//! serving that epoch's answers and refreshes only the wall-clock query
+//! count in `/metrics`.
 //!
 //! Determinism contract: watching a world never mutates it. The ticker
 //! drives exactly [`Experiment::build_world`]'s loop (or
@@ -96,6 +99,7 @@ impl DaemonConfig {
 /// Everything a query can be answered from, rendered once per published
 /// epoch by the ticker thread. Immutable after publication — query
 /// threads clone the `Arc`, never the strings.
+#[derive(Clone)]
 struct ServedState {
     /// Simulated seconds this state describes.
     epoch_seconds: u64,
@@ -282,6 +286,8 @@ fn run_ticker(cfg: &DaemonConfig, shared: &Shared) {
     let ticks_per_second = u64::from(mem::TICKS_PER_SECOND as u32);
     let duration = cfg.config.duration_seconds;
 
+    // The registry behind the latest published exposition.
+    let mut exposition = MetricsRegistry::new();
     let mut second = 0u64;
     while !shared.stop.load(Ordering::SeqCst) {
         if second < duration {
@@ -289,7 +295,8 @@ fn run_ticker(cfg: &DaemonConfig, shared: &Shared) {
             for t in (second - 1) * ticks_per_second + 1..=second * ticks_per_second {
                 driver.step(t);
             }
-            let state = publish(
+            let state;
+            (exposition, state) = publish(
                 &driver,
                 &mut engine,
                 &mut wall,
@@ -303,25 +310,40 @@ fn run_ticker(cfg: &DaemonConfig, shared: &Shared) {
                 std::thread::sleep(Duration::from_millis(cfg.throttle_ms));
             }
         } else {
-            // The run is over: the world idles, the engine's epoch
-            // short-circuit makes republishing cheap, and only the
-            // wall-clock series (query counts) still move.
+            // The run is over and the world no longer changes, so the
+            // final epoch's answers stand; only the wall-clock query
+            // count still moves.
             std::thread::sleep(Duration::from_millis(100));
-            let state = publish(
-                &driver,
-                &mut engine,
-                &mut wall,
-                shared,
-                second,
-                false,
-                &mut prev_merges,
-            );
-            *shared.state.write().expect("state lock") = Arc::new(state);
+            if count_queries(&mut exposition, shared) > 0 {
+                let state = ServedState {
+                    metrics: exposition.render(),
+                    ..ServedState::clone(&shared.state.read().expect("state lock"))
+                };
+                *shared.state.write().expect("state lock") = Arc::new(state);
+            }
         }
     }
 }
 
+/// Brings `reg`'s `daemon_queries_total` wall series up to the number
+/// of queries answered so far; returns how many it added.
+fn count_queries(reg: &mut MetricsRegistry, shared: &Shared) -> u64 {
+    let added = shared
+        .queries
+        .load(Ordering::Relaxed)
+        .saturating_sub(reg.counter_value("daemon_queries_total", &[]).unwrap_or(0));
+    reg.counter_class(
+        "daemon_queries_total",
+        "Queries answered by this daemon so far (non-deterministic).",
+        &[],
+        MetricClass::Wall,
+        added,
+    );
+    added
+}
+
 /// Publishes one epoch: snapshot, breakdown, misses, metrics, table.
+/// Also returns the registry the exposition was rendered from.
 fn publish(
     driver: &Driver,
     engine: &mut SnapshotEngine,
@@ -330,7 +352,7 @@ fn publish(
     second: u64,
     running: bool,
     prev_merges: &mut u64,
-) -> ServedState {
+) -> (MetricsRegistry, ServedState) {
     let host = driver.host();
     let scanner = driver.scanner();
     let now = Tick::from_seconds(second as f64);
@@ -363,7 +385,8 @@ fn publish(
 
     // Deterministic registry, rebuilt from layer counters; wall-clock
     // series merged behind it.
-    let mut reg = telemetry::world_registry(host, scanner, engine, now);
+    let sharing = scanner.count_sharing(host.mm());
+    let mut reg = telemetry::world_registry(host, scanner, engine, now, sharing);
     if let Driver::Traffic(w) = driver {
         w.report.record_metrics(&mut reg);
         // Step-phase wall clocks (DESIGN.md §14): cumulative in the
@@ -387,16 +410,7 @@ fn publish(
             );
         }
     }
-    wall.counter_class(
-        "daemon_queries_total",
-        "Queries answered by this daemon so far (non-deterministic).",
-        &[],
-        MetricClass::Wall,
-        shared
-            .queries
-            .load(Ordering::Relaxed)
-            .saturating_sub(wall.counter_value("daemon_queries_total", &[]).unwrap_or(0)),
-    );
+    count_queries(wall, shared);
     reg.merge(wall);
     let metrics = reg.render();
     let metrics_deterministic = reg.render_deterministic();
@@ -406,7 +420,6 @@ fn publish(
     let merge_rate = merges.saturating_sub(*prev_merges) as f64;
     *prev_merges = merges;
 
-    let (shared_pages, sharing_pages) = scanner.count_sharing(host.mm());
     let per_guest_traffic = match driver {
         Driver::Traffic(w) => Some(w.report.per_guest.as_slice()),
         Driver::Tick(_) => None,
@@ -420,8 +433,7 @@ fn publish(
         second,
         running,
         merge_rate,
-        shared_pages,
-        sharing_pages,
+        sharing,
         per_guest_traffic,
     );
     let top = render_top(
@@ -438,7 +450,7 @@ fn publish(
         misses_json.push('\n');
     }
 
-    ServedState {
+    let state = ServedState {
         epoch_seconds: second,
         running,
         metrics,
@@ -447,7 +459,8 @@ fn publish(
         fleet,
         misses: misses_json,
         top,
-    }
+    };
+    (reg, state)
 }
 
 fn publish_error(shared: &Shared, e: &Error) {
@@ -510,7 +523,10 @@ pub fn render_guests(
                     t.offered, t.served, t.dropped
                 );
             }
-            match breakdown.javas.iter().find(|j| j.guest == i as u32) {
+            // `javas` is in (guest, pid) order: this guest's first JVM
+            // sits where the earlier guests' end.
+            let first = breakdown.javas.partition_point(|j| j.guest < i as u32);
+            match breakdown.javas.get(first).filter(|j| j.guest == i as u32) {
                 Some(java) => {
                     let _ = write!(out, ",\"java\":{{\"pid\":{},\"categories\":{{", java.pid.0);
                     for (k, (category, usage)) in java.categories.iter().enumerate() {
@@ -552,8 +568,7 @@ fn render_fleet(
     second: u64,
     running: bool,
     merge_rate: f64,
-    shared_pages: u64,
-    sharing_pages: u64,
+    (shared_pages, sharing_pages): (u64, u64),
     traffic: Option<&[crate::GuestTraffic]>,
 ) -> String {
     let mut out = String::with_capacity(1024);
@@ -875,6 +890,37 @@ mod tests {
             metrics.contains("traffic_plan_wall_ns_total"),
             "got: {metrics}"
         );
+        daemon.shutdown();
+        daemon.join();
+    }
+
+    /// Once the run is over, the deterministic scrape is a pure function
+    /// of the final world: it must not drift while the daemon idles, but
+    /// the wall-clock query count must keep moving.
+    #[test]
+    fn idle_daemon_keeps_its_final_scrape() {
+        let config = ExperimentConfig::tiny_test(2, true).with_duration_seconds(3);
+        let mut daemon = Daemon::spawn(DaemonConfig::new(config)).unwrap();
+        wait_for_epoch(&daemon, 3);
+        let addr = daemon.addr().to_string();
+        let queries = |metrics: &str| -> u64 {
+            metrics
+                .lines()
+                .find_map(|l| l.strip_prefix("daemon_queries_total "))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("no query count in: {metrics}"))
+        };
+        let before = queries(&http_get(&addr, "/metrics").unwrap());
+        let first = http_get(&addr, "/metrics/deterministic").unwrap();
+        // More than two 100 ms idle intervals.
+        std::thread::sleep(Duration::from_millis(350));
+        let second = http_get(&addr, "/metrics/deterministic").unwrap();
+        let after = queries(&http_get(&addr, "/metrics").unwrap());
+        assert_eq!(
+            first, second,
+            "the idle daemon's deterministic scrape drifted"
+        );
+        assert!(after > before, "query count stuck at {before}");
         daemon.shutdown();
         daemon.join();
     }

@@ -26,15 +26,16 @@ use obs::MetricsRegistry;
 /// Builds the deterministic scrape of a world at simulated tick `now`.
 ///
 /// `scanner` stats may lag ground truth between recounts, so the
-/// `ksm_pages_shared` / `ksm_pages_sharing` gauges are refreshed with a
-/// read-only [`KsmScanner::count_sharing`] — watching a world never
-/// mutates it.
+/// `ksm_pages_shared` / `ksm_pages_sharing` gauges take the caller's
+/// read-only [`KsmScanner::count_sharing`] of the same world — watching
+/// a world never mutates it.
 #[must_use]
 pub fn world_registry(
     host: &KvmHost,
     scanner: &KsmScanner,
     engine: &SnapshotEngine,
     now: Tick,
+    (shared, sharing): (u64, u64),
 ) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
     reg.gauge(
@@ -51,7 +52,6 @@ pub fn world_registry(
     );
     host.record_metrics(&mut reg);
     scanner.record_metrics(&mut reg);
-    let (shared, sharing) = scanner.count_sharing(host.mm());
     reg.gauge(
         "ksm_pages_shared",
         "Stable-tree frames: distinct shared pages kept in memory.",
@@ -88,7 +88,8 @@ pub fn golden_scrape(config: &ExperimentConfig) -> String {
     let views = world.views();
     let _ = engine.snapshot(world.host.mm(), &views);
     drop(views);
-    world_registry(&world.host, &world.scanner, &engine, end).render_deterministic()
+    let sharing = world.scanner.count_sharing(world.host.mm());
+    world_registry(&world.host, &world.scanner, &engine, end, sharing).render_deterministic()
 }
 
 #[cfg(test)]

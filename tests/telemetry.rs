@@ -15,9 +15,10 @@
 //! 3. **Daemon oracle** — a live `tpsd` serving the mutating scale32
 //!    world under concurrent client load must answer `/guest/<i>` with
 //!    exactly the JSON rebuilt post-hoc from an unmonitored world of
-//!    the same simulated length via the naive attribution walk, and its
-//!    deterministic metrics must match the unmonitored scrape
-//!    series-for-series.
+//!    the same simulated length via the naive attribution walk and the
+//!    naive rollup, `/misses` with exactly the merge-miss report of an
+//!    unmonitored diagnosed run, and its deterministic metrics must
+//!    match the unmonitored scrape series-for-series.
 
 use mem::{Fingerprint, Tick, HUGE_PAGE_SPAN};
 use proptest::prelude::*;
@@ -285,12 +286,12 @@ proptest! {
 // 3. Daemon vs. post-hoc naive oracle, under concurrent queries
 // ---------------------------------------------------------------------
 
-/// Extracts the embedded epoch from a `/guest/<i>` JSON body.
-fn guest_epoch(body: &str) -> u64 {
+/// Extracts the embedded epoch from a `/guest/<i>` or `/misses` JSON body.
+fn body_epoch(body: &str) -> u64 {
     body.strip_prefix("{\"epoch_seconds\":")
         .and_then(|rest| rest.split(',').next())
         .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("no epoch in guest body: {body}"))
+        .unwrap_or_else(|| panic!("no epoch in body: {body}"))
 }
 
 /// Extracts the `sim_seconds` gauge from a deterministic metrics body.
@@ -356,22 +357,24 @@ fn daemon_answers_match_naive_oracle_at_same_epoch() {
         })
         .collect();
 
-    // Epoch-consistent capture: all guest bodies plus the deterministic
-    // metrics must report the same simulated second. Retry while the
-    // publish boundary slices through the reads.
+    // Epoch-consistent capture: all guest bodies, the miss report and
+    // the deterministic metrics must report the same simulated second.
+    // Retry while the publish boundary slices through the reads.
     let n_guests = base.guests.len();
-    let mut captured: Option<(u64, Vec<String>, String)> = None;
+    let mut captured: Option<(u64, Vec<String>, String, String)> = None;
     for _ in 0..40 {
         let metrics = tpslab::http_get(&addr, "/metrics/deterministic").expect("metrics");
         let s = metrics_epoch(&metrics);
         let guests: Vec<String> = (0..n_guests)
             .map(|i| tpslab::http_get(&addr, &format!("/guest/{i}")).expect("guest"))
             .collect();
-        if guests.iter().all(|g| guest_epoch(g) == s)
+        let misses = tpslab::http_get(&addr, "/misses").expect("misses");
+        if guests.iter().all(|g| body_epoch(g) == s)
+            && body_epoch(&misses) == s
             && metrics_epoch(&tpslab::http_get(&addr, "/metrics/deterministic").expect("metrics"))
                 == s
         {
-            captured = Some((s, guests, metrics));
+            captured = Some((s, guests, misses, metrics));
             break;
         }
     }
@@ -379,14 +382,15 @@ fn daemon_answers_match_naive_oracle_at_same_epoch() {
     for c in clients {
         c.join().expect("client thread");
     }
-    let (epoch, daemon_guests, daemon_metrics) =
+    let (epoch, daemon_guests, daemon_misses, daemon_metrics) =
         captured.expect("never captured an epoch-consistent read");
     daemon.shutdown();
     daemon.join();
 
     // Post-hoc oracle: replay the identical config to `epoch` simulated
     // seconds in-process, walk attribution with the naive reference
-    // collector, and rebuild the canonical per-guest JSON.
+    // collector, roll it up with the naive reference rollup, and rebuild
+    // the canonical per-guest JSON.
     let oracle_cfg = base.with_duration_seconds(epoch);
     let (host, javas) = tpslab::Experiment::build_world(&oracle_cfg);
     let views: Vec<GuestView<'_>> = host
@@ -396,7 +400,7 @@ fn daemon_answers_match_naive_oracle_at_same_epoch() {
         .map(|(g, j)| GuestView::new(&g.name, &g.os, vec![j.pid()]))
         .collect();
     let naive = MemorySnapshot::collect_naive(host.mm(), &views);
-    let expected_guests = tpslab::render_guests(&host, &naive.breakdown(), epoch, None);
+    let expected_guests = tpslab::render_guests(&host, &naive.breakdown_naive(), epoch, None);
     assert_eq!(expected_guests.len(), daemon_guests.len());
     for (i, (expected, actual)) in expected_guests.iter().zip(&daemon_guests).enumerate() {
         assert_eq!(
@@ -404,6 +408,22 @@ fn daemon_answers_match_naive_oracle_at_same_epoch() {
             "daemon /guest/{i} diverged from the naive oracle at epoch {epoch}"
         );
     }
+
+    // The miss report must be what a diagnosed unmonitored run of the
+    // same length finds.
+    let report = tpslab::Experiment::run(&oracle_cfg.clone().with_diagnose()).expect("oracle run");
+    let expected_misses = format!(
+        "{{\"epoch_seconds\":{epoch},{}\n",
+        report
+            .merge_miss
+            .expect("diagnosis was enabled")
+            .to_json()
+            .trim_start_matches('{')
+    );
+    assert_eq!(
+        expected_misses, daemon_misses,
+        "daemon /misses diverged from the diagnosed run at epoch {epoch}"
+    );
 
     // And the deterministic metrics series (engine-lifetime counters
     // aside) must be what an unmonitored scrape of the same world says.
