@@ -1,4 +1,4 @@
-//! Fleet-scale parallel traffic benchmark (see [`bench::fleet_traffic`]).
+//! Fleet-scale traffic benchmark (see [`bench::fleet_traffic`]).
 //!
 //! Two modes:
 //!
@@ -11,9 +11,8 @@
 //!   ```
 //!
 //! * `--json` — measures the scale256 and scale1024 flash crowds at 1
-//!   and 8 threads, asserts report identity and the ≥3x plan-phase
-//!   projection, and prints the record committed as
-//!   `results/BENCH_fleet_traffic.json`:
+//!   and 8 threads, asserts report identity, and prints the record
+//!   committed as `results/BENCH_fleet_traffic.json`:
 //!
 //!   ```text
 //!   cargo run --release -p bench --bin fleet_traffic -- --json > results/BENCH_fleet_traffic.json

@@ -1,19 +1,18 @@
-//! Fleet-scale traffic serving: the parallel sharded engine benchmark
+//! Fleet-scale traffic serving benchmark
 //! (`results/BENCH_fleet_traffic.json`, `tests/golden/fleet_traffic.txt`).
 //!
 //! Where `bench::traffic` prices the event engine on a miniature fleet,
 //! this module drives the **fleet presets** (`scale256`, `scale1024`)
 //! through [`Experiment::run_traffic`] — hundreds to a thousand guest
-//! JVMs serving a flash crowd — and measures the plan → commit split
-//! introduced in DESIGN.md §14:
+//! JVMs serving a flash crowd (DESIGN.md §14):
 //!
 //! * [`golden_text`] — a deterministic two-combo report pinned at
 //!   `tests/golden/fleet_traffic.txt`, rendered byte-identically at any
-//!   `--threads` value (the golden test diffs 1 against 4 threads).
-//! * [`bench_json`] — wall-clock phase measurements at scale256 plus a
-//!   completing scale1024 run, with the whole-run Amdahl speedup
-//!   projection (engine plan phase + KSM classify/resolve) asserted
-//!   ≥ 3x at generation time.
+//!   `--threads` value (the golden test diffs 1 against 4 threads, which
+//!   pins the KSM scanner's sharded wake).
+//! * [`bench_json`] — measured 1- and 8-thread wall-clock with the
+//!   per-phase split at scale256 plus a completing scale1024 run, each
+//!   8-thread report asserted identical to its 1-thread one.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -45,10 +44,11 @@ pub fn fleet_config(guests: usize, seconds: u64, threads: usize) -> ExperimentCo
     cfg.with_duration_seconds(seconds).with_threads(threads)
 }
 
-/// The golden combos: a mid-size fleet under the two scenarios that
-/// stress the parallel split from both sides — flash-crowd (every
-/// guest busy, maximal plan-phase fan-out) and rolling-deploy (churned
-/// guests forced serial while the rest of the fleet plans).
+/// The golden combos: a mid-size fleet under two scenarios that load
+/// the KSM scanner's sharded wake differently — flash-crowd (every
+/// guest busy, the most pages dirtied per wake) and rolling-deploy
+/// (guests relaunched mid-run, dropping and re-merging their JVMs'
+/// pages).
 fn golden_combos() -> [(usize, Scenario); 2] {
     [
         (64, Scenario::flash_crowd(GOLDEN_SECONDS)),
@@ -89,34 +89,10 @@ struct Measured {
     sharded: TrafficWall,
     measured_1t_ms: f64,
     measured_8t_ms: f64,
-    parallel_fraction: f64,
-    projected_speedup_8t: f64,
-}
-
-/// The whole-run Amdahl projection at 8 workers.
-///
-/// A traffic run has two pool-parallel phases: the engine's plan phase
-/// (per-guest shards onto `MemTape`s — this PR) and the KSM scanner's
-/// classify + resolve phases (PR 5's sharding, reported by the
-/// scanner's own wake accounting as `scan_parallel_ns`). Everything
-/// else — drain, the serial replay commit, scanner plan/commit,
-/// khugepaged, sampling — stays serial.
-///
-/// At 1 thread the engine takes the direct path (no plan phase), so the
-/// serial run's `total_ns` is the honest 1-thread cost. The sharded
-/// run's phases are measured back-to-back on this host; dividing its
-/// parallel portion by 8 is the Amdahl term. Using the sharded run's
-/// own (overhead-inflated) serial residue keeps the projection
-/// conservative.
-fn project(serial: &TrafficWall, sharded: &TrafficWall) -> (f64, f64) {
-    let parallel = sharded.plan_ns + sharded.scan_parallel_ns;
-    let fraction = parallel as f64 / sharded.total_ns().max(1) as f64;
-    let projected_8t = sharded.serial_ns() as f64 + parallel as f64 / 8.0;
-    (fraction, serial.total_ns() as f64 / projected_8t)
 }
 
 fn measure(guests: usize, scenario: &Scenario) -> Measured {
-    // Serial run: the direct-path workload cost (no plan phase).
+    // Serial run: everything on the calling thread.
     let cfg1 = fleet_config(guests, BENCH_SECONDS, 1);
     let start = Instant::now();
     let (report, serial) =
@@ -132,7 +108,6 @@ fn measure(guests: usize, scenario: &Scenario) -> Measured {
     let measured_8t_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(report, report8, "thread count changed the traffic report");
 
-    let (parallel_fraction, projected_speedup_8t) = project(&serial, &sharded);
     Measured {
         guests,
         scenario: scenario.name,
@@ -144,8 +119,6 @@ fn measure(guests: usize, scenario: &Scenario) -> Measured {
         sharded,
         measured_1t_ms,
         measured_8t_ms,
-        parallel_fraction,
-        projected_speedup_8t,
     }
 }
 
@@ -155,16 +128,15 @@ fn measure(guests: usize, scenario: &Scenario) -> Measured {
 /// # Panics
 ///
 /// Panics if a configuration fails validation, if an 8-thread run's
-/// report diverges from the serial run's, or if the scale256
-/// flash-crowd whole-run projection falls below 3× at 8 workers — the
-/// speedup claim this benchmark exists to pin.
+/// report diverges from the serial run's, or if the scale1024 run
+/// served no traffic.
 #[must_use]
 pub fn bench_json() -> String {
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut out = String::from("{\n");
     let _ = writeln!(
         out,
-        "  \"benchmark\": \"parallel sharded traffic engine: fleet-scale request serving at scale256/scale1024\","
+        "  \"benchmark\": \"sharded traffic engine: fleet-scale request serving at scale256/scale1024\","
     );
     let _ = writeln!(out, "  \"source\": \"crates/bench/src/fleet_traffic.rs\",");
     let _ = writeln!(
@@ -178,7 +150,7 @@ pub fn bench_json() -> String {
     let _ = writeln!(out, "  \"host_cores\": {host_cores},");
     let _ = writeln!(
         out,
-        "  \"measurement_note\": \"measured_*_ms are wall-clock on this host ({host_cores} core(s)); projected_speedup_8t is a whole-run Amdahl projection — the serial run's total over the sharded run's serial residue + (plan_ns + scan_parallel_ns)/8 — labelled as such because this container cannot run 8 workers concurrently: the engine plan phase (this PR) and the KSM classify+resolve phases (PR 5, per the scanner's own wake accounting) are the pool-parallel portions, and the sharded run's own overhead-inflated residue keeps the projection conservative\","
+        "  \"measurement_note\": \"measured_*_ms are whole-run wall-clock on this host ({host_cores} core(s)), one run each; the *_ns fields split each run by step phase: drain, plan (the per-batch capacity snapshot), commit (applying events) and scan (khugepaged, the KSM wake and samples), of which scan_parallel_ns is the KSM classify+resolve share that runs on the worker pool\","
     );
     let _ = writeln!(out, "  \"combos\": [");
     let combos = [
@@ -213,16 +185,6 @@ pub fn bench_json() -> String {
             "      \"sharded_scan_parallel_ns\": {},",
             p.sharded.scan_parallel_ns
         );
-        let _ = writeln!(
-            out,
-            "      \"parallel_fraction\": {:.3},",
-            p.parallel_fraction
-        );
-        let _ = writeln!(
-            out,
-            "      \"projected_speedup_8t\": {:.2},",
-            p.projected_speedup_8t
-        );
         let _ = writeln!(out, "      \"measured_1t_ms\": {:.3},", p.measured_1t_ms);
         let _ = writeln!(out, "      \"measured_8t_ms\": {:.3}", p.measured_8t_ms);
         let _ = writeln!(out, "    }}{}", if i + 1 < points.len() { "," } else { "" });
@@ -234,17 +196,7 @@ pub fn bench_json() -> String {
     );
     out.push_str("}\n");
 
-    // The speedup claim, checked where the numbers are produced: the
-    // scale256 flash crowd must project at least 3x at 8 workers.
-    let p = &points[0];
-    assert!(
-        p.projected_speedup_8t >= 3.0,
-        "scale256 flash-crowd projects only {:.2}x at 8 workers \
-         (parallel fraction {:.3})",
-        p.projected_speedup_8t,
-        p.parallel_fraction
-    );
-    // And scale1024 must have completed with real traffic served.
+    // The scale1024 run must have completed with real traffic served.
     let p1024 = &points[1];
     assert!(
         p1024.guests == 1024 && p1024.served > 0,
@@ -262,28 +214,5 @@ mod tests {
         let names: Vec<&str> = golden_combos().iter().map(|(_, s)| s.name).collect();
         assert!(names.contains(&"flash-crowd"));
         assert!(names.contains(&"rolling-deploy"));
-    }
-
-    #[test]
-    fn projection_matches_amdahl_by_hand() {
-        let serial = TrafficWall {
-            drain_ns: 100,
-            plan_ns: 0,
-            commit_ns: 700,
-            scan_ns: 1_200,
-            scan_parallel_ns: 1_000,
-        };
-        let sharded = TrafficWall {
-            drain_ns: 100,
-            plan_ns: 700,
-            commit_ns: 200,
-            scan_ns: 1_600,
-            scan_parallel_ns: 1_300,
-        };
-        let (fraction, projected) = project(&serial, &sharded);
-        // Parallel portion: 700 plan + 1300 scan = 2000 of 2600 total.
-        assert!((fraction - 2_000.0 / 2_600.0).abs() < 1e-12);
-        // Serial total 2000 over (100 + 200 + 300) + 2000/8 = 850.
-        assert!((projected - 2_000.0 / 850.0).abs() < 1e-12);
     }
 }

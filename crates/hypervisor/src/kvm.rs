@@ -153,13 +153,6 @@ impl KvmHost {
         (&mut self.mm, &mut self.guests[idx])
     }
 
-    /// Split borrow for the traffic engine's parallel plan phase: the
-    /// memory manager plus *every* guest, all mutably. Callers shard the
-    /// slice into disjoint per-guest work.
-    pub fn mm_and_guests_mut(&mut self) -> (&mut HostMm, &mut [KvmGuest]) {
-        (&mut self.mm, &mut self.guests)
-    }
-
     /// Split borrow for whole-host operations (Satori sharing, placement
     /// summaries): the memory manager mutably plus read access to every
     /// guest OS.

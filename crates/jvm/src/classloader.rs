@@ -7,7 +7,7 @@ use cds::SharedClassCache;
 use mem::{Fingerprint, LayoutImage, LayoutWriter, Tick};
 use obs::EventKind;
 use oskernel::{GuestOs, Pid};
-use paging::{MemSink, MemTag, Vpn};
+use paging::{HostMm, MemTag, Vpn};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -136,7 +136,7 @@ impl ClassLoader {
     /// Advances loading to `fraction` of the start-up phase.
     pub(crate) fn tick(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         fraction: f64,
@@ -149,7 +149,7 @@ impl ClassLoader {
             private_pages += 1;
         }
         if private_pages > 0 {
-            mm.trace(|| EventKind::ClassLoad {
+            mm.tracer().emit_with(|| EventKind::ClassLoad {
                 pid: pid.0,
                 pages: private_pages,
                 from_cache: false,
@@ -169,7 +169,7 @@ impl ClassLoader {
                 cache_pages += 1;
             }
             if cache_pages > 0 {
-                mm.trace(|| EventKind::ClassLoad {
+                mm.tracer().emit_with(|| EventKind::ClassLoad {
                     pid: pid.0,
                     pages: cache_pages,
                     from_cache: true,
@@ -220,7 +220,7 @@ impl ClassLoader {
     /// Panics if `fraction` is not in `[0, 1]`.
     pub fn unload(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         fraction: f64,

@@ -4,7 +4,7 @@ use crate::fill::ProgressFill;
 use crate::profile::AppProfile;
 use mem::{Fingerprint, Tick};
 use oskernel::{GuestOs, Pid};
-use paging::{MemSink, MemTag, Vpn};
+use paging::{HostMm, MemTag, Vpn};
 
 const TEXT_TOKEN: u64 = 0xc0de;
 const DATA_TOKEN: u64 = 0xda7a;
@@ -29,7 +29,7 @@ pub(crate) struct CodeArea {
 
 impl CodeArea {
     pub(crate) fn launch(
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         profile: &AppProfile,
@@ -57,7 +57,7 @@ impl CodeArea {
 
     pub(crate) fn tick(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         salt: u64,

@@ -15,7 +15,7 @@ use crate::profile::{GcPolicy, HeapProfile};
 use mem::{Fingerprint, Tick};
 use obs::EventKind;
 use oskernel::{GuestOs, Pid};
-use paging::{MemSink, MemTag, Vpn};
+use paging::{HostMm, MemTag, Vpn};
 
 const HEAP_TOKEN: u64 = 0x4ea9;
 
@@ -42,7 +42,7 @@ struct Space {
 
 impl Space {
     fn new(
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         pages: usize,
@@ -85,7 +85,7 @@ impl Space {
     /// Gradually populate the live set during warm-up.
     fn warmup(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         salt: u64,
@@ -110,7 +110,7 @@ impl Space {
     /// the number of collections triggered.
     fn allocate(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         salt: u64,
@@ -136,11 +136,11 @@ impl Space {
 
     /// Stop-the-world collection: all garbage in the free area dies and
     /// the space is zero-filled for reuse.
-    fn collect(&mut self, mm: &mut impl MemSink, guest: &mut GuestOs, pid: Pid, now: Tick) {
+    fn collect(&mut self, mm: &mut HostMm, guest: &mut GuestOs, pid: Pid, now: Tick) {
         for i in self.live_pages..self.hwm {
             guest.write_page(mm, pid, self.base.offset(i as u64), Fingerprint::ZERO, now);
         }
-        mm.trace(|| EventKind::GcCollect {
+        mm.tracer().emit_with(|| EventKind::GcCollect {
             pid: pid.0,
             gvpn: self.base.offset(self.live_pages as u64).0,
             zeroed_pages: (self.hwm - self.live_pages) as u64,
@@ -165,7 +165,7 @@ pub(crate) struct HeapSim {
 
 impl HeapSim {
     pub(crate) fn launch(
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         profile: &HeapProfile,
@@ -231,7 +231,7 @@ impl HeapSim {
 
     pub(crate) fn tick(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         salt: u64,
@@ -253,7 +253,7 @@ impl HeapSim {
     /// already-written pages are never rewritten).
     pub(crate) fn warm(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         salt: u64,
@@ -272,7 +272,7 @@ impl HeapSim {
     /// pressure path.
     pub(crate) fn serve(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         salt: u64,

@@ -5,7 +5,7 @@ use crate::profile::AppProfile;
 use mem::{Fingerprint, Tick};
 use obs::EventKind;
 use oskernel::{GuestOs, Pid};
-use paging::{MemSink, MemTag, Vpn};
+use paging::{HostMm, MemTag, Vpn};
 
 const JIT_CODE_TOKEN: u64 = 0x717c;
 const JIT_WORK_TOKEN: u64 = 0x717e;
@@ -31,7 +31,7 @@ pub(crate) struct JitSim {
 
 impl JitSim {
     pub(crate) fn launch(
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         profile: &AppProfile,
@@ -75,7 +75,7 @@ impl JitSim {
     #[allow(clippy::too_many_arguments)] // simulation context threading
     pub(crate) fn tick(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         profile: &AppProfile,
@@ -105,7 +105,7 @@ impl JitSim {
     /// requests served rather than elapsed time.
     pub(crate) fn emit_code(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         salt: u64,
@@ -119,7 +119,7 @@ impl JitSim {
             emitted += 1;
         }
         if emitted > 0 {
-            mm.trace(|| EventKind::JitEmit {
+            mm.tracer().emit_with(|| EventKind::JitEmit {
                 pid: pid.0,
                 pages: emitted,
             });
@@ -129,7 +129,7 @@ impl JitSim {
     /// Rewrites `pages` of compilation scratch (fractions carry over).
     pub(crate) fn scratch(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         salt: u64,

@@ -4,7 +4,7 @@ use crate::fill::ProgressFill;
 use crate::profile::AppProfile;
 use mem::{Fingerprint, Tick};
 use oskernel::{GuestOs, Pid};
-use paging::{MemSink, MemTag, Vpn};
+use paging::{HostMm, MemTag, Vpn};
 
 const STACK_TOKEN: u64 = 0x57ac;
 
@@ -37,7 +37,7 @@ impl StackSim {
     #[allow(clippy::too_many_arguments)] // simulation context threading
     pub(crate) fn tick(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         profile: &AppProfile,
@@ -60,7 +60,7 @@ impl StackSim {
     /// `startup_fraction` of the thread population.
     pub(crate) fn fill(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         salt: u64,
@@ -76,7 +76,7 @@ impl StackSim {
     /// Rewrites `pages` of active top frames (fractions carry over).
     pub(crate) fn churn(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         salt: u64,

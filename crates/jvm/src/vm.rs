@@ -13,7 +13,7 @@ use crate::workarea::WorkArea;
 use cds::SharedClassCache;
 use mem::Tick;
 use oskernel::{GuestOs, Pid};
-use paging::MemSink;
+use paging::HostMm;
 
 /// Seconds after class loading during which the NIO buffers fill with the
 /// first request/response traffic.
@@ -94,7 +94,7 @@ impl JavaVm {
     /// Spawns the process in `guest` and lays the groundwork: code text is
     /// mapped, regions reserved, the class-load plan fixed.
     pub fn launch(
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         cfg: JvmConfig,
         profile: AppProfile,
@@ -144,7 +144,7 @@ impl JavaVm {
     }
 
     /// Advances the JVM by one simulation tick.
-    pub fn tick(&mut self, mm: &mut impl MemSink, guest: &mut GuestOs, now: Tick) {
+    pub fn tick(&mut self, mm: &mut HostMm, guest: &mut GuestOs, now: Tick) {
         let elapsed_s = (now - self.start) as f64 / mem::TICKS_PER_SECOND as f64;
         let load_f = phase_fraction(elapsed_s, self.profile.class_load_seconds);
         let jit_f = phase_fraction(elapsed_s, self.profile.jit_warmup_seconds);
@@ -180,7 +180,7 @@ impl JavaVm {
     /// The traffic engine calls this on a sparse schedule (once per
     /// simulated second until [`startup_done`](Self::startup_done)), so
     /// an idle-but-booted JVM costs nothing per tick.
-    pub fn advance_startup(&mut self, mm: &mut impl MemSink, guest: &mut GuestOs, now: Tick) {
+    pub fn advance_startup(&mut self, mm: &mut HostMm, guest: &mut GuestOs, now: Tick) {
         let elapsed_s = (now - self.start) as f64 / mem::TICKS_PER_SECOND as f64;
         let load_f = phase_fraction(elapsed_s, self.profile.class_load_seconds);
         self.code.tick(mm, guest, self.pid, self.salt, load_f, now);
@@ -205,7 +205,7 @@ impl JavaVm {
     /// requests costs one pass per subsystem, not one per request.
     pub fn serve_requests(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         cost: &RequestCost,
         count: u64,
@@ -308,12 +308,7 @@ impl JavaVm {
     /// Unloads a fraction of loaded classes (application redeploy):
     /// private class structures are freed, shared-cache pages stay
     /// mapped and shared (§IV.B). Returns private pages released.
-    pub fn unload_classes(
-        &mut self,
-        mm: &mut impl MemSink,
-        guest: &mut GuestOs,
-        fraction: f64,
-    ) -> usize {
+    pub fn unload_classes(&mut self, mm: &mut HostMm, guest: &mut GuestOs, fraction: f64) -> usize {
         self.loader.unload(mm, guest, self.pid, fraction)
     }
 }
@@ -337,7 +332,7 @@ mod tests {
         )
     }
 
-    fn run(java: &mut JavaVm, mm: &mut impl MemSink, guest: &mut GuestOs, from: u64, to: u64) {
+    fn run(java: &mut JavaVm, mm: &mut HostMm, guest: &mut GuestOs, from: u64, to: u64) {
         for t in from..to {
             java.tick(mm, guest, Tick(t));
         }

@@ -4,7 +4,7 @@ use crate::fill::ProgressFill;
 use crate::profile::AppProfile;
 use mem::{Fingerprint, Tick};
 use oskernel::{GuestOs, Pid};
-use paging::{MallocArena, MemSink, MemTag, PageSink, Vpn};
+use paging::{HostMm, MallocArena, MemTag, PageSink, Vpn};
 
 const WORK_TOKEN: u64 = 0x3041;
 const NIO_TOKEN: u64 = 0x310;
@@ -13,8 +13,8 @@ const NIO_TOKEN: u64 = 0x310;
 const MEAN_CHUNK_BYTES: usize = 7 * 1024;
 
 /// A [`PageSink`] that materialises arena pages inside a guest process.
-struct GuestSink<'a, M: MemSink> {
-    mm: &'a mut M,
+struct GuestSink<'a> {
+    mm: &'a mut HostMm,
     guest: &'a mut GuestOs,
     pid: Pid,
     tag: MemTag,
@@ -22,7 +22,7 @@ struct GuestSink<'a, M: MemSink> {
     first_base: Option<Vpn>,
 }
 
-impl<M: MemSink> PageSink for GuestSink<'_, M> {
+impl PageSink for GuestSink<'_> {
     fn grow(&mut self, pages: usize) -> Vpn {
         let base = self
             .guest
@@ -65,7 +65,7 @@ pub(crate) struct WorkArea {
 
 impl WorkArea {
     pub(crate) fn launch(
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         profile: &AppProfile,
@@ -109,7 +109,7 @@ impl WorkArea {
     #[allow(clippy::too_many_arguments)] // simulation context threading
     pub(crate) fn tick(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         profile: &AppProfile,
@@ -134,7 +134,7 @@ impl WorkArea {
     /// salted malloc calls packed into the arena block.
     pub(crate) fn startup(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         salt: u64,
@@ -164,7 +164,7 @@ impl WorkArea {
     /// the workload (identical across VMs), not the process.
     pub(crate) fn fill_nio(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         profile: &AppProfile,
@@ -181,7 +181,7 @@ impl WorkArea {
     /// (string tables, monitor tables, …); fractions carry over.
     pub(crate) fn churn(
         &mut self,
-        mm: &mut impl MemSink,
+        mm: &mut HostMm,
         guest: &mut GuestOs,
         pid: Pid,
         salt: u64,

@@ -3,7 +3,7 @@
 use crate::{GuestAddressSpace, OsImage, Pid};
 use mem::{Fingerprint, Tick, HUGE_PAGE_SPAN};
 use obs::EventKind;
-use paging::{AsId, HostMm, MemSink, MemTag, ThpPolicy, Vpn};
+use paging::{AsId, HostMm, MemTag, ThpPolicy, Vpn};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The pseudo-pid under which kernel memory is accounted.
@@ -212,18 +212,12 @@ impl GuestOs {
     }
 
     /// [`add_region`](Self::add_region), emitting a
-    /// [`EventKind::GuestRegionMap`] trace event. Preferred whenever the
-    /// caller holds a [`MemSink`]; the untraced variant exists for
-    /// guest-only bookkeeping in tests.
-    pub fn map_region(
-        &mut self,
-        mm: &mut impl MemSink,
-        pid: Pid,
-        pages: usize,
-        tag: MemTag,
-    ) -> Vpn {
+    /// [`EventKind::GuestRegionMap`] trace event through `mm`'s tracer.
+    /// Preferred whenever the caller holds the [`HostMm`]; the untraced
+    /// variant exists for guest-only bookkeeping in tests.
+    pub fn map_region(&mut self, mm: &mut HostMm, pid: Pid, pages: usize, tag: MemTag) -> Vpn {
         let base = self.add_region(pid, pages, tag);
-        mm.trace(|| EventKind::GuestRegionMap {
+        mm.tracer().emit_with(|| EventKind::GuestRegionMap {
             pid: pid.0,
             gvpn: base.0,
             pages: pages as u64,
@@ -238,14 +232,7 @@ impl GuestOs {
     ///
     /// Panics if the address is outside every region of `pid`, or if guest
     /// physical memory is exhausted (guest OOM).
-    pub fn write_page(
-        &mut self,
-        mm: &mut impl MemSink,
-        pid: Pid,
-        vpn: Vpn,
-        fp: Fingerprint,
-        now: Tick,
-    ) {
+    pub fn write_page(&mut self, mm: &mut HostMm, pid: Pid, vpn: Vpn, fp: Fingerprint, now: Tick) {
         let gpfn = match self.translate(pid, vpn) {
             Some(g) => g,
             None => match self.try_huge_fault(mm, pid, vpn, now) {
@@ -273,13 +260,7 @@ impl GuestOs {
     /// Returns the gpfn for the faulting page, or `None` to fall back to
     /// a normal 4 KiB fault (ineligible range, partially populated
     /// block, or no aligned guest-physical run left).
-    fn try_huge_fault(
-        &mut self,
-        mm: &mut impl MemSink,
-        pid: Pid,
-        vpn: Vpn,
-        now: Tick,
-    ) -> Option<u64> {
+    fn try_huge_fault(&mut self, mm: &mut HostMm, pid: Pid, vpn: Vpn, now: Tick) -> Option<u64> {
         let span = HUGE_PAGE_SPAN as u64;
         let (block_start, offset_in_block) = {
             let region = self.context(pid)?.region_containing(vpn)?;
@@ -346,7 +327,7 @@ impl GuestOs {
     /// Releases a single page (the balloon / `madvise(DONTNEED)` path):
     /// the backing host frame is unmapped and the guest frame returns to
     /// the allocator. Returns `false` if the page was not populated.
-    pub fn release_page(&mut self, mm: &mut impl MemSink, pid: Pid, vpn: Vpn) -> bool {
+    pub fn release_page(&mut self, mm: &mut HostMm, pid: Pid, vpn: Vpn) -> bool {
         let Some(gpfn) = self.translate(pid, vpn) else {
             return false;
         };
@@ -355,7 +336,7 @@ impl GuestOs {
             .region_containing_mut(vpn)
             .expect("translate succeeded, region exists");
         region.set_gpfn(vpn, None);
-        mm.trace(|| EventKind::GuestPageRelease {
+        mm.tracer().emit_with(|| EventKind::GuestPageRelease {
             pid: pid.0,
             gvpn: vpn.0,
         });
@@ -368,11 +349,11 @@ impl GuestOs {
 
     /// Releases a whole region of a process: guest frames return to the
     /// allocator and the backing host pages are unmapped.
-    pub fn free_region(&mut self, mm: &mut impl MemSink, pid: Pid, base: Vpn) {
+    pub fn free_region(&mut self, mm: &mut HostMm, pid: Pid, base: Vpn) {
         let Some(region) = self.context_mut(pid).remove_region(base) else {
             return;
         };
-        mm.trace(|| EventKind::GuestRegionFree {
+        mm.tracer().emit_with(|| EventKind::GuestRegionFree {
             pid: pid.0,
             gvpn: base.0,
             pages: region.len_pages() as u64,
@@ -386,13 +367,13 @@ impl GuestOs {
     }
 
     /// Terminates a process, releasing all its memory.
-    pub fn kill(&mut self, mm: &mut impl MemSink, pid: Pid) {
+    pub fn kill(&mut self, mm: &mut HostMm, pid: Pid) {
         assert_ne!(pid, KERNEL_PID, "cannot kill the kernel");
         let Some(gas) = self.contexts.remove(&pid) else {
             return;
         };
         for region in gas.regions() {
-            mm.trace(|| EventKind::GuestRegionFree {
+            mm.tracer().emit_with(|| EventKind::GuestRegionFree {
                 pid: pid.0,
                 gvpn: region.base().0,
                 pages: region.len_pages() as u64,
@@ -409,7 +390,7 @@ impl GuestOs {
     /// Advances kernel background activity by one tick: a slice of kernel
     /// dynamic data is rewritten, keeping it volatile under the KSM
     /// checksum filter, exactly like real slab/page-table churn.
-    pub fn tick(&mut self, mm: &mut impl MemSink, now: Tick) {
+    pub fn tick(&mut self, mm: &mut HostMm, now: Tick) {
         self.tick_many(mm, now, 1);
     }
 
@@ -420,7 +401,7 @@ impl GuestOs {
     /// walking every guest every tick.
     ///
     /// [`tick`]: Self::tick
-    pub fn tick_many(&mut self, mm: &mut impl MemSink, now: Tick, ticks: u32) {
+    pub fn tick_many(&mut self, mm: &mut HostMm, now: Tick, ticks: u32) {
         if self.kernel_data_pages == 0 || self.image.kernel_churn_per_second == 0.0 {
             return;
         }

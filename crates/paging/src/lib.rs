@@ -39,7 +39,6 @@
 
 mod hostmm;
 mod malloc;
-mod memsink;
 mod rmap;
 mod space;
 mod tag;
@@ -47,7 +46,6 @@ mod thp;
 
 pub use hostmm::HostMm;
 pub use malloc::{Allocation, MallocArena, PageSink, MMAP_THRESHOLD};
-pub use memsink::{MemOp, MemSink, MemTape};
 pub use rmap::Mapping;
 pub use space::{AddressSpace, AsId, Region, Vpn};
 pub use tag::MemTag;

@@ -22,13 +22,14 @@
 //! count in `/metrics`.
 //!
 //! Determinism contract: watching a world never mutates it. The ticker
-//! drives exactly [`Experiment::build_world`]'s loop (or
-//! [`Experiment::run_traffic`]'s under a scenario), sharing gauges are
-//! refreshed with the read-only [`ksm::KsmScanner::count_sharing`], and
-//! the attribution snapshot is pure — so the daemon's world at
-//! simulated second `s` is byte-identical to an unmonitored run of
-//! duration `s`, which is what `tests/telemetry.rs` checks against the
-//! `collect_naive` oracle.
+//! owns one `World` and drives it with the same `World::step` loop as
+//! [`Experiment::build_world`] (or [`Experiment::run_traffic`] under a
+//! scenario), pausing only between simulated seconds to publish.
+//! Sharing gauges are refreshed with the read-only
+//! [`ksm::KsmScanner::count_sharing`], and the attribution snapshot is
+//! pure — so the daemon's world at simulated second `s` is
+//! byte-identical to an unmonitored run of duration `s`, which is what
+//! `tests/telemetry.rs` checks against the `collect_naive` oracle.
 //!
 //! Endpoints (HTTP/1.0, text or JSON, one request per connection):
 //!
@@ -47,13 +48,11 @@
 //! [`Experiment::build_world`]: crate::Experiment::build_world
 //! [`Experiment::run_traffic`]: crate::Experiment::run_traffic
 
-use crate::run::TickWorld;
 use crate::telemetry;
-use crate::traffic_run::TrafficWorld;
+use crate::world::World;
 use crate::{Error, ExperimentConfig};
 use analysis::{BreakdownReport, MergeMissReport, SnapshotEngine};
 use hypervisor::KvmHost;
-use ksm::KsmScanner;
 use mem::Tick;
 use obs::{MetricClass, MetricsRegistry};
 use std::fmt::Write as _;
@@ -234,56 +233,15 @@ impl Daemon {
     }
 }
 
-/// The world driver: both modes expose the same per-tick step. The
-/// worlds are boxed — each carries hundreds of bytes of inline state
-/// (the traffic world also drags its whole event queue along).
-enum Driver {
-    Tick(Box<TickWorld>),
-    Traffic(Box<TrafficWorld>),
-}
-
-impl Driver {
-    fn step(&mut self, t: u64) {
-        match self {
-            Driver::Tick(w) => w.step(t),
-            Driver::Traffic(w) => w.step(t),
-        }
-    }
-
-    fn host(&self) -> &KvmHost {
-        match self {
-            Driver::Tick(w) => &w.host,
-            Driver::Traffic(w) => &w.host,
-        }
-    }
-
-    fn scanner(&self) -> &KsmScanner {
-        match self {
-            Driver::Tick(w) => &w.scanner,
-            Driver::Traffic(w) => &w.scanner,
-        }
-    }
-}
-
 /// The ticker thread: owns the world, the warm engine and the wall-
 /// clock series; ticks simulated seconds and publishes rendered state.
 fn run_ticker(cfg: &DaemonConfig, shared: &Shared) {
-    let mut driver = match &cfg.scenario {
-        Some(scenario) => match TrafficWorld::new(&cfg.config, scenario) {
-            Ok(w) => Driver::Traffic(Box::new(w)),
-            Err(e) => {
-                publish_error(shared, &e);
-                return;
-            }
-        },
-        None => Driver::Tick(Box::new(TickWorld::new(&cfg.config))),
-    };
+    let mut world = World::new(&cfg.config, cfg.scenario.as_ref());
     let mut engine = SnapshotEngine::new(cfg.config.threads);
     // Wall-clock series survive across publishes (the deterministic
     // registry is rebuilt from layer counters each time).
     let mut wall = MetricsRegistry::new();
     let mut prev_merges = 0u64;
-    let ticks_per_second = u64::from(mem::TICKS_PER_SECOND as u32);
     let duration = cfg.config.duration_seconds;
 
     // The registry behind the latest published exposition.
@@ -292,12 +250,12 @@ fn run_ticker(cfg: &DaemonConfig, shared: &Shared) {
     while !shared.stop.load(Ordering::SeqCst) {
         if second < duration {
             second += 1;
-            for t in (second - 1) * ticks_per_second + 1..=second * ticks_per_second {
-                driver.step(t);
+            for t in (second - 1) * mem::TICKS_PER_SECOND + 1..=second * mem::TICKS_PER_SECOND {
+                world.step(t);
             }
             let state;
             (exposition, state) = publish(
-                &driver,
+                &world,
                 &mut engine,
                 &mut wall,
                 shared,
@@ -345,7 +303,7 @@ fn count_queries(reg: &mut MetricsRegistry, shared: &Shared) -> u64 {
 /// Publishes one epoch: snapshot, breakdown, misses, metrics, table.
 /// Also returns the registry the exposition was rendered from.
 fn publish(
-    driver: &Driver,
+    world: &World,
     engine: &mut SnapshotEngine,
     wall: &mut MetricsRegistry,
     shared: &Shared,
@@ -353,20 +311,16 @@ fn publish(
     running: bool,
     prev_merges: &mut u64,
 ) -> (MetricsRegistry, ServedState) {
-    let host = driver.host();
-    let scanner = driver.scanner();
+    let host = &world.host;
+    let scanner = &world.scanner;
+    let traffic = world.traffic();
     let now = Tick::from_seconds(second as f64);
 
     // The warm attribution walk: only spaces whose generations moved
     // since the previous second are re-walked. Timed into the separated
     // wall-clock histogram.
     let walk_started = Instant::now();
-    let views = match driver {
-        Driver::Tick(w) => w.views(),
-        Driver::Traffic(w) => w.views(),
-    };
-    let snapshot = engine.snapshot(host.mm(), &views);
-    drop(views);
+    let snapshot = engine.snapshot(host.mm(), &world.views());
     wall.observe(
         "engine_walk_latency_ns",
         "Wall-clock latency of the per-epoch attribution walk (non-deterministic).",
@@ -387,18 +341,19 @@ fn publish(
     // series merged behind it.
     let sharing = scanner.count_sharing(host.mm());
     let mut reg = telemetry::world_registry(host, scanner, engine, now, sharing);
-    if let Driver::Traffic(w) = driver {
-        w.report.record_metrics(&mut reg);
+    if let Some(traffic) = traffic {
+        traffic.report.record_metrics(&mut reg);
         // Step-phase wall clocks (DESIGN.md §14): cumulative in the
         // world, exported as per-publish increments on the persistent
         // wall registry so the series survives epoch rebuilds.
-        const PHASE_HELP: &str =
-            "Wall-clock nanoseconds the traffic step spent in this phase (non-deterministic).";
+        const PHASE_HELP: &str = "Wall-clock nanoseconds the traffic step spent in this phase \
+             (plan: the per-batch capacity snapshot; non-deterministic).";
+        let w = &traffic.wall;
         for (name, total) in [
-            ("traffic_drain_wall_ns_total", w.wall.drain_ns),
-            ("traffic_plan_wall_ns_total", w.wall.plan_ns),
-            ("traffic_commit_wall_ns_total", w.wall.commit_ns),
-            ("traffic_scan_wall_ns_total", w.wall.scan_ns),
+            ("traffic_drain_wall_ns_total", w.drain_ns),
+            ("traffic_plan_wall_ns_total", w.plan_ns),
+            ("traffic_commit_wall_ns_total", w.commit_ns),
+            ("traffic_scan_wall_ns_total", w.scan_ns),
         ] {
             let prev = wall.counter_value(name, &[]).unwrap_or(0);
             wall.counter_class(
@@ -420,10 +375,7 @@ fn publish(
     let merge_rate = merges.saturating_sub(*prev_merges) as f64;
     *prev_merges = merges;
 
-    let per_guest_traffic = match driver {
-        Driver::Traffic(w) => Some(w.report.per_guest.as_slice()),
-        Driver::Tick(_) => None,
-    };
+    let per_guest_traffic = traffic.map(|t| t.report.per_guest.as_slice());
 
     let guests = render_guests(host, &breakdown, second, per_guest_traffic);
     let fleet = render_fleet(
@@ -461,22 +413,6 @@ fn publish(
         top,
     };
     (reg, state)
-}
-
-fn publish_error(shared: &Shared, e: &Error) {
-    let msg = format!("tpsd: {e}\n");
-    let state = ServedState {
-        epoch_seconds: 0,
-        running: false,
-        metrics: msg.clone(),
-        metrics_deterministic: msg.clone(),
-        guests: Vec::new(),
-        fleet: msg.clone(),
-        misses: msg.clone(),
-        top: msg,
-    };
-    *shared.state.write().expect("state lock") = Arc::new(state);
-    shared.stop.store(true, Ordering::SeqCst);
 }
 
 /// Per-guest attribution JSON ("what does guest 17's Java heap cost

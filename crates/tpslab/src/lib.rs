@@ -20,11 +20,11 @@
 //!   discrete-event request engine ([`traffic`]) instead of the scripted
 //!   tick loop, reporting sharing stability and throughput versus
 //!   offered load under scenarios like rolling deploys and flash crowds.
-//! * [`Daemon`] (`tpsd`) runs either world as a persistent monitoring
-//!   service: a ticker thread advances the simulation while concurrent
-//!   queries over a local socket read Prometheus-style metrics
-//!   ([`telemetry`]), per-guest attribution JSON and a live `top`-style
-//!   fleet table — all from cached snapshot segments.
+//! * [`Daemon`] (`tpsd`) runs either kind of experiment as a persistent
+//!   monitoring service: a ticker thread advances the simulation while
+//!   concurrent queries over a local socket read Prometheus-style
+//!   metrics ([`telemetry`]), per-guest attribution JSON and a live
+//!   `top`-style fleet table — all from cached snapshot segments.
 //! * [`PowerVmExperiment`] reproduces the Fig. 6 PowerVM/AIX comparison.
 //!
 //! Invalid configurations surface as a typed [`Error`], not a panic.
@@ -59,6 +59,7 @@ mod run;
 pub mod sweep;
 pub mod telemetry;
 mod traffic_run;
+mod world;
 
 pub use config::{ExperimentBuilder, ExperimentConfig, GuestSpec, KsmSchedule, TimelineConfig};
 pub use daemon::{http_get, render_guests, Daemon, DaemonConfig};

@@ -1,14 +1,12 @@
 //! The KVM experiment runner.
 
+use crate::world::{tick_guest, World};
 use crate::{ExperimentConfig, ExperimentReport, TimelinePoint, VmThroughput};
-use analysis::{GuestView, SnapshotEngine};
-use cds::{CacheBuilder, SharedClassCache};
+use analysis::{BreakdownReport, SnapshotEngine};
 use hypervisor::{KvmHost, PagingModel};
-use jvm::{ClassSet, JavaVm, JvmConfig};
-use ksm::{KsmScanner, KsmStats};
+use jvm::JavaVm;
+use ksm::KsmStats;
 use mem::{Fingerprint, Tick};
-use obs::Profiler;
-use std::collections::HashMap;
 use workloads::Workload;
 
 /// The JVM build used throughout the paper: IBM J9, Java 6 SR9.
@@ -30,12 +28,16 @@ impl Experiment {
     /// the simulation manually with [`tick_world`](Self::tick_world).
     #[must_use]
     pub fn build_world(config: &ExperimentConfig) -> (KvmHost, Vec<JavaVm>) {
-        let mut world = TickWorld::new(config);
-        let end = Tick::from_seconds(config.duration_seconds as f64);
-        for t in 1..=end.0 {
+        let mut world = World::new(config, None);
+        for t in 1..=Tick::from_seconds(config.duration_seconds as f64).0 {
             world.step(t);
         }
-        (world.host, world.javas)
+        let javas = world
+            .slots
+            .into_iter()
+            .map(|slot| slot.java.expect("a scripted guest runs its JVM"))
+            .collect();
+        (world.host, javas)
     }
 
     /// Advances the world one tick: every guest OS and its JVM, in
@@ -43,9 +45,7 @@ impl Experiment {
     /// without KSM scanning).
     pub fn tick_world(host: &mut KvmHost, javas: &mut [JavaVm], now: Tick) {
         for (i, java) in javas.iter_mut().enumerate() {
-            let (mm, guest) = host.mm_and_guest_mut(i);
-            guest.os.tick(mm, now);
-            java.tick(mm, &mut guest.os, now);
+            tick_guest(host, i, java, now);
         }
     }
 
@@ -59,32 +59,11 @@ impl Experiment {
     /// memory budget) — see [`ExperimentConfig::validate`].
     pub fn run(config: &ExperimentConfig) -> Result<ExperimentReport, crate::Error> {
         config.validate()?;
-        let mut prof = if config.profile {
-            Profiler::enabled()
-        } else {
-            Profiler::disabled()
-        };
-        let setup_started = prof.begin();
-        let (mut host, mut javas, caches, _) = boot_world(config);
-        prof.end(
-            "setup",
-            setup_started,
-            0,
-            host.mm().phys().allocated_frames() as u64,
-        );
-
-        // The simulation loop: guests, JVMs, and the KSM scanner.
-        // Debug builds self-check unconditionally, so every test that
-        // runs an experiment also audits it; `--audit` extends the
-        // check to release runs.
-        let audit_enabled = config.audit || cfg!(debug_assertions);
-        let mut scanner = KsmScanner::new(config.ksm.warmup).with_threads(config.threads);
-        let warmup_end = Tick::from_seconds(config.ksm.warmup_seconds as f64);
+        let mut world = World::new(config, None);
         let end = Tick::from_seconds(config.duration_seconds as f64);
-        let mut switched = false;
         let sample_ticks = config
             .timeline
-            .map(|tl| tl.every_seconds * u64::from(mem::TICKS_PER_SECOND as u32));
+            .map(|tl| tl.every_seconds * mem::TICKS_PER_SECOND);
         let attribution = config.timeline.is_some_and(|tl| tl.attribution);
         // One engine for the whole run: per-sample walks reuse the
         // cached segments of address spaces whose region generations did
@@ -95,115 +74,49 @@ impl Experiment {
         let mut timeline = Vec::new();
         let mut last_stats = KsmStats::default();
         for t in 1..=end.0 {
-            let now = Tick(t);
-            let tick_started = prof.begin();
-            let writes_before = host.mm().phys().total_writes();
-            Experiment::tick_world(&mut host, &mut javas, now);
-            prof.end(
-                "guest_jvm_tick",
-                tick_started,
-                1,
-                host.mm().phys().total_writes() - writes_before,
-            );
-            // khugepaged runs as a once-per-second host daemon, between
-            // the guest ticks and the KSM wake (like the real kernel's
-            // independent kthreads, collapse and merge interleave).
-            if t.is_multiple_of(mem::TICKS_PER_SECOND) {
-                host.thp_scan(now);
+            world.step(t);
+            if sample_ticks.is_none_or(|every| t % every != 0) {
+                continue;
             }
-            if !switched && now >= warmup_end {
-                scanner.set_params(config.ksm.steady);
-                switched = true;
-            }
-            let scan_started = prof.begin();
-            let scanned_before = scanner.stats().pages_scanned;
-            scanner.run(host.mm_mut(), now);
-            prof.end(
-                "ksm_scan",
-                scan_started,
-                1,
-                scanner.stats().pages_scanned - scanned_before,
-            );
-            if let Some(every) = sample_ticks {
-                if t % every == 0 {
-                    let sample_started = prof.begin();
-                    scanner.recount(host.mm());
-                    if audit_enabled {
-                        audit_world(&host, &javas, &scanner);
-                    }
-                    let stats = scanner.stats();
-                    prof.end("timeline_sample", sample_started, 0, 0);
-                    // The full per-PTE attribution walk is far more
-                    // expensive than the recount, so it is gated behind
-                    // its own timeline flag; the engine keeps it cheap
-                    // by re-walking only mutated address spaces.
-                    let tps_saving_mib = if attribution {
-                        let attr_started = prof.begin();
-                        let views: Vec<GuestView<'_>> = host
-                            .guests()
-                            .iter()
-                            .zip(&javas)
-                            .map(|(g, j)| GuestView::new(&g.name, &g.os, vec![j.pid()]))
-                            .collect();
-                        let snapshot = engine.snapshot(host.mm(), &views);
-                        let saving = snapshot
-                            .breakdown()
-                            .guests
-                            .iter()
-                            .map(analysis::GuestBreakdown::tps_saving_mib)
-                            .sum();
-                        prof.end(
-                            "attribution",
-                            attr_started,
-                            0,
-                            host.mm().phys().allocated_frames() as u64,
-                        );
-                        Some(saving)
-                    } else {
-                        None
-                    };
-                    timeline.push(TimelinePoint {
-                        seconds: now.as_seconds(),
-                        resident_mib: host.resident_mib(),
-                        pages_sharing: stats.pages_sharing,
-                        pages_shared: stats.pages_shared,
-                        full_scans: stats.full_scans,
-                        delta: stats.delta(&last_stats),
-                        tps_saving_mib,
-                    });
-                    last_stats = stats;
-                }
-            }
+            let sample_started = world.prof.begin();
+            world.recount();
+            let stats = world.scanner.stats();
+            world.prof.end("timeline_sample", sample_started, 0, 0);
+            // The full per-PTE attribution walk is far more expensive
+            // than the recount, so it is gated behind its own timeline
+            // flag; the engine keeps it cheap by re-walking only mutated
+            // address spaces.
+            let tps_saving_mib = attribution.then(|| {
+                attribute(&mut world, &mut engine)
+                    .guests
+                    .iter()
+                    .map(analysis::GuestBreakdown::tps_saving_mib)
+                    .sum()
+            });
+            timeline.push(TimelinePoint {
+                seconds: Tick(t).as_seconds(),
+                resident_mib: world.host.resident_mib(),
+                pages_sharing: stats.pages_sharing,
+                pages_shared: stats.pages_shared,
+                full_scans: stats.full_scans,
+                delta: stats.delta(&last_stats),
+                tps_saving_mib,
+            });
+            last_stats = stats;
         }
-        let final_started = prof.begin();
-        scanner.recount(host.mm());
-        if audit_enabled {
-            audit_world(&host, &javas, &scanner);
-        }
-        prof.end("final_recount", final_started, 0, 0);
+        let final_started = world.prof.begin();
+        world.recount();
+        world.prof.end("final_recount", final_started, 0, 0);
 
         // Attribution walk (§II) and rollup.
-        let attr_started = prof.begin();
-        let views: Vec<GuestView<'_>> = host
-            .guests()
-            .iter()
-            .zip(&javas)
-            .map(|(g, j)| GuestView::new(&g.name, &g.os, vec![j.pid()]))
-            .collect();
-        let snapshot = engine.snapshot(host.mm(), &views);
-        let breakdown = snapshot.breakdown();
-        drop(views);
-        prof.end(
-            "attribution",
-            attr_started,
-            0,
-            host.mm().phys().allocated_frames() as u64,
-        );
+        let breakdown = attribute(&mut world, &mut engine);
 
         // Merge-miss diagnostics over the final state: classify the
         // sharing an ideal merger would still find. Must run before the
         // trace log is drained — the COW-broken class needs the
         // tracer's broken-mapping set.
+        let host = &mut world.host;
+        let scanner = &world.scanner;
         let merge_miss = config.diagnose.then(|| {
             analysis::diagnose_misses(
                 host.mm(),
@@ -213,7 +126,7 @@ impl Experiment {
             )
         });
         let trace = config.trace.then(|| host.mm_mut().tracer_mut().take_log());
-        let phases = config.profile.then(|| prof.report());
+        let phases = config.profile.then(|| world.prof.report());
 
         // Over-commit throughput model (Figs. 7–8).
         let resident_mib = host.resident_mib();
@@ -234,13 +147,7 @@ impl Experiment {
         // healthy rate. With no huge pages the boost is exactly 1.0 and
         // the service factor degenerates to the pure paging slowdown.
         let huge_mib = host.huge_mib();
-        let allocated = host.mm().phys().allocated_frames();
-        let huge_fraction = if allocated == 0 {
-            0.0
-        } else {
-            host.huge_pages() as f64 / allocated as f64
-        };
-        let tlb_boost = paging.tlb_boost(huge_fraction);
+        let tlb_boost = tlb_boost(host, &paging);
         let service = (slowdown * tlb_boost).min(1.0);
         let throughput = config
             .guests
@@ -262,7 +169,8 @@ impl Experiment {
             huge_mib,
             tlb_boost,
             throughput,
-            caches: caches
+            caches: world
+                .caches
                 .values()
                 .map(|c| {
                     (
@@ -280,160 +188,14 @@ impl Experiment {
     }
 }
 
-/// A booted tick-model world that can be advanced one tick at a time:
-/// guest/JVM ticks, khugepaged at second boundaries, the KSM warm-up →
-/// steady parameter switch, and the scanner wake — exactly the per-tick
-/// body of [`Experiment::build_world`], which is a plain loop over
-/// [`step`](Self::step). The monitoring daemon drives the same steps
-/// but pauses between published epochs, so a daemon world at simulated
-/// second `s` is byte-identical to `build_world` over a config with
-/// `duration_seconds == s`.
-pub(crate) struct TickWorld {
-    pub(crate) host: KvmHost,
-    pub(crate) javas: Vec<JavaVm>,
-    pub(crate) scanner: KsmScanner,
-    steady: ksm::KsmParams,
-    warmup_end: Tick,
-    switched: bool,
-}
-
-impl TickWorld {
-    /// Boots the configured world (no ticks yet).
-    pub(crate) fn new(config: &ExperimentConfig) -> TickWorld {
-        let (host, javas, ..) = boot_world(config);
-        TickWorld {
-            host,
-            javas,
-            scanner: KsmScanner::new(config.ksm.warmup).with_threads(config.threads),
-            steady: config.ksm.steady,
-            warmup_end: Tick::from_seconds(config.ksm.warmup_seconds as f64),
-            switched: false,
-        }
-    }
-
-    /// Advances the world through tick `t` (1-based).
-    pub(crate) fn step(&mut self, t: u64) {
-        let now = Tick(t);
-        Experiment::tick_world(&mut self.host, &mut self.javas, now);
-        if t.is_multiple_of(mem::TICKS_PER_SECOND) {
-            self.host.thp_scan(now);
-        }
-        if !self.switched && now >= self.warmup_end {
-            self.scanner.set_params(self.steady);
-            self.switched = true;
-        }
-        self.scanner.run(self.host.mm_mut(), now);
-    }
-
-    /// Guest views over the fleet, for attribution snapshots.
-    pub(crate) fn views(&self) -> Vec<GuestView<'_>> {
-        self.host
-            .guests()
-            .iter()
-            .zip(&self.javas)
-            .map(|(g, j)| GuestView::new(&g.name, &g.os, vec![j.pid()]))
-            .collect()
-    }
-}
-
-/// What [`boot_world`] returns: the booted host, the launched JVMs, the
-/// per-workload master caches (for reporting) and their serialized byte
-/// images (reused by traffic relaunches instead of re-encoding).
-pub(crate) type BootedWorld = (
-    KvmHost,
-    Vec<JavaVm>,
-    HashMap<u64, SharedClassCache>,
-    HashMap<u64, Vec<u8>>,
-);
-
-/// Boots the host, its guests and their JVMs as configured.
-pub(crate) fn boot_world(config: &ExperimentConfig) -> BootedWorld {
-    let mut host = KvmHost::new(config.host);
-    host.set_thp_policies(config.thp_host, config.thp_guest);
-    if config.trace {
-        host.mm_mut().tracer_mut().enable(None);
-    }
-    let caches = if config.class_sharing {
-        build_caches(config)
-    } else {
-        HashMap::new()
-    };
-    // Serialize each master cache once up front; guests decode from
-    // the shared byte image instead of re-encoding per guest.
-    let cache_images: HashMap<u64, Vec<u8>> = caches
-        .iter()
-        .map(|(&id, cache)| (id, cache.to_bytes()))
-        .collect();
-
-    // Boot guests and launch their JVMs.
-    let mut javas: Vec<JavaVm> = Vec::new();
-    for (i, spec) in config.guests.iter().enumerate() {
-        let boot_salt = mix(config.seed, 0xb007, i as u64);
-        let idx = host.create_guest(
-            format!("vm{}", i + 1),
-            spec.mem_mib,
-            &config.image,
-            boot_salt,
-            Tick::ZERO,
-        );
-        // Each guest receives its own *copy* of the cache file —
-        // byte-identical content, as if copied into the disk image.
-        let cache_copy = cache_images
-            .get(&spec.benchmark.profile.workload_id)
-            .map(|bytes| SharedClassCache::from_bytes(bytes).expect("cache copy decodes"));
-        let mut cfg = JvmConfig::new(JVM_VERSION, mix(config.seed, 0x9a17, i as u64));
-        if let Some(cache) = cache_copy {
-            cfg = cfg.with_shared_cache(cache);
-        }
-        let (mm, guest) = host.mm_and_guest_mut(idx);
-        javas.push(JavaVm::launch(
-            mm,
-            &mut guest.os,
-            cfg,
-            spec.benchmark.profile.clone(),
-            Tick::ZERO,
-        ));
-    }
-    (host, javas, caches, cache_images)
-}
-
-/// Runs the cross-layer conservation audit against the current host
-/// state, panicking with the structured violation on failure. The
-/// scanner's counters must be freshly recounted.
-pub(crate) fn audit_world(host: &KvmHost, javas: &[JavaVm], scanner: &KsmScanner) {
-    let views: Vec<GuestView<'_>> = host
-        .guests()
-        .iter()
-        .zip(javas)
-        .map(|(g, j)| GuestView::new(&g.name, &g.os, vec![j.pid()]))
-        .collect();
-    let world = audit::World {
-        mm: host.mm(),
-        guests: views,
-        scanner: Some(scanner),
-    };
-    if let Err(violation) = audit::check_world(&world) {
-        panic!("memory-accounting audit failed: {violation}");
-    }
-}
-
-/// Populates one cache per distinct workload by "running the middleware
-/// once" (§IV.C): the canonical class-load order fills the cache up to
-/// its configured capacity.
-fn build_caches(config: &ExperimentConfig) -> HashMap<u64, SharedClassCache> {
-    let mut caches = HashMap::new();
-    for spec in &config.guests {
-        let p = &spec.benchmark.profile;
-        caches.entry(p.workload_id).or_insert_with(|| {
-            let classes = ClassSet::for_profile(p);
-            let mut builder = CacheBuilder::new(p.name.clone(), spec.benchmark.cache_mib);
-            for class in classes.cacheable() {
-                builder.add(class.token, class.ro_bytes);
-            }
-            builder.finish()
-        });
-    }
-    caches
+/// One warm attribution walk (§II) of `world` and its rollup, timed as
+/// the `attribution` phase.
+fn attribute(world: &mut World, engine: &mut SnapshotEngine) -> BreakdownReport {
+    let started = world.prof.begin();
+    let breakdown = engine.snapshot(world.host.mm(), &world.views()).breakdown();
+    let frames = world.host.mm().phys().allocated_frames() as u64;
+    world.prof.end("attribution", started, 0, frames);
+    breakdown
 }
 
 /// Cold (harmlessly swappable) memory per guest: most of the clean page
@@ -452,6 +214,18 @@ pub(crate) fn cold_estimate_mib(config: &ExperimentConfig, guest: &crate::GuestS
         + config.image.pagecache_dirty_mib
         + heap.untouched_fraction * heap.heap_mib
         + nursery_cold
+}
+
+/// `model`'s TLB-reach credit for the fraction of host memory mapped
+/// through huge frames.
+pub(crate) fn tlb_boost(host: &KvmHost, model: &PagingModel) -> f64 {
+    let allocated = host.mm().phys().allocated_frames();
+    let huge_fraction = if allocated == 0 {
+        0.0
+    } else {
+        host.huge_pages() as f64 / allocated as f64
+    };
+    model.tlb_boost(huge_fraction)
 }
 
 pub(crate) fn mix(seed: u64, tag: u64, idx: u64) -> u64 {

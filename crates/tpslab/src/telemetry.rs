@@ -15,7 +15,7 @@
 //! phase nanos, walk latency) ride along in the separated
 //! [`obs::MetricClass::Wall`] section.
 
-use crate::run::TickWorld;
+use crate::world::World;
 use crate::ExperimentConfig;
 use analysis::SnapshotEngine;
 use hypervisor::KvmHost;
@@ -79,15 +79,13 @@ pub fn world_registry(
 /// [`Experiment::build_world`]: crate::Experiment::build_world
 #[must_use]
 pub fn golden_scrape(config: &ExperimentConfig) -> String {
-    let mut world = TickWorld::new(config);
+    let mut world = World::new(config, None);
     let end = Tick::from_seconds(config.duration_seconds as f64);
     for t in 1..=end.0 {
         world.step(t);
     }
     let mut engine = SnapshotEngine::new(config.threads);
-    let views = world.views();
-    let _ = engine.snapshot(world.host.mm(), &views);
-    drop(views);
+    let _ = engine.snapshot(world.host.mm(), &world.views());
     let sharing = world.scanner.count_sharing(world.host.mm());
     world_registry(&world.host, &world.scanner, &engine, end, sharing).render_deterministic()
 }

@@ -130,8 +130,8 @@ fn traffic_matches_golden_master() {
 fn fleet_traffic_matches_golden_master() {
     // Fleet-preset traffic: flash-crowd and rolling-deploy on a 64-guest
     // fleet at the over-commit knee. Asserting the same golden at 1 and
-    // 4 threads is the parallel engine's core guarantee — the plan →
-    // commit split (DESIGN.md §14) may not change a single byte.
+    // 4 threads pins the KSM scanner's sharded wake under traffic: the
+    // worker count may not change a single byte.
     assert_golden("fleet_traffic.txt", &fleet_traffic::golden_text(1));
     assert_golden("fleet_traffic.txt", &fleet_traffic::golden_text(4));
 }
