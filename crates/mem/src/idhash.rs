@@ -13,8 +13,8 @@ pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 /// indexes buckets by, and carries every input bit into the top bits.
 const MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
 
-/// Hasher for the keys of the KSM trees, their per-wake overlays and the
-/// reverse map: [`Fingerprint`](crate::Fingerprint) digests and dense
+/// Hasher for the keys of the KSM trees and their per-wake overlays:
+/// [`Fingerprint`](crate::Fingerprint) digests and dense
 /// [`FrameId`](crate::FrameId) indices.
 ///
 /// Both are already well spread, so one multiply replaces the default

@@ -389,8 +389,9 @@ impl HostMm {
             "KSM memcmp failed: contents differ"
         );
         let users = self.rmap.take_users(dup);
+        let users = users.as_slice();
         assert!(!users.is_empty(), "merging a frame with no users");
-        for mapping in users {
+        for &mapping in users {
             let region = self.spaces[mapping.space.index()]
                 .region_containing_mut(mapping.vpn)
                 .expect("rmap points outside regions");
@@ -492,8 +493,9 @@ impl HostMm {
     }
 
     /// Checks the global CoW invariant: every frame's refcount equals its
-    /// rmap entry count, and the total rmap size equals the total number of
-    /// populated PTEs. Intended for tests; O(total pages).
+    /// rmap entry count, the total rmap size equals the total number of
+    /// populated PTEs, and no freed frame keeps rmap users (the pool
+    /// reuses freed ids). Intended for tests; O(total pages).
     ///
     /// # Panics
     ///
@@ -515,6 +517,12 @@ impl HostMm {
                     );
                 }
             }
+        }
+        for frame in self.rmap.frames() {
+            assert!(
+                self.phys.is_live(frame),
+                "rmap keeps users of freed frame {frame}"
+            );
         }
         assert_eq!(pte_count, self.rmap.total_entries(), "rmap size mismatch");
         for (frame_id, frame) in self.phys.iter() {

@@ -19,6 +19,9 @@ enum Op {
         space_b: u8,
         page_b: u8,
     },
+    /// Unmap the whole region of space `space` and map a fresh, empty one
+    /// at the same base, so its frames are freed and their ids reused.
+    Remap { space: u8 },
 }
 
 const SPACES: u8 = 3;
@@ -42,6 +45,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 }
             }
         ),
+        (0..SPACES).prop_map(|space| Op::Remap { space }),
     ]
 }
 
@@ -96,9 +100,18 @@ proptest! {
                         }
                     }
                 }
+                Op::Remap { space } => {
+                    let (s, base) = bases[space as usize];
+                    mm.unmap_region(s, base);
+                    mm.map_region_at(s, base, PAGES as usize, MemTag::VmGuestMemory, true);
+                    for page in 0..PAGES {
+                        let (s, vpn) = addr(space, page);
+                        prop_assert_eq!(mm.frame_at(s, vpn), None);
+                    }
+                }
             }
+            mm.assert_consistent();
         }
-        mm.assert_consistent();
 
         // Readback: every mapped page still translates, and fingerprints on
         // shared frames agree for all sharers.
