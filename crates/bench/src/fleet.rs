@@ -15,9 +15,8 @@
 //!
 //! The same world backs three consumers: the deterministic convergence
 //! report pinned by the golden-master test (`tests/golden/fleet.txt` —
-//! byte-identical at any `--threads` value), the `fleet` Criterion bench,
-//! and the measured `results/BENCH_fleet.json` record emitted by
-//! `--json`.
+//! byte-identical at any `--threads` value) and the measured
+//! `results/BENCH_fleet.json` record that `bench fleet --json` prints.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -157,6 +156,13 @@ pub fn run_passes(
         rows.push(scanner.stats());
     }
     rows
+}
+
+/// The report pinned at `tests/golden/fleet.txt`: the golden fleet over
+/// five passes, which `bench fleet` prints.
+#[must_use]
+pub fn golden_text(threads: usize) -> String {
+    report_text(&FleetSpec::golden(), threads, 5)
 }
 
 /// Renders the deterministic fleet convergence report. Thread count is
@@ -373,7 +379,7 @@ pub fn bench_json() -> String {
     let _ = writeln!(out, "  \"source\": \"crates/bench/src/fleet.rs\",");
     let _ = writeln!(
         out,
-        "  \"command\": \"cargo run --release -p bench --bin fleet -- --json\","
+        "  \"command\": \"cargo run --release -p bench -- fleet --json\","
     );
     let _ = writeln!(
         out,

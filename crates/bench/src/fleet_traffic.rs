@@ -141,7 +141,7 @@ pub fn bench_json() -> String {
     let _ = writeln!(out, "  \"source\": \"crates/bench/src/fleet_traffic.rs\",");
     let _ = writeln!(
         out,
-        "  \"command\": \"cargo run --release -p bench --bin fleet_traffic -- --json\","
+        "  \"command\": \"cargo run --release -p bench -- fleet_traffic --json\","
     );
     let _ = writeln!(
         out,

@@ -1,29 +1,47 @@
-//! Shared plumbing for the figure-regeneration binaries.
+//! The `bench` runner: one binary that regenerates the paper's figures
+//! and tables, our ablations and the measurement records by name.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that reruns the corresponding experiment and prints the
-//! same rows/series the paper reports:
+//! ```text
+//! cargo run --release -p bench -- <name> [--scale S] [--minutes M] [--paper] [--threads T] [--audit] [--json]
+//! ```
 //!
-//! | Binary | Reproduces |
+//! | Command | Prints |
 //! |---|---|
-//! | `fig2`  | Fig. 2 — per-guest usage + TPS saving, 4 DayTrader guests, baseline |
-//! | `fig3`  | Fig. 3(a/b/c) — per-JVM Table IV breakdowns, baseline |
-//! | `fig4`  | Fig. 4 — Fig. 2 with the shared class cache copied to all guests |
-//! | `fig5`  | Fig. 5(a/b/c) — Fig. 3 with preloading (89.6 % headline) |
-//! | `fig6`  | Fig. 6 — PowerVM/AIX before/after sharing, ±preloading |
-//! | `fig7`  | Fig. 7 — DayTrader throughput vs. number of guests |
-//! | `fig8`  | Fig. 8 — SPECjEnterprise EjOPS vs. number of guests + SLA |
-//! | `tables`| Tables I–IV — configuration and taxonomy |
-//! | `ablation_scan_rate` | X1 — KSM pages-to-scan sweep |
-//! | `ablation_cache_size` | X2 — shared-cache capacity sweep |
-//! | `ablation_balloon` | X3 — ballooning baseline under over-commit |
+//! | `bench fig2` | Fig. 2 — per-guest usage + TPS saving, 4 DayTrader guests, baseline |
+//! | `bench fig3` | Fig. 3(a/b/c) — per-JVM Table IV breakdowns, baseline |
+//! | `bench fig4` | Fig. 4 — Fig. 2 with the shared class cache copied to all guests |
+//! | `bench fig5` | Fig. 5(a/b/c) — Fig. 3 with preloading (89.6 % headline) |
+//! | `bench fig6` | Fig. 6 — PowerVM/AIX before/after sharing, ±preloading |
+//! | `bench fig7` | Fig. 7 — DayTrader throughput vs. number of guests |
+//! | `bench fig8` | Fig. 8 — SPECjEnterprise EjOPS vs. number of guests + SLA |
+//! | `bench tables` | Tables I–IV — configuration and taxonomy |
+//! | `bench timeline` | KSM sharing convergence over time, 4 DayTrader guests, preloaded |
+//! | `bench ablation_scan_rate` | X1 — KSM pages-to-scan sweep |
+//! | `bench ablation_cache_size` | X2 — shared-cache capacity sweep |
+//! | `bench ablation_balloon` | X3 — ballooning baseline |
+//! | `bench ablation_related_work` | X4 — Satori, ballooning and Difference Engine vs. TPS |
+//! | `bench ablation_placement` | X5 — sharing-aware placement over two hosts |
+//! | `bench attribution [--json]` | scale32 attribution timeline; `--json`: `results/BENCH_attribution.json` |
+//! | `bench phases` | `results/BENCH_phases.json` — per-phase cost profile of the Fig. 7 preset |
+//! | `bench telemetry [--json]` | scale32 metrics scrape; `--json`: `results/BENCH_telemetry.json` |
+//! | `bench fleet [--json]` | fleet-scale KSM convergence report; `--json`: `results/BENCH_fleet.json` |
+//! | `bench fleet_traffic [--json]` | fleet-preset traffic report; `--json`: `results/BENCH_fleet_traffic.json` |
+//! | `bench thp [--json]` | THP × KSM sweep table; `--json`: `results/BENCH_thp.json` |
+//! | `bench traffic [--json]` | three-scenario traffic report; `--json`: `results/BENCH_traffic.json` |
 //!
-//! All binaries accept `--scale <f64>` (divide all sizes; default 8 for
-//! quick runs), `--minutes <f64>` (simulated duration) and `--paper`
-//! (paper scale, longer run — what EXPERIMENTS.md records).
+//! Here `bench <name>` stands for `cargo run --release -p bench --
+//! <name>`. `--scale S` divides every size by S (default 8), `--minutes
+//! M` sets the simulated duration (default 8), and `--paper` selects
+//! paper scale with a longer run (what EXPERIMENTS.md records). The
+//! fixed-shape names (`tables`, `fleet`, `fleet_traffic`, `thp`,
+//! `traffic`) reject those sizing flags and `--audit`. Text goes to
+//! stdout and is byte-identical at any `--threads`; sweep timings go to
+//! stderr.
 
 #![forbid(unsafe_code)]
 
+pub mod ablations;
+pub mod figures;
 pub mod fleet;
 pub mod fleet_traffic;
 pub mod telemetry;
@@ -31,10 +49,222 @@ pub mod thp;
 pub mod traffic;
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
-use tpslab::{ExperimentConfig, KsmSchedule};
+use tpslab::{Experiment, ExperimentConfig, KsmSchedule};
 
-/// Command-line options shared by the figure binaries.
+/// One name the `bench` binary answers to.
+#[derive(Debug, Clone, Copy)]
+pub struct Bench {
+    /// The name on the command line.
+    pub name: &'static str,
+    /// One line for the usage text.
+    pub about: &'static str,
+    /// The run's shape is fixed: `--scale`, `--minutes`, `--paper` and
+    /// `--audit` do not apply.
+    pub fixed_shape: bool,
+    /// Renders the name's text.
+    pub text: fn(&RunOpts) -> String,
+    /// Renders the measured JSON record `--json` selects, if any.
+    pub record: Option<fn(&RunOpts) -> String>,
+}
+
+impl Bench {
+    /// What `bench <name>` prints at these options.
+    #[must_use]
+    pub fn render(&self, opts: &RunOpts) -> String {
+        match self.record {
+            Some(record) if opts.json => record(opts),
+            _ => (self.text)(opts),
+        }
+    }
+}
+
+/// Every name the runner answers to, in usage order.
+pub const BENCHES: [Bench; 21] = [
+    Bench {
+        name: "fig2",
+        about: "Fig. 2: per-guest usage and TPS saving, 4 DayTrader guests, baseline",
+        fixed_shape: false,
+        text: figures::fig2_text,
+        record: None,
+    },
+    Bench {
+        name: "fig3",
+        about: "Fig. 3(a/b/c): per-JVM Table IV breakdowns, baseline",
+        fixed_shape: false,
+        text: figures::fig3_text,
+        record: None,
+    },
+    Bench {
+        name: "fig4",
+        about: "Fig. 4: Fig. 2 with the shared class cache copied to all guests",
+        fixed_shape: false,
+        text: figures::fig4_text,
+        record: None,
+    },
+    Bench {
+        name: "fig5",
+        about: "Fig. 5(a/b/c): Fig. 3 with preloading",
+        fixed_shape: false,
+        text: figures::fig5_text,
+        record: None,
+    },
+    Bench {
+        name: "fig6",
+        about: "Fig. 6: PowerVM/AIX before/after sharing, with and without preloading",
+        fixed_shape: false,
+        text: figures::fig6_text,
+        record: None,
+    },
+    Bench {
+        name: "fig7",
+        about: "Fig. 7: DayTrader throughput vs. number of guests",
+        fixed_shape: false,
+        text: figures::fig7_text,
+        record: None,
+    },
+    Bench {
+        name: "fig8",
+        about: "Fig. 8: SPECjEnterprise EjOPS vs. number of guests, with the SLA",
+        fixed_shape: false,
+        text: figures::fig8_text,
+        record: None,
+    },
+    Bench {
+        name: "tables",
+        about: "Tables I-IV: configuration and taxonomy",
+        fixed_shape: true,
+        text: |_| figures::tables_text(),
+        record: None,
+    },
+    Bench {
+        name: "timeline",
+        about: "KSM sharing convergence over time, 4 DayTrader guests, preloaded",
+        fixed_shape: false,
+        text: figures::timeline_text,
+        record: None,
+    },
+    Bench {
+        name: "ablation_scan_rate",
+        about: "X1: KSM pages-to-scan sweep",
+        fixed_shape: false,
+        text: ablations::scan_rate_text,
+        record: None,
+    },
+    Bench {
+        name: "ablation_cache_size",
+        about: "X2: shared-class-cache capacity sweep",
+        fixed_shape: false,
+        text: ablations::cache_size_text,
+        record: None,
+    },
+    Bench {
+        name: "ablation_balloon",
+        about: "X3: ballooning baseline",
+        fixed_shape: false,
+        text: ablations::balloon_text,
+        record: None,
+    },
+    Bench {
+        name: "ablation_related_work",
+        about: "X4: Satori, ballooning and Difference Engine vs. TPS",
+        fixed_shape: false,
+        text: ablations::related_work_text,
+        record: None,
+    },
+    Bench {
+        name: "ablation_placement",
+        about: "X5: sharing-aware placement over two hosts",
+        fixed_shape: false,
+        text: ablations::placement_text,
+        record: None,
+    },
+    Bench {
+        name: "attribution",
+        about: "scale32 attribution timeline (--json: BENCH_attribution.json)",
+        fixed_shape: false,
+        text: figures::attribution_text,
+        record: Some(figures::attribution_json),
+    },
+    Bench {
+        name: "phases",
+        about: "per-phase cost profile of the Fig. 7 preset (BENCH_phases.json)",
+        fixed_shape: false,
+        text: figures::phases_json,
+        record: None,
+    },
+    Bench {
+        name: "telemetry",
+        about: "scale32 metrics scrape (--json: BENCH_telemetry.json)",
+        fixed_shape: false,
+        text: |opts| {
+            tpslab::telemetry::golden_scrape(&opts.apply(ExperimentConfig::scale32(opts.scale)))
+        },
+        record: Some(telemetry::bench_json),
+    },
+    Bench {
+        name: "fleet",
+        about: "fleet-scale KSM convergence report (--json: BENCH_fleet.json)",
+        fixed_shape: true,
+        text: |opts| fleet::golden_text(opts.threads),
+        record: Some(|_| fleet::bench_json()),
+    },
+    Bench {
+        name: "fleet_traffic",
+        about: "fleet-preset traffic report (--json: BENCH_fleet_traffic.json)",
+        fixed_shape: true,
+        text: |opts| fleet_traffic::golden_text(opts.threads),
+        record: Some(|_| fleet_traffic::bench_json()),
+    },
+    Bench {
+        name: "thp",
+        about: "THP x KSM sweep table (--json: BENCH_thp.json)",
+        fixed_shape: true,
+        text: |_| thp::golden_text(),
+        record: Some(|_| thp::bench_json()),
+    },
+    Bench {
+        name: "traffic",
+        about: "three-scenario traffic report (--json: BENCH_traffic.json)",
+        fixed_shape: true,
+        text: |_| traffic::golden_text(),
+        record: Some(|_| traffic::bench_json()),
+    },
+];
+
+/// The usage text the binary prints on a bad command line.
+#[must_use]
+pub fn usage() -> String {
+    let mut out = String::from(
+        "usage: bench <name> [--scale S] [--minutes M] [--paper] [--threads T] [--audit] [--json]\nnames:\n",
+    );
+    for bench in &BENCHES {
+        let _ = writeln!(out, "  {:<22} {}", bench.name, bench.about);
+    }
+    let names = |keep: fn(&Bench) -> bool| {
+        BENCHES
+            .iter()
+            .filter(|b| keep(b))
+            .map(|b| b.name)
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let _ = write!(
+        out,
+        "--scale S divides every size by S >= 1 (default 8); --minutes M sets the\n\
+         simulated duration, at least one second (default 8); --paper is scale 1 for\n\
+         20 minutes; --threads T >= 1 sets the worker count (default: every core) and\n\
+         never changes the text; --audit runs the conservation audit.\n\
+         fixed shape (no --scale, --minutes, --paper or --audit): {}\n\
+         --json prints the measured record of: {}",
+        names(|b| b.fixed_shape),
+        names(|b| b.record.is_some()),
+    );
+    out
+}
+
+/// The options every name shares.
 #[derive(Debug, Clone, Copy)]
 pub struct RunOpts {
     /// Size divisor (1 = paper scale).
@@ -45,6 +275,8 @@ pub struct RunOpts {
     pub threads: usize,
     /// Run the cross-layer conservation audit during each experiment.
     pub audit: bool,
+    /// Print the name's measured JSON record instead of its text.
+    pub json: bool,
 }
 
 impl RunOpts {
@@ -55,6 +287,7 @@ impl RunOpts {
             minutes: 8.0,
             threads: tpslab::sweep::default_threads(),
             audit: false,
+            json: false,
         }
     }
 
@@ -65,8 +298,7 @@ impl RunOpts {
         RunOpts {
             scale: 1.0,
             minutes: 20.0,
-            threads: tpslab::sweep::default_threads(),
-            audit: false,
+            ..RunOpts::quick()
         }
     }
 
@@ -74,70 +306,78 @@ impl RunOpts {
     /// under: scale 128, 0.2 simulated minutes, two workers. Output is
     /// bit-identical across thread counts and build profiles, so the
     /// committed `tests/golden/*.txt` files are reproducible with e.g.
-    /// `cargo run --bin fig7 -- --scale 128 --minutes 0.2`.
+    /// `cargo run --release -p bench -- fig7 --scale 128 --minutes 0.2`.
     pub fn golden() -> RunOpts {
         RunOpts {
             scale: 128.0,
             minutes: 0.2,
             threads: 2,
-            audit: false,
+            ..RunOpts::quick()
         }
     }
 
-    /// Parses `--scale`, `--minutes`, `--paper`, `--threads`, `--audit`
-    /// from the process args.
+    /// Parses a `bench` command line after the program name: `<name>`,
+    /// then any of `--scale S`, `--minutes M`, `--paper`, `--threads T`,
+    /// `--audit` and `--json`. Flags apply in order, so `--paper` resets
+    /// an earlier `--scale` or `--minutes`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn from_args() -> RunOpts {
-        RunOpts::from_slice(std::env::args().skip(1))
-    }
-
-    /// [`from_args`](Self::from_args) over caller-provided arguments —
-    /// for binaries that strip their own flags first.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn from_slice(args: impl IntoIterator<Item = String>) -> RunOpts {
-        let mut opts = RunOpts::quick();
+    /// A one-line message for a missing or unknown name, an unknown
+    /// flag, a flag without its value, `--scale` below 1, `--minutes`
+    /// under one simulated second, `--threads 0`, `--json` on a name
+    /// without a record, or a sizing flag on a fixed-shape name.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(&'static Bench, RunOpts), String> {
         let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--paper" => {
-                    let threads = opts.threads;
-                    let audit = opts.audit;
-                    opts = RunOpts::paper();
-                    opts.threads = threads;
-                    opts.audit = audit;
+        let name = args.next().ok_or("missing benchmark name")?;
+        let bench = BENCHES
+            .iter()
+            .find(|b| b.name == name)
+            .ok_or_else(|| format!("unknown benchmark {name}"))?;
+        let mut opts = RunOpts::quick();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--scale" | "--minutes" | "--paper" | "--audit" if bench.fixed_shape => {
+                    return Err(format!("{name} has a fixed shape: {flag} does not apply"));
                 }
-                "--audit" => opts.audit = true,
+                "--json" if bench.record.is_none() => {
+                    return Err(format!("{name} has no --json record"));
+                }
                 "--scale" => {
-                    opts.scale = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--scale needs a number >= 1");
+                    opts.scale = value()?
+                        .parse()
+                        .ok()
+                        .filter(|s: &f64| s.is_finite() && *s >= 1.0)
+                        .ok_or("--scale needs a number >= 1")?;
                 }
                 "--minutes" => {
-                    opts.minutes = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--minutes needs a number");
+                    opts.minutes = value()?
+                        .parse()
+                        .ok()
+                        .filter(|m: &f64| m.is_finite() && m * 60.0 >= 1.0)
+                        .ok_or("--minutes needs at least one simulated second (1/60)")?;
                 }
                 "--threads" => {
-                    opts.threads = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
+                    opts.threads = value()?
+                        .parse()
+                        .ok()
                         .filter(|&n: &usize| n >= 1)
-                        .expect("--threads needs an integer >= 1");
+                        .ok_or("--threads needs an integer >= 1")?;
                 }
-                other => panic!(
-                    "unknown argument {other} (try --paper, --scale N, --minutes M, --threads T, --audit)"
-                ),
+                "--paper" => {
+                    let paper = RunOpts::paper();
+                    opts.scale = paper.scale;
+                    opts.minutes = paper.minutes;
+                }
+                "--audit" => opts.audit = true,
+                "--json" => opts.json = true,
+                _ => return Err(format!("unknown flag {flag}")),
             }
         }
-        opts
+        Ok((bench, opts))
     }
 
     /// Applies duration, the compressed-run KSM schedule, the
@@ -166,19 +406,26 @@ impl RunOpts {
     ///
     /// Per-run wall-clock timings go to **stderr** so the figure rows on
     /// stdout stay byte-identical across thread counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a config fails validation.
     pub fn run_sweep(&self, configs: &[ExperimentConfig]) -> Vec<tpslab::ExperimentReport> {
-        let start = std::time::Instant::now();
-        let timed = tpslab::sweep::run_all_timed(configs, self.threads)
-            .expect("bench sweep configs are valid");
-        for (i, run) in timed.iter().enumerate() {
+        let start = Instant::now();
+        let timed = tpslab::sweep::map_parallel(configs, self.threads, |config| {
+            let run = Instant::now();
+            let report = Experiment::run(config).expect("bench sweep configs are valid");
+            (report, run.elapsed())
+        });
+        for (i, (_, wall)) in timed.iter().enumerate() {
             eprintln!(
                 "[sweep] run {}/{}: {:.2} s",
                 i + 1,
                 timed.len(),
-                run.wall.as_secs_f64()
+                wall.as_secs_f64()
             );
         }
-        let serial: f64 = timed.iter().map(|run| run.wall.as_secs_f64()).sum();
+        let serial: f64 = timed.iter().map(|(_, wall)| wall.as_secs_f64()).sum();
         eprintln!(
             "[sweep] {} runs on {} thread(s): {:.2} s wall ({:.2} s of single-thread work)",
             timed.len(),
@@ -186,8 +433,14 @@ impl RunOpts {
             start.elapsed().as_secs_f64(),
             serial
         );
-        timed.into_iter().map(|run| run.value).collect()
+        timed.into_iter().map(|(report, _)| report).collect()
     }
+}
+
+/// The upper median of a set of timings.
+fn median(mut v: Vec<u128>) -> u128 {
+    v.sort_unstable();
+    v[v.len() / 2]
 }
 
 /// Renders the standard figure header.
@@ -208,11 +461,6 @@ pub fn banner_text(figure: &str, what: &str, opts: &RunOpts) -> String {
         "================================================================"
     );
     out
-}
-
-/// Prints the standard figure header.
-pub fn banner(figure: &str, what: &str, opts: &RunOpts) {
-    print!("{}", banner_text(figure, what, opts));
 }
 
 /// Renders the per-guest rows of Fig. 2 / Fig. 4.
@@ -252,11 +500,6 @@ pub fn guest_figure_text(report: &tpslab::ExperimentReport, unscale: f64) -> Str
         report.ksm.pages_shared, report.ksm.pages_sharing, report.ksm.full_scans
     );
     out
-}
-
-/// Prints the per-guest rows of Fig. 2 / Fig. 4.
-pub fn print_guest_figure(report: &tpslab::ExperimentReport, unscale: f64) {
-    print!("{}", guest_figure_text(report, unscale));
 }
 
 /// Renders the per-JVM Table IV category rows of Fig. 3 / Fig. 5
@@ -326,326 +569,13 @@ pub fn java_figure_text(report: &tpslab::ExperimentReport, unscale: f64) -> Stri
     out
 }
 
-/// Prints the per-JVM Table IV category rows of Fig. 3 / Fig. 5
-/// ("resident/shared" per category, paper-scale MiB).
-pub fn print_java_figure(report: &tpslab::ExperimentReport, unscale: f64) {
-    print!("{}", java_figure_text(report, unscale));
-}
-
-/// Text-producing versions of the figures that are pinned by the
-/// golden-master tests (`tests/golden_figures.rs` at the workspace
-/// root). The binaries in `src/bin/` print exactly these strings, so
-/// the committed `tests/golden/*.txt` files are also what a user sees
-/// when running e.g. `cargo run --bin fig7 -- --scale 128 --minutes
-/// 0.2 --threads 2`.
-pub mod figures {
-    use super::{banner_text, guest_figure_text, RunOpts};
-    use std::fmt::Write as _;
-    use tpslab::{Experiment, ExperimentConfig};
-    use workloads::SlaOutcome;
-
-    /// Fig. 2 — per-guest usage + TPS saving, 4 DayTrader guests,
-    /// baseline (no preloading).
-    pub fn fig2_text(opts: &RunOpts) -> String {
-        let mut out = banner_text(
-            "Fig. 2",
-            "4 x DayTrader/WAS, baseline (no preloading)",
-            opts,
-        );
-        let cfg = opts.apply(ExperimentConfig::paper_daytrader_4vm(opts.scale));
-        let report = Experiment::run(&cfg).unwrap();
-        out.push_str(&guest_figure_text(&report, opts.unscale()));
-        out
-    }
-
-    /// Fig. 7 — DayTrader total throughput vs. number of guest VMs,
-    /// default vs. preloaded.
-    pub fn fig7_text(opts: &RunOpts) -> String {
-        let mut out = banner_text(
-            "Fig. 7",
-            "DayTrader total throughput (req/s) vs. number of guest VMs",
-            opts,
-        );
-        // All 18 runs (default + preloaded per VM count) are independent:
-        // build the whole sweep, run it on the worker pool, print in order.
-        let mut configs = Vec::new();
-        for n in 1..=9usize {
-            let base_cfg = opts.apply(ExperimentConfig::paper_overcommit_daytrader(n, opts.scale));
-            configs.push(base_cfg.clone());
-            configs.push(base_cfg.with_class_sharing());
-        }
-        let reports = opts.run_sweep(&configs);
-        let _ = writeln!(
-            out,
-            "{:>4} {:>18} {:>18} {:>14} {:>14}",
-            "VMs", "default (req/s)", "preloaded (req/s)", "default slow", "preload slow"
-        );
-        for (i, pair) in reports.chunks(2).enumerate() {
-            let (default, preload) = (&pair[0], &pair[1]);
-            let _ = writeln!(
-                out,
-                "{:>4} {:>18.1} {:>18.1} {:>14.3} {:>14.3}",
-                i + 1,
-                default.total_throughput(),
-                preload.total_throughput(),
-                default.slowdown,
-                preload.slowdown,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\npaper: default knee at 8 VMs (17.2 r/s), preloaded knee at 9 VMs (148.1 r/s at 8)."
-        );
-        out
-    }
-
-    /// Fig. 8 — SPECjEnterprise 2010 EjOPS per VM vs. number of guest
-    /// VMs (IR 15), with the response-time SLA verdict.
-    pub fn fig8_text(opts: &RunOpts) -> String {
-        const VM_COUNTS: std::ops::RangeInclusive<usize> = 5..=8;
-        let mut out = banner_text(
-            "Fig. 8",
-            "SPECjEnterprise 2010 EjOPS vs. number of guest VMs (IR 15)",
-            opts,
-        );
-        let mut configs = Vec::new();
-        for n in VM_COUNTS {
-            let cfg = opts.apply(ExperimentConfig::paper_overcommit_specj(n, opts.scale));
-            configs.push(cfg.clone());
-            configs.push(cfg.with_class_sharing());
-        }
-        let reports = opts.run_sweep(&configs);
-        let _ = writeln!(
-            out,
-            "{:>4} {:>16} {:>10} {:>16} {:>10}",
-            "VMs", "default EjOPS", "SLA", "preload EjOPS", "SLA"
-        );
-        for (n, pair) in VM_COUNTS.zip(reports.chunks(2)) {
-            let (default, preload) = (&pair[0], &pair[1]);
-            let per_vm = |r: &tpslab::ExperimentReport| r.total_throughput() / n as f64;
-            let sla = |r: &tpslab::ExperimentReport| {
-                if r.throughput.iter().all(|t| t.sla == SlaOutcome::Met) {
-                    "met"
-                } else {
-                    "VIOLATED"
-                }
-            };
-            let _ = writeln!(
-                out,
-                "{:>4} {:>16.1} {:>10} {:>16.1} {:>10}",
-                n,
-                per_vm(default),
-                sla(default),
-                per_vm(preload),
-                sla(preload),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\npaper: default fails SLA at 7 VMs (score 15), preloading holds ~24 through 7."
-        );
-        out
-    }
-
-    /// The scale32 attribution timeline: 32 over-committed
-    /// SPECjEnterprise guests sampled with the full attribution walk at
-    /// a quarter of the run length. The rows come from the timeline
-    /// report, which the engine guarantees bit-identical at any
-    /// `--threads` value — this text is pinned by the golden-master
-    /// tests and diffed across thread counts in CI.
-    pub fn attribution_text(opts: &RunOpts) -> String {
-        let mut out = banner_text(
-            "Attribution",
-            "scale32 timeline attribution (32 x SPECjEnterprise, preloaded, over-committed)",
-            opts,
-        );
-        let seconds = (opts.minutes * 60.0) as u64;
-        let every = (seconds / 4).max(1);
-        let cfg = opts
-            .apply(ExperimentConfig::scale32(opts.scale))
-            .with_timeline(every)
-            .with_timeline_attribution();
-        let report = Experiment::run(&cfg).unwrap();
-        let _ = writeln!(
-            out,
-            "{:>8} {:>14} {:>14} {:>16}",
-            "seconds", "resident MiB", "pages_sharing", "tps_saving MiB"
-        );
-        for point in &report.timeline {
-            let _ = writeln!(
-                out,
-                "{:>8.0} {:>14.1} {:>14} {:>16.1}",
-                point.seconds,
-                point.resident_mib * opts.unscale(),
-                point.pages_sharing,
-                point.tps_saving_mib.unwrap_or(0.0) * opts.unscale(),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\nGuests: {} | total usage {:.1} MiB | final TPS saving {:.1} MiB",
-            report.breakdown.guests.len(),
-            report.breakdown.total_owned_mib * opts.unscale(),
-            report
-                .breakdown
-                .guests
-                .iter()
-                .map(tpslab::analysis::GuestBreakdown::tps_saving_mib)
-                .sum::<f64>()
-                * opts.unscale(),
-        );
-        out
-    }
-
-    /// Tables I–IV — the measurement environment and the Java memory
-    /// taxonomy, as encoded in the reproduction's presets. Static: no
-    /// simulation runs.
-    pub fn tables_text() -> String {
-        use hypervisor::HostConfig;
-        use jvm::MemoryCategory;
-        use oskernel::OsImage;
-
-        let mut out = String::new();
-        let _ = writeln!(out, "TABLE I — physical machines");
-        let intel = HostConfig::paper_intel();
-        let power = HostConfig::paper_power();
-        let _ = writeln!(
-            out,
-            "  Intel: IBM BladeCenter LS21-like, {:.0} MiB RAM, KVM (host reserve {:.0} MiB)",
-            intel.ram_mib, intel.reserve_mib
-        );
-        let _ = writeln!(
-            out,
-            "  POWER: IBM BladeCenter PS701-like, {:.0} MiB RAM, PowerVM 2.1 (reserve {:.0} MiB)",
-            power.ram_mib, power.reserve_mib
-        );
-
-        let _ = writeln!(out, "\nTABLE II — guest VM configuration");
-        let rhel = OsImage::rhel55();
-        let aix = OsImage::aix61();
-        let _ = writeln!(
-            out,
-            "  Intel guest: RHEL 5.5 image — kernel area {:.0} MiB ({:.0} MiB image-derived/shareable), 1 GiB guests, KSM 1000 pages / 100 ms steady",
-            rhel.total_mib(),
-            rhel.shareable_mib()
-        );
-        let _ = writeln!(
-            out,
-            "  POWER guest: AIX 6.1 image — kernel area {:.0} MiB ({:.0} MiB shareable), 3.5 GiB LPARs",
-            aix.total_mib(),
-            aix.shareable_mib()
-        );
-
-        let _ = writeln!(out, "\nTABLE III — benchmark and JVM configuration");
-        for bench in [
-            workloads::daytrader(),
-            workloads::specjenterprise(),
-            workloads::tpcw(),
-            workloads::tuscany(),
-            workloads::daytrader_power(),
-        ] {
-            let p = &bench.profile;
-            let _ = writeln!(
-                out,
-                "  {:<22} heap {:>6.0} MiB | cache {:>5.0} MiB | {:>6} classes | drive {:?}",
-                p.name, p.heap.heap_mib, bench.cache_mib, p.class_count, bench.drive
-            );
-        }
-
-        let _ = writeln!(out, "\nTABLE IV — categories of Java memory");
-        for cat in MemoryCategory::all() {
-            let _ = writeln!(out, "  {cat}");
-        }
-        out
-    }
-}
-
-/// Measures the per-sample attribution walk on the scale32 preset:
-/// naive reference vs. frame-indexed engine, on identical world states.
-///
-/// Builds the warmed scale32 world once, then for each of `samples`
-/// timeline samples advances the world one simulated second (all guests
-/// keep writing, as in a real timeline run) and times three walks of the
-/// same state: [`analysis::MemorySnapshot::collect_naive`], the
-/// persistent [`analysis::SnapshotEngine`] at `opts.threads` workers
-/// (incremental across samples), and an immediate engine re-walk of the
-/// unchanged world (the epoch short-circuit). Every engine snapshot is
-/// asserted field-identical to the naive one. Returns a single-line
-/// JSON record — the format committed as `results/BENCH_attribution.json`.
-///
-/// # Panics
-///
-/// Panics if the engine's snapshot ever diverges from the naive walk.
-pub fn attribution_bench_json(opts: &RunOpts, samples: usize) -> String {
-    use analysis::{GuestView, MemorySnapshot, SnapshotEngine};
-    use mem::Tick;
-    use std::time::Instant;
-
-    let seconds = (opts.minutes * 60.0) as u64;
-    let cfg = opts.apply(ExperimentConfig::scale32(opts.scale));
-    let (mut host, mut javas) = tpslab::Experiment::build_world(&cfg);
-    let mut engine = SnapshotEngine::new(opts.threads);
-    let ticks_per_second = u64::from(mem::TICKS_PER_SECOND as u32);
-    let base = Tick::from_seconds(seconds as f64).0;
-
-    let mut naive_ns: Vec<u128> = Vec::new();
-    let mut engine_ns: Vec<u128> = Vec::new();
-    let mut idle_ns: Vec<u128> = Vec::new();
-    let mut frames = 0;
-    let mut ptes = 0;
-    for s in 0..samples as u64 {
-        for t in (s * ticks_per_second + 1)..=((s + 1) * ticks_per_second) {
-            tpslab::Experiment::tick_world(&mut host, &mut javas, Tick(base + t));
-        }
-        let views: Vec<GuestView<'_>> = host
-            .guests()
-            .iter()
-            .zip(&javas)
-            .map(|(g, j)| GuestView::new(&g.name, &g.os, vec![j.pid()]))
-            .collect();
-        let start = Instant::now();
-        let naive = MemorySnapshot::collect_naive(host.mm(), &views);
-        naive_ns.push(start.elapsed().as_nanos());
-        let start = Instant::now();
-        let snap = engine.snapshot(host.mm(), &views);
-        engine_ns.push(start.elapsed().as_nanos());
-        assert_eq!(snap, naive, "engine diverged from the naive reference");
-        let start = Instant::now();
-        let _ = engine.snapshot(host.mm(), &views);
-        idle_ns.push(start.elapsed().as_nanos());
-        frames = naive.frame_count();
-        ptes = naive.pte_count();
-    }
-
-    fn median(mut v: Vec<u128>) -> u128 {
-        v.sort_unstable();
-        v[v.len() / 2]
-    }
-    let naive = median(naive_ns);
-    let engine_med = median(engine_ns);
-    let idle = median(idle_ns);
-    format!(
-        "{{\"preset\":\"scale32 32x SPECjEnterprise over-commit\",\
-         \"command\":\"cargo run --release -p bench --bin attribution -- --json --scale {} --minutes {} --threads {}\",\
-         \"scale\":{},\"minutes\":{},\"threads\":{},\"samples\":{},\
-         \"frames\":{frames},\"ptes\":{ptes},\
-         \"naive_median_ns\":{naive},\"engine_median_ns\":{engine_med},\"idle_engine_median_ns\":{idle},\
-         \"speedup\":{:.2},\"idle_speedup\":{:.2}}}",
-        opts.scale,
-        opts.minutes,
-        opts.threads,
-        opts.scale,
-        opts.minutes,
-        opts.threads,
-        samples,
-        naive as f64 / engine_med.max(1) as f64,
-        naive as f64 / idle.max(1) as f64,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(line: &str) -> Result<(&'static Bench, RunOpts), String> {
+        RunOpts::parse(line.split_whitespace().map(String::from))
+    }
 
     #[test]
     fn quick_and_paper_defaults() {
@@ -660,7 +590,7 @@ mod tests {
             scale: 4.0,
             minutes: 2.0,
             threads: 1,
-            audit: false,
+            ..RunOpts::quick()
         };
         let cfg = opts.apply(tpslab::ExperimentConfig::tiny_test(1, false));
         assert_eq!(cfg.duration_seconds, 120);
@@ -668,5 +598,52 @@ mod tests {
         assert!(cfg.ksm.warmup.pages_to_scan() > cfg.ksm.steady.pages_to_scan());
         assert_eq!(cfg.ksm.steady.pages_to_scan(), 250);
         assert_eq!(cfg.ksm.warmup_seconds, 80);
+    }
+
+    #[test]
+    fn parse_reads_flags_in_order() {
+        let (bench, opts) = parse("fig2 --scale 64 --minutes 0.5 --threads 1 --audit").unwrap();
+        assert_eq!(bench.name, "fig2");
+        assert_eq!((opts.scale, opts.minutes, opts.threads), (64.0, 0.5, 1));
+        assert!(opts.audit && !opts.json);
+        assert_eq!(parse("fig7 --scale 4 --paper").unwrap().1.scale, 1.0);
+        assert_eq!(parse("fig7 --paper --scale 4").unwrap().1.scale, 4.0);
+        assert!(parse("fleet --json --threads 2").unwrap().1.json);
+        assert!(parse("tables --threads 2").is_ok());
+    }
+
+    #[test]
+    fn parse_rejects_bad_input() {
+        for (line, message) in [
+            ("", "missing benchmark name"),
+            ("nosuch", "unknown benchmark nosuch"),
+            ("fig2 --bogus", "unknown flag --bogus"),
+            ("fig2 --scale", "--scale needs a value"),
+            ("fig2 --scale 0.5", "--scale needs a number >= 1"),
+            ("fig2 --scale NaN", "--scale needs a number >= 1"),
+            ("fig2 --minutes 0", "--minutes needs at least"),
+            ("fig2 --threads 0", "--threads needs an integer >= 1"),
+            ("fig2 --json", "fig2 has no --json record"),
+            ("phases --json", "phases has no --json record"),
+            ("tables --paper", "tables has a fixed shape: --paper"),
+            ("thp --scale 8", "thp has a fixed shape: --scale"),
+            ("fleet --audit", "fleet has a fixed shape: --audit"),
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.starts_with(message), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_name_once() {
+        let text = usage();
+        for (i, bench) in BENCHES.iter().enumerate() {
+            assert!(
+                BENCHES[..i].iter().all(|b| b.name != bench.name),
+                "{} is listed twice",
+                bench.name
+            );
+            assert!(text.contains(&format!("  {:<22} ", bench.name)));
+        }
     }
 }

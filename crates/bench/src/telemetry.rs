@@ -25,13 +25,12 @@
 //!
 //! [`SnapshotEngine`]: tpslab::analysis::SnapshotEngine
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use tpslab::analysis::{GuestView, SnapshotEngine};
 use tpslab::{Daemon, DaemonConfig, ExperimentConfig};
 
-use crate::RunOpts;
+use crate::{median, RunOpts};
 
 /// Measured costs of monitoring one preset.
 #[derive(Debug, Clone)]
@@ -86,11 +85,6 @@ impl TelemetryPoint {
             self.epochs_during_queries,
         )
     }
-}
-
-fn median(mut v: Vec<u128>) -> u128 {
-    v.sort_unstable();
-    v[v.len() / 2]
 }
 
 /// Idle re-sample baseline: run the world to its configured duration,
@@ -233,7 +227,7 @@ pub fn bench_json(opts: &RunOpts) -> String {
 
     let mut out = format!(
         "{{\"benchmark\":\"telemetry\",\
-         \"command\":\"cargo run --release -p bench --bin telemetry -- --json --scale {} --minutes {} --threads {}\",\
+         \"command\":\"cargo run --release -p bench -- telemetry --json --scale {} --minutes {} --threads {}\",\
          \"scale\":{},\"minutes\":{},\"threads\":{},\
          \"acceptance\":\"scale256 cached_vs_idle <= 2.0\",\"points\":[",
         opts.scale, opts.minutes, opts.threads, opts.scale, opts.minutes, opts.threads,
@@ -244,7 +238,7 @@ pub fn bench_json(opts: &RunOpts) -> String {
         }
         out.push_str(&p.to_json());
     }
-    let _ = write!(out, "]}}");
+    out.push_str("]}\n");
     out
 }
 

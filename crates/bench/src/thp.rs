@@ -254,7 +254,7 @@ pub fn bench_json() -> String {
     let _ = writeln!(out, "  \"source\": \"crates/bench/src/thp.rs\",");
     let _ = writeln!(
         out,
-        "  \"command\": \"cargo run --release -p bench --bin thp -- --json\","
+        "  \"command\": \"cargo run --release -p bench -- thp --json\","
     );
     let _ = writeln!(
         out,

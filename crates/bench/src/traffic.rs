@@ -88,7 +88,7 @@ pub fn bench_json() -> String {
     let _ = writeln!(out, "  \"source\": \"crates/bench/src/traffic.rs\",");
     let _ = writeln!(
         out,
-        "  \"command\": \"cargo run --release -p bench --bin traffic -- --json\","
+        "  \"command\": \"cargo run --release -p bench -- traffic --json\","
     );
     let _ = writeln!(
         out,

@@ -145,12 +145,6 @@ impl ClassSet {
         self.classes.iter().map(|c| c.ro_bytes).sum()
     }
 
-    /// Total writable bytes across all classes.
-    #[must_use]
-    pub fn total_rw_bytes(&self) -> usize {
-        self.classes.iter().map(|c| c.rw_bytes).sum()
-    }
-
     /// Classes eligible for the shared class cache (the middleware
     /// population).
     pub fn cacheable(&self) -> impl Iterator<Item = &ClassSpec> {

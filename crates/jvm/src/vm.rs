@@ -178,8 +178,8 @@ impl JavaVm {
     /// [`serve_requests`](Self::serve_requests)), not elapsed time.
     ///
     /// The traffic engine calls this on a sparse schedule (once per
-    /// simulated second until [`startup_done`](Self::startup_done)), so
-    /// an idle-but-booted JVM costs nothing per tick.
+    /// simulated second of the guest's start-up window, which it counts
+    /// down itself), so an idle-but-booted JVM costs nothing per tick.
     pub fn advance_startup(&mut self, mm: &mut HostMm, guest: &mut GuestOs, now: Tick) {
         let elapsed_s = (now - self.start) as f64 / mem::TICKS_PER_SECOND as f64;
         let load_f = phase_fraction(elapsed_s, self.profile.class_load_seconds);
@@ -189,14 +189,6 @@ impl JavaVm {
         self.work
             .startup(mm, guest, self.pid, self.salt, load_f, now);
         self.stack.fill(mm, guest, self.pid, self.salt, load_f, now);
-    }
-
-    /// `true` once the wall-clock start-up phases have nothing left to
-    /// write (class loading finished).
-    #[must_use]
-    pub fn startup_done(&self, now: Tick) -> bool {
-        let elapsed_s = (now - self.start) as f64 / mem::TICKS_PER_SECOND as f64;
-        elapsed_s >= self.profile.class_load_seconds
     }
 
     /// Serves `count` requests at `cost` each: heap allocation (young-gen
@@ -260,13 +252,6 @@ impl JavaVm {
     #[must_use]
     pub fn requests_served(&self) -> u64 {
         self.requests_served
-    }
-
-    /// Request-driven JIT warm-up progress in `0..=1` (1.0 = code cache
-    /// fully populated by traffic).
-    #[must_use]
-    pub fn traffic_warmth(&self) -> f64 {
-        self.traffic_jit
     }
 
     /// `true` once all start-up phases are over.

@@ -218,12 +218,6 @@ pub struct WakePhases {
 }
 
 impl WakePhases {
-    /// Total wall-clock nanoseconds of the wake.
-    #[must_use]
-    pub fn total_nanos(&self) -> u64 {
-        self.plan_nanos + self.classify_nanos + self.resolve_nanos + self.commit_nanos
-    }
-
     /// Nanoseconds spent in the serial phases (plan + commit).
     #[must_use]
     pub fn serial_nanos(&self) -> u64 {

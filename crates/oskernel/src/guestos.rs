@@ -181,12 +181,6 @@ impl GuestOs {
         self.thp = thp;
     }
 
-    /// The guest's transparent-huge-page policy.
-    #[must_use]
-    pub fn thp_policy(&self) -> ThpPolicy {
-        self.thp
-    }
-
     /// Gpfn blocks (gpfn / [`HUGE_PAGE_SPAN`]) the guest populated with
     /// huge fault-around — the madvise hints host khugepaged honors.
     pub fn huge_hint_blocks(&self) -> impl Iterator<Item = u64> + '_ {

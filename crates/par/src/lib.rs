@@ -24,16 +24,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// A result paired with the wall-clock time its computation took.
-#[derive(Debug, Clone)]
-pub struct Timed<R> {
-    /// The result itself.
-    pub value: R,
-    /// Wall-clock duration of this item on its worker thread.
-    pub wall: Duration,
-}
 
 /// Worker count to use when the caller expresses no preference: the
 /// machine's available parallelism, or 1 if that cannot be determined.
@@ -55,35 +45,13 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    map_parallel_timed(items, threads, f)
-        .into_iter()
-        .map(|timed| timed.value)
-        .collect()
-}
-
-/// [`map_parallel`], with per-item wall-clock timing attached.
-#[must_use]
-pub fn map_parallel_timed<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<Timed<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let time_one = |item: &T| {
-        let start = Instant::now();
-        let value = f(item);
-        Timed {
-            value,
-            wall: start.elapsed(),
-        }
-    };
     let workers = threads.max(1).min(items.len());
     if workers <= 1 {
-        return items.iter().map(time_one).collect();
+        return items.iter().map(f).collect();
     }
 
     let next = AtomicUsize::new(0);
-    let mut pairs: Vec<(usize, Timed<R>)> = Vec::with_capacity(items.len());
+    let mut pairs: Vec<(usize, R)> = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -92,7 +60,7 @@ where
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(item) = items.get(i) else { break };
-                        local.push((i, time_one(item)));
+                        local.push((i, f(item)));
                     }
                     local
                 })
@@ -103,7 +71,7 @@ where
         }
     });
     pairs.sort_by_key(|&(i, _)| i);
-    pairs.into_iter().map(|(_, timed)| timed).collect()
+    pairs.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Applies `f` to every item of a mutable slice on a scoped worker
@@ -226,15 +194,5 @@ mod tests {
         assert!(map_sharded(&mut empty, 4, |_, x| *x).is_empty());
         let mut one = [5u64];
         assert_eq!(map_sharded(&mut one, 4, |_, x| *x + 1), vec![6]);
-    }
-
-    #[test]
-    fn timed_maps_record_wall_clock() {
-        let timed = map_parallel_timed(&[1u64, 2], 2, |&x| {
-            std::thread::sleep(Duration::from_millis(1));
-            x
-        });
-        assert_eq!(timed.len(), 2);
-        assert!(timed.iter().all(|t| t.wall > Duration::ZERO));
     }
 }

@@ -10,9 +10,10 @@
 //! The pool itself lives in the `par` crate (a [`std::thread::scope`]
 //! over plain workers pulling from an atomic work index; no external
 //! dependencies) so the attribution engine in `analysis` can share it;
-//! [`map_parallel`] and friends are re-exported here for sweeps that
-//! are not expressed as `ExperimentConfig`s (e.g. the ballooning
-//! ablation, which builds its hosts by hand).
+//! [`map_parallel`] is re-exported here for sweeps that are not
+//! expressed as `ExperimentConfig`s (e.g. the ballooning ablation,
+//! which builds its hosts by hand) or that time each run (the `bench`
+//! runner).
 //!
 //! ```
 //! use tpslab::{sweep, ExperimentConfig};
@@ -26,7 +27,7 @@
 //! ```
 
 use crate::{Error, Experiment, ExperimentConfig, ExperimentReport};
-pub use par::{default_threads, map_parallel, map_parallel_timed, Timed};
+pub use par::{default_threads, map_parallel};
 
 /// Runs every config and returns the reports in input order.
 ///
@@ -51,27 +52,9 @@ pub fn run_all(
     }))
 }
 
-/// [`run_all`], with per-run wall-clock timing attached.
-///
-/// # Errors
-///
-/// Same up-front validation as [`run_all`].
-pub fn run_all_timed(
-    configs: &[ExperimentConfig],
-    threads: usize,
-) -> Result<Vec<Timed<ExperimentReport>>, Error> {
-    for config in configs {
-        config.validate()?;
-    }
-    Ok(map_parallel_timed(configs, threads, |config| {
-        Experiment::run(config).expect("config was validated before the sweep started")
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn reexported_pool_keeps_input_order() {
@@ -110,15 +93,5 @@ mod tests {
             run_all(&configs, 2).unwrap_err(),
             crate::Error::ZeroDuration
         );
-        assert!(run_all_timed(&configs, 2).is_err());
-    }
-
-    #[test]
-    fn timed_runs_record_nonzero_wall_clock() {
-        let configs = vec![ExperimentConfig::tiny_test(1, false)];
-        let timed = run_all_timed(&configs, 2).unwrap();
-        assert_eq!(timed.len(), 1);
-        assert!(timed[0].wall > Duration::ZERO);
-        assert!(timed[0].value.resident_mib > 0.0);
     }
 }

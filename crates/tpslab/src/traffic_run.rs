@@ -11,7 +11,7 @@
 //!
 //! This module is the traffic [`Drive`] of the one [`World`]
 //! (DESIGN.md §14): each tick drains the events due from the engine's
-//! sharded queue and applies them live, in `(due_tick, seq)` order.
+//! queue and applies them live, in `(due_tick, seq)` order.
 //! Per-guest serving capacity is snapshotted once per batch, *before*
 //! any event applies, so every request's served/shed split is a pure
 //! function of batch-start state. `run_traffic` is a plain loop over
@@ -127,7 +127,7 @@ pub struct GuestTraffic {
 /// the daemon and recorded by the `fleet_traffic` bench.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficWall {
-    /// Draining due events out of the engine's sharded queue.
+    /// Draining due events out of the engine's queue.
     pub drain_ns: u64,
     /// The per-batch serving-capacity snapshot taken before a batch's
     /// events apply. Named for the plan phase it once timed: the

@@ -4,7 +4,7 @@ use crate::curve::jitter;
 use crate::scenario::Scenario;
 use mem::Tick;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use workloads::WorkloadEvent;
 
 /// Everything the engine needs to know about the run it drives.
@@ -35,8 +35,13 @@ enum Action {
     Arrive { second: u64 },
     /// Restart the `wave`-th deploy wave.
     Deploy { wave: u64 },
-    /// Advance one booting guest's start-up.
-    Startup { guest: usize, second: u64 },
+    /// Advance one booting guest's start-up, if `boot` is still the
+    /// guest's current boot (a restart or re-add starts a new one).
+    Startup {
+        guest: usize,
+        second: u64,
+        boot: u32,
+    },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,15 +71,10 @@ impl PartialOrd for Queued {
 /// autoscale churn. An idle guest has **no** queued entries — the
 /// engine's cost is O(pending events), never O(guests).
 ///
-/// The queue is sharded for fleet scale (DESIGN.md §14): host-global
-/// entries (arrivals, deploys) live in one binary heap, while each
-/// guest's start-up chain lives in its own deque, kept sorted because
-/// start-up pushes are provably append-only — every push targets the
-/// *next* second with a strictly larger sequence number than anything
-/// the shard already holds. A frontier heap over the shard heads (one
-/// entry per non-empty shard) makes the merged pop O(log shards), so
-/// draining stays cheap at 1024 guests while the emitted stream stays
-/// byte-identical to the single-heap engine's.
+/// Every pending entry lives in one binary min-heap (DESIGN.md §14):
+/// the next arrival second, the remaining deploy waves, and one
+/// start-up entry per booting guest, plus any entry a restart stranded
+/// until it comes due and is dropped.
 ///
 /// Everything is computed from the spec with integer and exact-in-f64
 /// arithmetic; there is no RNG state and no transcendental math, so the
@@ -83,13 +83,8 @@ impl PartialOrd for Queued {
 #[derive(Debug)]
 pub struct TrafficEngine {
     spec: TrafficSpec,
-    /// Host-global entries: arrivals and deploy waves.
-    global: BinaryHeap<Reverse<Queued>>,
-    /// Per-guest start-up chains, each sorted by `(due, seq)`.
-    shards: Vec<VecDeque<Queued>>,
-    /// Min-heap of `(due, seq, guest)` shard heads — exactly one entry
-    /// per non-empty shard, always equal to that shard's front.
-    frontier: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// Pending entries, popped in `(due, seq)` order.
+    queue: BinaryHeap<Reverse<Queued>>,
     seq: u64,
     /// Which fleet indices currently run a JVM.
     active: Vec<bool>,
@@ -97,6 +92,10 @@ pub struct TrafficEngine {
     carry: Vec<f64>,
     /// Start-up seconds left per guest (non-zero only while booting).
     startup_left: Vec<u64>,
+    /// Boot generation per guest, bumped by every restart and re-add so
+    /// the start-up entry an interrupted boot left queued is dropped
+    /// instead of running a second chain.
+    boot: Vec<u32>,
     last_phase: Option<u32>,
 }
 
@@ -108,17 +107,23 @@ impl TrafficEngine {
     pub fn new(spec: TrafficSpec) -> TrafficEngine {
         let mut engine = TrafficEngine {
             spec,
-            global: BinaryHeap::new(),
-            shards: vec![VecDeque::new(); spec.guests],
-            frontier: BinaryHeap::new(),
+            queue: BinaryHeap::new(),
             seq: 0,
             active: vec![true; spec.guests],
             carry: vec![0.0; spec.guests],
             startup_left: vec![spec.startup_seconds; spec.guests],
+            boot: vec![0; spec.guests],
             last_phase: None,
         };
         for guest in 0..spec.guests {
-            engine.push(due_tick(0), Action::Startup { guest, second: 0 });
+            engine.push(
+                due_tick(0),
+                Action::Startup {
+                    guest,
+                    second: 0,
+                    boot: 0,
+                },
+            );
         }
         if let Some(second) = engine.next_busy_second(0) {
             engine.push(due_tick(second), Action::Arrive { second });
@@ -139,54 +144,20 @@ impl TrafficEngine {
     /// prove a tick is event-free without popping anything.
     #[must_use]
     pub fn next_due(&self) -> Option<Tick> {
-        let global = self.global.peek().map(|&Reverse(q)| (q.due, q.seq));
-        let shard = self
-            .frontier
-            .peek()
-            .map(|&Reverse((due, seq, _))| (due, seq));
-        match (global, shard) {
-            (Some(g), Some(s)) => Some(Tick(g.min(s).0)),
-            (Some((due, _)), None) | (None, Some((due, _))) => Some(Tick(due)),
-            (None, None) => None,
-        }
+        self.queue.peek().map(|&Reverse(q)| Tick(q.due))
     }
 
     /// Pops every entry due at or before `now` and returns the workload
     /// events they expand to, stamped with their due tick, in
-    /// deterministic order — the merged `(due, seq)` order across the
-    /// global heap and every shard. Sequence numbers are globally
-    /// unique, so the merge never ties.
+    /// deterministic `(due, seq)` order. Sequence numbers are unique, so
+    /// the order never ties.
     pub fn events_until(&mut self, now: Tick) -> Vec<(Tick, WorkloadEvent)> {
         let mut out = Vec::new();
-        loop {
-            let global = self.global.peek().map(|&Reverse(q)| (q.due, q.seq));
-            let shard = self.frontier.peek().map(|&Reverse(head)| head);
-            let take_shard = match (global, shard) {
-                (None, None) => break,
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                (Some(g), Some((due, seq, _))) => (due, seq) < g,
-            };
-            let q = if take_shard {
-                let Reverse((due, _, guest)) = self.frontier.pop().expect("peeked above");
-                if due > now.0 {
-                    self.frontier.push(Reverse(shard.expect("peeked above")));
-                    break;
-                }
-                let q = self.shards[guest]
-                    .pop_front()
-                    .expect("frontier tracks non-empty shards");
-                if let Some(head) = self.shards[guest].front() {
-                    self.frontier.push(Reverse((head.due, head.seq, guest)));
-                }
-                q
-            } else {
-                let due = global.expect("peeked above").0;
-                if due > now.0 {
-                    break;
-                }
-                self.global.pop().expect("peeked above").0
-            };
+        while let Some(&Reverse(q)) = self.queue.peek() {
+            if q.due > now.0 {
+                break;
+            }
+            self.queue.pop();
             self.process(q, &mut out);
         }
         out
@@ -200,33 +171,23 @@ impl TrafficEngine {
 
     fn push(&mut self, due: u64, action: Action) {
         self.seq += 1;
-        let q = Queued {
+        self.queue.push(Reverse(Queued {
             due,
             seq: self.seq,
             action,
-        };
-        match action {
-            Action::Startup { guest, .. } => {
-                // Append-only by construction: a start-up entry is only
-                // pushed for the second after the one being processed,
-                // with a fresh (strictly larger) sequence number, so it
-                // sorts after everything already in the shard.
-                let shard = &mut self.shards[guest];
-                debug_assert!(shard.back().is_none_or(|b| (b.due, b.seq) < (due, q.seq)));
-                if shard.is_empty() {
-                    self.frontier.push(Reverse((due, q.seq, guest)));
-                }
-                shard.push_back(q);
-            }
-            Action::Arrive { .. } | Action::Deploy { .. } => self.global.push(Reverse(q)),
-        }
+        }));
     }
 
     fn process(&mut self, q: Queued, out: &mut Vec<(Tick, WorkloadEvent)>) {
         let at = Tick(q.due);
         match q.action {
-            Action::Startup { guest, second } => {
-                if !self.active[guest] || self.startup_left[guest] == 0 {
+            Action::Startup {
+                guest,
+                second,
+                boot,
+            } => {
+                if !self.active[guest] || boot != self.boot[guest] || self.startup_left[guest] == 0
+                {
                     return;
                 }
                 out.push((at, WorkloadEvent::StartupTick { guest }));
@@ -237,6 +198,7 @@ impl TrafficEngine {
                         Action::Startup {
                             guest,
                             second: second + 1,
+                            boot,
                         },
                     );
                 }
@@ -250,17 +212,8 @@ impl TrafficEngine {
                         continue;
                     }
                     out.push((at, WorkloadEvent::RestartGuest { guest }));
-                    self.startup_left[guest] = self.spec.startup_seconds;
                     self.carry[guest] = 0.0;
-                    if second + 1 < self.spec.duration_seconds {
-                        self.push(
-                            due_tick(second + 1),
-                            Action::Startup {
-                                guest,
-                                second: second + 1,
-                            },
-                        );
-                    }
+                    self.reboot(guest, second);
                 }
             }
             Action::Arrive { second } => {
@@ -269,6 +222,24 @@ impl TrafficEngine {
                     self.push(due_tick(next), Action::Arrive { second: next });
                 }
             }
+        }
+    }
+
+    /// Starts a fresh boot of `guest` at `second`: a full start-up window
+    /// whose chain begins the next second. The new generation strands
+    /// any entry of the interrupted boot still in the queue.
+    fn reboot(&mut self, guest: usize, second: u64) {
+        self.startup_left[guest] = self.spec.startup_seconds;
+        self.boot[guest] = self.boot[guest].wrapping_add(1);
+        if second + 1 < self.spec.duration_seconds {
+            self.push(
+                due_tick(second + 1),
+                Action::Startup {
+                    guest,
+                    second: second + 1,
+                    boot: self.boot[guest],
+                },
+            );
         }
     }
 
@@ -292,17 +263,8 @@ impl TrafficEngine {
                 if !self.active[guest] {
                     self.active[guest] = true;
                     self.carry[guest] = 0.0;
-                    self.startup_left[guest] = self.spec.startup_seconds;
                     out.push((at, WorkloadEvent::AddGuest { guest }));
-                    if second + 1 < self.spec.duration_seconds {
-                        self.push(
-                            due_tick(second + 1),
-                            Action::Startup {
-                                guest,
-                                second: second + 1,
-                            },
-                        );
-                    }
+                    self.reboot(guest, second);
                     current += 1;
                 }
             }
@@ -383,6 +345,7 @@ fn ticks_per_second() -> u32 {
 mod tests {
     use super::*;
     use crate::curve::ArrivalCurve;
+    use crate::scenario::DeploySchedule;
 
     fn drain(engine: &mut TrafficEngine, seconds: u64) -> Vec<(Tick, WorkloadEvent)> {
         engine.events_until(Tick(seconds * u64::from(ticks_per_second()) + 1))
@@ -488,6 +451,81 @@ mod tests {
             })
             .collect();
         assert_eq!(phases, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_restart_mid_boot_runs_one_fresh_start_up_chain() {
+        let mut scenario = Scenario::constant();
+        scenario.deploy = Some(DeploySchedule {
+            start_seconds: 4,
+            wave_interval_seconds: 1,
+            wave_size: 1,
+        });
+        let mut e = TrafficEngine::new(TrafficSpec {
+            scenario,
+            guests: 1,
+            healthy_rps: 4.0,
+            startup_seconds: 10,
+            duration_seconds: 60,
+            seed: 7,
+        });
+        let events = drain(&mut e, 59);
+        let restart = events
+            .iter()
+            .position(|(_, ev)| matches!(ev, WorkloadEvent::RestartGuest { .. }))
+            .expect("the wave restarts the guest");
+        let seconds = |events: &[(Tick, WorkloadEvent)]| -> Vec<u64> {
+            events
+                .iter()
+                .filter(|(_, ev)| matches!(ev, WorkloadEvent::StartupTick { .. }))
+                .map(|(at, _)| (at.0 - 1) / u64::from(ticks_per_second()))
+                .collect()
+        };
+        // The first boot ticks until the wave at second 4; the restarted
+        // JVM then gets its full ten seconds, one tick each.
+        assert_eq!(seconds(&events[..restart]), vec![0, 1, 2, 3]);
+        assert_eq!(seconds(&events[restart..]), (5..15).collect::<Vec<_>>());
+    }
+
+    /// FNV-1a over the `Debug` rendering of a `(tick, event)` stream.
+    fn stream_fingerprint(events: &[(Tick, WorkloadEvent)]) -> u64 {
+        format!("{events:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn churn_scenario_streams_are_pinned() {
+        // A 40 s boot against waves from second 30 restarts guests
+        // mid-boot; autoscale drains and re-adds guests.
+        let cases = [
+            (Scenario::flash_crowd(120), 10, (1043, 0x2169e7937f00c50d)),
+            (
+                Scenario::rolling_deploy(120, 8),
+                40,
+                (1589, 0x81de0fa50318621f),
+            ),
+            (Scenario::autoscale(120, 8), 10, (872, 0x592a7c0ac18f9f9e)),
+        ];
+        for (scenario, startup_seconds, pin) in cases {
+            let mut e = TrafficEngine::new(TrafficSpec {
+                scenario,
+                guests: 8,
+                healthy_rps: 4.0,
+                startup_seconds,
+                duration_seconds: 120,
+                seed: 7,
+            });
+            let events = drain(&mut e, 119);
+            assert_eq!(
+                (events.len(), stream_fingerprint(&events)),
+                pin,
+                "{}",
+                scenario.name
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! Golden-master regression tests for the figure binaries.
+//! Golden-master regression tests for the `bench` runner's names.
 //!
-//! Each test renders a figure through `bench::figures` at the fixed
-//! [`RunOpts::golden`] preset and compares the output byte-for-byte
-//! against the committed file under `tests/golden/`. Figure output is
-//! deterministic (timings go to stderr, sweeps return results in input
-//! order regardless of thread count), so any diff here is a real
-//! behaviour change in the simulation or the report formatting.
+//! Each test renders a name through the runner's table
+//! ([`bench::BENCHES`]) at the fixed [`RunOpts::golden`] preset and
+//! compares the output byte-for-byte against the committed file under
+//! `tests/golden/`. The output is what `cargo run --release -p bench --
+//! <name> --scale 128 --minutes 0.2 --threads 2` prints (the
+//! fixed-shape names ignore the sizes). Figure output is deterministic
+//! (timings go to stderr, sweeps return results in input order
+//! regardless of thread count), so any diff here is a real behaviour
+//! change in the simulation or the report formatting.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -15,7 +18,7 @@
 //!
 //! then review and commit the updated `tests/golden/*.txt`.
 
-use bench::{figures, fleet, fleet_traffic, thp, traffic, RunOpts};
+use bench::{fleet, RunOpts, BENCHES};
 use std::fs;
 use std::path::PathBuf;
 
@@ -23,6 +26,20 @@ fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name)
+}
+
+/// What the runner prints for `name` at `opts`.
+fn render(name: &str, opts: &RunOpts) -> String {
+    BENCHES
+        .iter()
+        .find(|b| b.name == name)
+        .unwrap_or_else(|| panic!("the runner has no {name}"))
+        .render(opts)
+}
+
+/// Diffs `bench <name>` at the golden preset against `<name>.txt`.
+fn assert_runner_golden(name: &str) {
+    assert_golden(&format!("{name}.txt"), &render(name, &RunOpts::golden()));
 }
 
 /// Diffs `actual` against the golden file, or rewrites the file when
@@ -66,22 +83,72 @@ fn assert_golden(name: &str, actual: &str) {
 
 #[test]
 fn fig2_matches_golden_master() {
-    assert_golden("fig2.txt", &figures::fig2_text(&RunOpts::golden()));
+    assert_runner_golden("fig2");
+}
+
+#[test]
+fn fig3_matches_golden_master() {
+    assert_runner_golden("fig3");
+}
+
+#[test]
+fn fig4_matches_golden_master() {
+    assert_runner_golden("fig4");
+}
+
+#[test]
+fn fig5_matches_golden_master() {
+    assert_runner_golden("fig5");
+}
+
+#[test]
+fn fig6_matches_golden_master() {
+    assert_runner_golden("fig6");
 }
 
 #[test]
 fn fig7_matches_golden_master() {
-    assert_golden("fig7.txt", &figures::fig7_text(&RunOpts::golden()));
+    assert_runner_golden("fig7");
 }
 
 #[test]
 fn fig8_matches_golden_master() {
-    assert_golden("fig8.txt", &figures::fig8_text(&RunOpts::golden()));
+    assert_runner_golden("fig8");
 }
 
 #[test]
 fn tables_match_golden_master() {
-    assert_golden("tables.txt", &figures::tables_text());
+    assert_runner_golden("tables");
+}
+
+#[test]
+fn timeline_matches_golden_master() {
+    assert_runner_golden("timeline");
+}
+
+#[test]
+fn ablation_scan_rate_matches_golden_master() {
+    assert_runner_golden("ablation_scan_rate");
+}
+
+#[test]
+fn ablation_cache_size_matches_golden_master() {
+    assert_runner_golden("ablation_cache_size");
+}
+
+#[test]
+fn ablation_balloon_matches_golden_master() {
+    assert_runner_golden("ablation_balloon");
+}
+
+#[test]
+fn ablation_related_work_matches_golden_master() {
+    assert_runner_golden("ablation_related_work");
+}
+
+#[test]
+fn ablation_placement_matches_golden_master() {
+    assert_runner_golden("ablation_placement");
 }
 
 #[test]
@@ -89,20 +156,20 @@ fn fleet_matches_golden_master() {
     // The committed file was generated with --threads 1; rendering at 4
     // threads here asserts the sharded scanner's core guarantee — the
     // fleet report is byte-identical at any thread count.
-    assert_golden(
-        "fleet.txt",
-        &fleet::report_text(&fleet::FleetSpec::golden(), 4, 5),
-    );
+    let opts = RunOpts {
+        threads: 4,
+        ..RunOpts::golden()
+    };
+    assert_golden("fleet.txt", &render("fleet", &opts));
 }
 
 #[test]
 fn fleet_report_is_identical_at_one_and_many_threads() {
-    let spec = fleet::FleetSpec::golden();
-    let one = fleet::report_text(&spec, 1, 5);
+    let one = fleet::golden_text(1);
     for threads in [2, 8] {
         assert_eq!(
             one,
-            fleet::report_text(&spec, threads, 5),
+            fleet::golden_text(threads),
             "fleet report diverged at {threads} threads"
         );
     }
@@ -110,11 +177,11 @@ fn fleet_report_is_identical_at_one_and_many_threads() {
 
 #[test]
 fn thp_matches_golden_master() {
-    // The THP x KSM ablation sweep. golden_text() also asserts the
+    // The THP x KSM ablation sweep. Its text also asserts the
     // sharing-vs-TLB-reach frontier is non-degenerate and runs the
     // cross-layer conservation audit in every cell, so this test is
     // simultaneously a physics check and a formatting pin.
-    assert_golden("thp.txt", &thp::golden_text());
+    assert_runner_golden("thp");
 }
 
 #[test]
@@ -123,7 +190,7 @@ fn traffic_matches_golden_master() {
     // traffic engine is deterministic by construction (DESIGN.md §11),
     // so this text is byte-identical at any thread count and any diff
     // is a real behaviour change in the engine or the report.
-    assert_golden("traffic.txt", &traffic::golden_text());
+    assert_runner_golden("traffic");
 }
 
 #[test]
@@ -132,8 +199,13 @@ fn fleet_traffic_matches_golden_master() {
     // fleet at the over-commit knee. Asserting the same golden at 1 and
     // 4 threads pins the KSM scanner's sharded wake under traffic: the
     // worker count may not change a single byte.
-    assert_golden("fleet_traffic.txt", &fleet_traffic::golden_text(1));
-    assert_golden("fleet_traffic.txt", &fleet_traffic::golden_text(4));
+    for threads in [1, 4] {
+        let opts = RunOpts {
+            threads,
+            ..RunOpts::golden()
+        };
+        assert_golden("fleet_traffic.txt", &render("fleet_traffic", &opts));
+    }
 }
 
 #[test]
@@ -141,8 +213,5 @@ fn attribution_matches_golden_master() {
     // The golden preset runs at 2 worker threads; the committed file was
     // generated single-threaded. Passing byte-for-byte here is itself an
     // assertion — attribution output is thread-count invariant.
-    assert_golden(
-        "attribution.txt",
-        &figures::attribution_text(&RunOpts::golden()),
-    );
+    assert_runner_golden("attribution");
 }

@@ -40,7 +40,7 @@ use tpslab::{Daemon, DaemonConfig, ExperimentConfig, KsmSchedule};
 /// The fixed configuration the telemetry golden is generated under:
 /// the scale32 over-commit preset at the figure-golden settings
 /// (scale 128, 12 simulated seconds, 2 attribution workers) — the same
-/// world `cargo run -p bench --bin telemetry` prints.
+/// world `cargo run -p bench -- telemetry` prints.
 fn golden_config(threads: usize) -> ExperimentConfig {
     ExperimentConfig::scale32(128.0)
         .with_duration_seconds(12)

@@ -65,10 +65,10 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
     scenario_strategy_for(GUESTS)
 }
 
-/// Random specs for the sharded event queue itself: a handful of
-/// guests, random start-up lengths and jitter seeds, with the scenario
-/// layered on top so deploy waves and autoscale churn hit the global
-/// heap while start-up chains hit the per-guest shards.
+/// Random specs for the event queue itself: a handful of guests,
+/// random start-up lengths and jitter seeds, with the scenario layered
+/// on top so deploy waves and autoscale churn interleave with start-up
+/// chains.
 fn spec_strategy() -> impl Strategy<Value = TrafficSpec> {
     (
         (curve_strategy(), 0..3u8, (5..15u64), (1..8u64)),
@@ -132,7 +132,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The sharded queue's merge order: draining the whole run in one
+    /// The queue's pop order: draining the whole run in one
     /// `events_until` call yields the same `(due_tick, seq)`-ordered
     /// stream as draining in arbitrary tick chunks — the `(due, seq)`
     /// tie-break is stable no matter where the drain boundaries fall.
