@@ -252,17 +252,6 @@ pub enum Violation {
         /// The scanner's value.
         actual: u64,
     },
-    /// A stable-tree node lives in a shard other than the one its
-    /// fingerprint selects — the partition invariant the sharded
-    /// scanner's race-freedom argument rests on.
-    KsmShardMisplaced {
-        /// The shard the node was found in.
-        shard: usize,
-        /// The shard its fingerprint belongs to.
-        expected: usize,
-        /// The misplaced node's frame.
-        frame: FrameId,
-    },
 }
 
 impl Violation {
@@ -286,7 +275,7 @@ impl Violation {
             | Violation::BreakdownDivergence { .. }
             | Violation::AttributionIncomplete { .. }
             | Violation::AccountingDrift { .. } => Layer::Attribution,
-            Violation::KsmStatsMismatch { .. } | Violation::KsmShardMisplaced { .. } => Layer::Ksm,
+            Violation::KsmStatsMismatch { .. } => Layer::Ksm,
         }
     }
 }
@@ -411,14 +400,6 @@ impl std::fmt::Display for Violation {
             } => write!(
                 f,
                 "scanner reports {field} = {actual}, stable-tree recount says {expected}"
-            ),
-            Violation::KsmShardMisplaced {
-                shard,
-                expected,
-                frame,
-            } => write!(
-                f,
-                "stable node for frame {frame:?} sits in shard {shard} but its fingerprint selects shard {expected}"
             ),
         }
     }
@@ -722,19 +703,6 @@ fn check_ksm_stats(
     scanner: &KsmScanner,
     report: &mut AuditReport,
 ) -> Result<(), Violation> {
-    // Partition invariant first: every stable node must live in the shard
-    // its fingerprint hashes to. This is what makes the parallel resolve
-    // phase race-free — two shards can never hold the same fingerprint.
-    for (shard, fp, frame) in scanner.stable_frames_by_shard() {
-        let expected = ksm::shard_of(fp);
-        if shard != expected {
-            return Err(Violation::KsmShardMisplaced {
-                shard,
-                expected,
-                frame,
-            });
-        }
-    }
     let phys = mm.phys();
     let mut shared = 0u64;
     let mut sharing = 0u64;

@@ -269,7 +269,7 @@ impl NaiveScanner {
             Some(&candidate) => {
                 // A candidate collapsed into a huge page since insertion
                 // is no longer a merge target (same rule as the
-                // incremental scanner's resolve phase).
+                // incremental scanner's per-page judge).
                 if mm
                     .space(candidate.space)
                     .region_containing(candidate.vpn)

@@ -251,41 +251,4 @@ proptest! {
             panic!("audit failed after op sequence under thp={policy}: {violation}");
         }
     }
-
-    /// The sharded scanner stays thread-count invariant when the op mix
-    /// includes promotions and demotions: splits planned against a huge
-    /// block must commit in deterministic order no matter which worker
-    /// encountered them.
-    #[test]
-    fn thread_count_is_invariant_under_huge_interleavings(
-        policy in policy_strategy(),
-        ops in prop::collection::vec(op_strategy(), 0..16),
-        budget in 200usize..900,
-    ) {
-        let params = KsmParams::new(budget, 100);
-        let drive = |threads: usize| {
-            let mut w = WorldState::build(policy);
-            let mut scanner = KsmScanner::new(params).with_threads(threads);
-            let mut t = 1u64;
-            for &op in &ops {
-                w.apply(op, Tick(t));
-                scanner.run(&mut w.mm, Tick(t));
-                t += 1;
-            }
-            for _ in 0..8 {
-                scanner.run(&mut w.mm, Tick(t));
-                t += 1;
-            }
-            scanner.recount(&w.mm);
-            (scanner.stats(), frame_table(&w.mm), pte_table(&w.mm), w.huge_blocks())
-        };
-        let baseline = drive(1);
-        for threads in [2, 4] {
-            let run = drive(threads);
-            prop_assert_eq!(&baseline.0, &run.0, "stats diverged at {} threads", threads);
-            prop_assert_eq!(&baseline.1, &run.1, "frame table diverged at {} threads", threads);
-            prop_assert_eq!(&baseline.2, &run.2, "PTE table diverged at {} threads", threads);
-            prop_assert_eq!(baseline.3, run.3, "huge blocks diverged at {} threads", threads);
-        }
-    }
 }

@@ -1,8 +1,9 @@
-//! Directed differential tests for the unstable-tree step of the KSM
-//! resolve phase, one per outcome of its single map probe: a vacant
+//! Directed differential tests for the KSM wake's per-page judge: one
+//! per outcome of the unstable-tree step's single map probe (a vacant
 //! slot is filled; a huge-collapsed, unmapped or changed candidate is
 //! replaced; the same page re-encountered is kept; equal content is
-//! merged and the entry removed.
+//! merged and the entry removed), plus the overlay check that skips a
+//! frame merged away earlier in the same wake.
 //!
 //! Each test drives the real [`ksm::KsmScanner`] and the naive
 //! [`audit::NaiveScanner`] oracle through the same operations on two
@@ -186,4 +187,31 @@ fn equal_content_merges_and_removes_the_entry() {
     assert_eq!(stats.stale_stable_nodes, 1);
     assert_eq!(stats.merges, 1);
     assert_ne!(pair.frame(2, 0), pair.frame(0, 0));
+}
+
+/// Two page-table entries share one frame outside KSM (injected as in
+/// `same_page_re_encountered_is_kept`), and their content already has
+/// a stable node. Both fall in one wake: the first entry merges the
+/// frame into the node; the second still maps that frame in the
+/// wake-start state and must be skipped as already shared, because
+/// merging the same frame twice would read it after it was freed.
+#[test]
+fn frame_merged_away_earlier_in_the_wake_is_skipped() {
+    let mut pair = Pair::new(2, &[&[X], &[X], &[X], &[X]]);
+    pair.each(|mm, r| {
+        let shared = mm.frame_at(r[2].0, r[2].1).expect("page 2 mapped");
+        let dup = mm.frame_at(r[3].0, r[3].1).expect("page 3 mapped");
+        mm.merge_frames(dup, shared);
+        mm.phys_mut().set_ksm_shared(shared, false);
+    });
+    // Wake 1 scans spaces 0 and 1 and makes their frame the node.
+    assert_eq!(pair.wake().merges, 1);
+    let node = pair.frame(0, 0);
+    assert_eq!(pair.frame(1, 0), node);
+    // Wake 2 scans spaces 2 and 3: one merge, not two.
+    assert_eq!(pair.wake().merges, 2);
+    assert_eq!(pair.frame(2, 0), node);
+    assert_eq!(pair.frame(3, 0), node);
+    let frame = node.expect("page 0 mapped");
+    assert_eq!(pair.real.0.phys().refcount(frame), 4);
 }

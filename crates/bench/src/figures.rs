@@ -346,17 +346,20 @@ pub fn tables_text() -> String {
 
 /// KSM sharing convergence over time (not in the paper, but implied by
 /// its §II.C schedule): how fast the warm-up rate merges the preloaded
-/// class pages, and what the steady rate maintains.
+/// class pages, and what the steady rate maintains. Sampled every
+/// 15 s, or every quarter of the run if that is shorter, so a short run
+/// still prints rows.
 pub fn timeline_text(opts: &RunOpts) -> String {
     let mut out = banner_text(
         "Timeline",
         "KSM sharing convergence, 4 x DayTrader with preloading",
         opts,
     );
+    let seconds = (opts.minutes * 60.0) as u64;
     let cfg = opts
         .apply(ExperimentConfig::paper_daytrader_4vm(opts.scale))
         .with_class_sharing()
-        .with_timeline(15);
+        .with_timeline((seconds / 4).clamp(1, 15));
     let report = Experiment::run(&cfg).expect("bench configs are valid");
     let _ = writeln!(
         out,

@@ -7,12 +7,9 @@
 //! JVMs serving a flash crowd (DESIGN.md §14):
 //!
 //! * [`golden_text`] — a deterministic two-combo report pinned at
-//!   `tests/golden/fleet_traffic.txt`, rendered byte-identically at any
-//!   `--threads` value (the golden test diffs 1 against 4 threads, which
-//!   pins the KSM scanner's sharded wake).
-//! * [`bench_json`] — measured 1- and 8-thread wall-clock with the
-//!   per-phase split at scale256 plus a completing scale1024 run, each
-//!   8-thread report asserted identical to its 1-thread one.
+//!   `tests/golden/fleet_traffic.txt`.
+//! * [`bench_json`] — measured wall-clock with the per-phase split at
+//!   scale256 plus a completing scale1024 run.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -30,25 +27,24 @@ const SCALE: f64 = 512.0;
 const BENCH_SECONDS: u64 = 60;
 
 /// Simulated seconds for the golden combos (kept short: the golden
-/// test renders this twice, at 1 and 4 threads).
+/// test renders both combos on every test run).
 const GOLDEN_SECONDS: u64 = 30;
 
 /// A fleet-preset traffic configuration at `guests` guests.
 #[must_use]
-pub fn fleet_config(guests: usize, seconds: u64, threads: usize) -> ExperimentConfig {
+pub fn fleet_config(guests: usize, seconds: u64) -> ExperimentConfig {
     let cfg = match guests {
         256 => ExperimentConfig::scale256(SCALE),
         1024 => ExperimentConfig::scale1024(SCALE),
         n => ExperimentConfig::fleet(n, SCALE),
     };
-    cfg.with_duration_seconds(seconds).with_threads(threads)
+    cfg.with_duration_seconds(seconds)
 }
 
 /// The golden combos: a mid-size fleet under two scenarios that load
-/// the KSM scanner's sharded wake differently — flash-crowd (every
-/// guest busy, the most pages dirtied per wake) and rolling-deploy
-/// (guests relaunched mid-run, dropping and re-merging their JVMs'
-/// pages).
+/// the KSM wake differently — flash-crowd (every guest busy, the most
+/// pages dirtied per wake) and rolling-deploy (guests relaunched
+/// mid-run, dropping and re-merging their JVMs' pages).
 fn golden_combos() -> [(usize, Scenario); 2] {
     [
         (64, Scenario::flash_crowd(GOLDEN_SECONDS)),
@@ -57,19 +53,17 @@ fn golden_combos() -> [(usize, Scenario); 2] {
 }
 
 /// Renders the deterministic fleet-traffic report pinned at
-/// `tests/golden/fleet_traffic.txt`. Thread count is deliberately
-/// absent from the text: the golden test renders it at 1 and 4 threads
-/// and requires byte identity.
+/// `tests/golden/fleet_traffic.txt`.
 ///
 /// # Panics
 ///
 /// Panics if a fixed golden configuration fails validation (it never
 /// does; the panic is the test harness's failure mode).
 #[must_use]
-pub fn golden_text(threads: usize) -> String {
+pub fn golden_text() -> String {
     let mut out = String::new();
     for (guests, scenario) in golden_combos() {
-        let cfg = fleet_config(guests, GOLDEN_SECONDS, threads);
+        let cfg = fleet_config(guests, GOLDEN_SECONDS);
         let report = Experiment::run_traffic(&cfg, &scenario).expect("golden config is valid");
         out.push_str(&report.render());
         out.push('\n');
@@ -86,27 +80,15 @@ struct Measured {
     restarts: u64,
     sharing_stability: f64,
     serial: TrafficWall,
-    sharded: TrafficWall,
     measured_1t_ms: f64,
-    measured_8t_ms: f64,
 }
 
 fn measure(guests: usize, scenario: &Scenario) -> Measured {
-    // Serial run: everything on the calling thread.
-    let cfg1 = fleet_config(guests, BENCH_SECONDS, 1);
+    let cfg = fleet_config(guests, BENCH_SECONDS);
     let start = Instant::now();
     let (report, serial) =
-        Experiment::run_traffic_timed(&cfg1, scenario).expect("bench config is valid");
+        Experiment::run_traffic_timed(&cfg, scenario).expect("bench config is valid");
     let measured_1t_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    // Sharded run: honest 8-thread wall-clock on this host, whatever
-    // its core count — asserted byte-identical to the serial run.
-    let cfg8 = fleet_config(guests, BENCH_SECONDS, 8);
-    let start = Instant::now();
-    let (report8, sharded) =
-        Experiment::run_traffic_timed(&cfg8, scenario).expect("bench config is valid");
-    let measured_8t_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(report, report8, "thread count changed the traffic report");
 
     Measured {
         guests,
@@ -116,9 +98,7 @@ fn measure(guests: usize, scenario: &Scenario) -> Measured {
         restarts: report.restarts,
         sharing_stability: report.sharing_stability,
         serial,
-        sharded,
         measured_1t_ms,
-        measured_8t_ms,
     }
 }
 
@@ -127,8 +107,7 @@ fn measure(guests: usize, scenario: &Scenario) -> Measured {
 ///
 /// # Panics
 ///
-/// Panics if a configuration fails validation, if an 8-thread run's
-/// report diverges from the serial run's, or if the scale1024 run
+/// Panics if a configuration fails validation or if the scale1024 run
 /// served no traffic.
 #[must_use]
 pub fn bench_json() -> String {
@@ -136,7 +115,7 @@ pub fn bench_json() -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(
         out,
-        "  \"benchmark\": \"sharded traffic engine: fleet-scale request serving at scale256/scale1024\","
+        "  \"benchmark\": \"traffic engine: fleet-scale request serving at scale256/scale1024\","
     );
     let _ = writeln!(out, "  \"source\": \"crates/bench/src/fleet_traffic.rs\",");
     let _ = writeln!(
@@ -150,7 +129,7 @@ pub fn bench_json() -> String {
     let _ = writeln!(out, "  \"host_cores\": {host_cores},");
     let _ = writeln!(
         out,
-        "  \"measurement_note\": \"measured_*_ms are whole-run wall-clock on this host ({host_cores} core(s)), one run each; the *_ns fields split each run by step phase: drain, plan (the per-batch capacity snapshot), commit (applying events) and scan (khugepaged, the KSM wake and samples), of which scan_parallel_ns is the KSM classify+resolve share that runs on the worker pool\","
+        "  \"measurement_note\": \"measured_1t_ms is whole-run wall-clock on this host ({host_cores} core(s)), one serial run each (a traffic run uses one thread at any --threads); the serial_*_ns fields split it by step phase: drain, plan (the per-batch capacity snapshot), commit (applying events) and scan (khugepaged, the KSM wake and samples)\","
     );
     let _ = writeln!(out, "  \"combos\": [");
     let combos = [
@@ -174,26 +153,13 @@ pub fn bench_json() -> String {
             p.sharing_stability
         );
         let _ = writeln!(out, "      \"serial_drain_ns\": {},", p.serial.drain_ns);
+        let _ = writeln!(out, "      \"serial_plan_ns\": {},", p.serial.plan_ns);
         let _ = writeln!(out, "      \"serial_commit_ns\": {},", p.serial.commit_ns);
         let _ = writeln!(out, "      \"serial_scan_ns\": {},", p.serial.scan_ns);
-        let _ = writeln!(out, "      \"sharded_drain_ns\": {},", p.sharded.drain_ns);
-        let _ = writeln!(out, "      \"sharded_plan_ns\": {},", p.sharded.plan_ns);
-        let _ = writeln!(out, "      \"sharded_commit_ns\": {},", p.sharded.commit_ns);
-        let _ = writeln!(out, "      \"sharded_scan_ns\": {},", p.sharded.scan_ns);
-        let _ = writeln!(
-            out,
-            "      \"sharded_scan_parallel_ns\": {},",
-            p.sharded.scan_parallel_ns
-        );
-        let _ = writeln!(out, "      \"measured_1t_ms\": {:.3},", p.measured_1t_ms);
-        let _ = writeln!(out, "      \"measured_8t_ms\": {:.3}", p.measured_8t_ms);
+        let _ = writeln!(out, "      \"measured_1t_ms\": {:.3}", p.measured_1t_ms);
         let _ = writeln!(out, "    }}{}", if i + 1 < points.len() { "," } else { "" });
     }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"equivalence\": \"every 8-thread run is asserted report-identical to its serial run; the fleet-traffic golden report is byte-identical at 1 vs 4 threads (tests/golden/fleet_traffic.txt)\""
-    );
+    let _ = writeln!(out, "  ]");
     out.push_str("}\n");
 
     // The scale1024 run must have completed with real traffic served.

@@ -207,14 +207,14 @@ pub const BENCHES: [Bench; 21] = [
         name: "fleet",
         about: "fleet-scale KSM convergence report (--json: BENCH_fleet.json)",
         fixed_shape: true,
-        text: |opts| fleet::golden_text(opts.threads),
+        text: |_| fleet::golden_text(),
         record: Some(|_| fleet::bench_json()),
     },
     Bench {
         name: "fleet_traffic",
         about: "fleet-preset traffic report (--json: BENCH_fleet_traffic.json)",
         fixed_shape: true,
-        text: |opts| fleet_traffic::golden_text(opts.threads),
+        text: |_| fleet_traffic::golden_text(),
         record: Some(|_| fleet_traffic::bench_json()),
     },
     Bench {

@@ -57,5 +57,5 @@ mod stats;
 
 pub use params::KsmParams;
 pub use powervm::{PowerVmReport, PowerVmScanner};
-pub use scanner::{shard_of, KsmScanner, WakePhases, SHARD_BITS, SHARD_COUNT};
+pub use scanner::{KsmScanner, WakePhases};
 pub use stats::KsmStats;

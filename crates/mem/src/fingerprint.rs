@@ -70,32 +70,6 @@ impl Fingerprint {
         Fingerprint(raw)
     }
 
-    /// Maps the fingerprint to one of `shards` buckets by its top bits.
-    ///
-    /// The projection is **monotone**: iterating buckets in index order
-    /// visits fingerprints in ascending order, so a sharded structure
-    /// keyed by fingerprint can be chained shard-by-shard back into one
-    /// globally sorted sequence. The mixer's avalanche step spreads even
-    /// low-entropy token sequences across the top bits, so buckets come
-    /// out balanced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is not a power of two.
-    #[must_use]
-    pub fn shard(self, shards: usize) -> usize {
-        assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two"
-        );
-        let bits = shards.trailing_zeros();
-        if bits == 0 {
-            0
-        } else {
-            (self.0 >> (128 - bits)) as usize
-        }
-    }
-
     /// Derives a new fingerprint by mixing an extra token into this one.
     ///
     /// Used for "same data, different page offset" situations: shifting
@@ -238,23 +212,6 @@ mod tests {
                 assert!(seen.insert(Fingerprint::of(&[salt, idx])));
             }
         }
-    }
-
-    #[test]
-    fn shard_is_monotone_and_balanced() {
-        let mut fps: Vec<Fingerprint> = (0..4096u64).map(|i| Fingerprint::of(&[i])).collect();
-        fps.sort();
-        let shards: Vec<usize> = fps.iter().map(|fp| fp.shard(64)).collect();
-        assert!(shards.windows(2).all(|w| w[0] <= w[1]), "not monotone");
-        let mut counts = [0usize; 64];
-        for &s in &shards {
-            counts[s] += 1;
-        }
-        // 4096 fingerprints over 64 shards averages 64 per shard; the
-        // mixer should keep every bucket within a loose factor of that.
-        assert!(counts.iter().all(|&c| c > 16 && c < 256), "{counts:?}");
-        assert_eq!(Fingerprint::ZERO.shard(64), 0);
-        assert_eq!(Fingerprint::ZERO.shard(1), 0);
     }
 
     #[test]

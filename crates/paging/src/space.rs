@@ -444,10 +444,9 @@ impl AddressSpace {
     /// page is unpopulated or outside every region.
     ///
     /// This is the space-local form of
-    /// [`HostMm::frame_at`](crate::HostMm::frame_at); it exists so code
-    /// holding only a slice of address spaces — e.g. the sharded KSM
-    /// scanner's parallel phase, which cannot touch the (non-`Sync`)
-    /// tracer inside `HostMm` — can still resolve mappings.
+    /// [`HostMm::frame_at`](crate::HostMm::frame_at), for code that
+    /// already holds the space, such as the KSM scanner re-checking an
+    /// unstable-tree candidate.
     #[must_use]
     pub fn frame_at(&self, vpn: Vpn) -> Option<FrameId> {
         self.region_containing(vpn)?.frame_at(vpn)

@@ -128,11 +128,11 @@ pub struct ExperimentConfig {
     /// (CLI/figure-binary `--audit`).
     pub audit: bool,
     /// Worker threads for the attribution walks
-    /// ([`analysis::SnapshotEngine`]) and the KSM scanner's sharded
-    /// resolve phase ([`ksm::KsmScanner::with_threads`]). The report is
-    /// bit-identical at any value — threads only shrink the wall-clock
-    /// of timeline-attribution sampling and of each scanner wake. `1`
-    /// (the default) runs everything on the calling thread.
+    /// ([`analysis::SnapshotEngine`]), the only parallel path in a run;
+    /// the KSM wake and the traffic step are serial. The report is
+    /// bit-identical at any value — threads only change the wall-clock
+    /// of timeline-attribution sampling. `1` (the default) runs
+    /// everything on the calling thread.
     pub threads: usize,
     /// Host-side transparent-huge-page policy: what the khugepaged
     /// collapse scan ([`hypervisor::KvmHost::thp_scan`]) is allowed to
@@ -269,16 +269,17 @@ impl ExperimentConfig {
     }
 
     /// The fleet stress preset: 256 over-committed SPECjEnterprise
-    /// guests — the benchmark scenario for the sharded KSM scanner
-    /// (`results/BENCH_fleet.json`). See [`fleet`](Self::fleet).
+    /// guests — the smaller of the two fleet presets the traffic
+    /// benchmarks run (`results/BENCH_fleet_traffic.json`). See
+    /// [`fleet`](Self::fleet).
     #[must_use]
     pub fn scale256(scale: f64) -> ExperimentConfig {
         ExperimentConfig::fleet(256, scale)
     }
 
     /// The extreme fleet preset: 1024 over-committed SPECjEnterprise
-    /// guests. A converged idle pass must stay O(#dirty regions) per
-    /// shard here or wakes dominate the run. See [`fleet`](Self::fleet).
+    /// guests. A converged idle pass must stay O(#dirty regions) here
+    /// or KSM wakes dominate the run. See [`fleet`](Self::fleet).
     #[must_use]
     pub fn scale1024(scale: f64) -> ExperimentConfig {
         ExperimentConfig::fleet(1024, scale)

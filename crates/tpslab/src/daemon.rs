@@ -56,7 +56,7 @@ use hypervisor::KvmHost;
 use mem::Tick;
 use obs::{MetricClass, MetricsRegistry};
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read, Take, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -667,11 +667,26 @@ fn run_acceptor(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Answers one HTTP/1.0 request from the published state.
+/// How long a query handler waits for a client that sends nothing.
+/// Every client the daemon serves (`http_get`, `tps top`, curl) sends
+/// its request as soon as it connects, so a silent connection is closed
+/// rather than left holding its handler thread.
+const READ_TIMEOUT: Duration = Duration::from_secs(3);
+
+/// Most bytes a request line and its headers may take together. A
+/// longer head, such as a line that never ends, closes the connection.
+const MAX_REQUEST_HEAD: u64 = 16 * 1024;
+
+/// Answers one HTTP/1.0 request from the published state. A client
+/// silent for [`READ_TIMEOUT`], or whose request head passes
+/// [`MAX_REQUEST_HEAD`] bytes, is disconnected without an answer.
 fn handle(stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
-    let mut reader = BufReader::new(&stream);
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+        return;
+    }
+    let mut reader = BufReader::new((&stream).take(MAX_REQUEST_HEAD));
     let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
+    if read_head_line(&mut reader, &mut request_line).is_none() {
         return;
     }
     let path = match request_line.split_whitespace().nth(1) {
@@ -681,11 +696,11 @@ fn handle(stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
     // Drain the (ignored) headers so the client can write them fully.
     loop {
         let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
-            Ok(_) => {}
-            Err(_) => return,
+        match read_head_line(&mut reader, &mut line) {
+            None => return,
+            Some(0) => break,
+            Some(_) if line == "\r\n" || line == "\n" => break,
+            Some(_) => {}
         }
     }
     shared.queries.fetch_add(1, Ordering::Relaxed);
@@ -709,6 +724,15 @@ fn handle(stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
             let _ = respond(&mut stream, 404, "text/plain", "not found\n");
         }
     }
+}
+
+/// Reads one line of a request head into `line`, returning its length:
+/// `None` on a read error or timeout, or when the line runs into the
+/// [`MAX_REQUEST_HEAD`] cap before its newline.
+fn read_head_line(reader: &mut BufReader<Take<&TcpStream>>, line: &mut String) -> Option<usize> {
+    let n = reader.read_line(line).ok()?;
+    let capped = reader.get_ref().limit() == 0 && !line.ends_with('\n');
+    (!capped).then_some(n)
 }
 
 fn respond(
@@ -857,6 +881,49 @@ mod tests {
             "the idle daemon's deterministic scrape drifted"
         );
         assert!(after > before, "query count stuck at {before}");
+        daemon.shutdown();
+        daemon.join();
+    }
+
+    /// A client that connects and sends nothing is disconnected once
+    /// the read timeout passes, instead of pinning its handler thread.
+    #[test]
+    fn silent_client_is_disconnected() {
+        let config = ExperimentConfig::tiny_test(1, false).with_duration_seconds(2);
+        let mut daemon = Daemon::spawn(DaemonConfig::new(config)).unwrap();
+        let mut client = TcpStream::connect(daemon.addr()).unwrap();
+        client.set_read_timeout(Some(READ_TIMEOUT * 3)).unwrap();
+        let read = client.read(&mut [0u8; 16]);
+        assert!(matches!(read, Ok(0)), "expected EOF, got {read:?}");
+        daemon.shutdown();
+        daemon.join();
+    }
+
+    /// A request line that never ends is cut off at the head cap and
+    /// its connection closed, while other clients keep being answered.
+    #[test]
+    fn endless_request_line_is_cut_off() {
+        let config = ExperimentConfig::tiny_test(1, false).with_duration_seconds(2);
+        let mut daemon = Daemon::spawn(DaemonConfig::new(config)).unwrap();
+        wait_for_epoch(&daemon, 1);
+        let addr = daemon.addr().to_string();
+        let mut client = TcpStream::connect(&addr).unwrap();
+        client.set_read_timeout(Some(READ_TIMEOUT * 3)).unwrap();
+        let mut sender = client.try_clone().unwrap();
+        let writer = std::thread::spawn(move || {
+            // The daemon closes mid-line, so this write may fail.
+            let _ = sender.write_all(&vec![b'a'; 1 << 20]);
+        });
+        let health = http_get(&addr, "/healthz").unwrap();
+        assert!(health.starts_with("ok epoch="), "got: {health}");
+        // EOF or a reset both mean the daemon closed the connection; a
+        // timeout means it was still reading the line.
+        match client.read(&mut [0u8; 16]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("connection stayed open: {other:?}"),
+        }
+        writer.join().unwrap();
         daemon.shutdown();
         daemon.join();
     }

@@ -24,9 +24,9 @@
 //! remembers the last tick it was advanced to and catches up in one
 //! [`tick_many`](oskernel::GuestOs::tick_many) call at its next event —
 //! so a fleet that is mostly idle costs O(pending events), not
-//! O(guests), per tick. Reports are byte-identical at any `threads`
-//! setting (the KSM scanner's sharded wake is the parallel part) and
-//! across platforms (see DESIGN.md §11).
+//! O(guests), per tick. A traffic run is serial: it does not read
+//! `threads`, so its report is the same at any setting, and it is
+//! byte-identical across platforms (see DESIGN.md §11).
 
 use crate::run::{cold_estimate_mib, tlb_boost};
 use crate::world::{Drive, GuestSlot, World};
@@ -138,10 +138,9 @@ pub struct TrafficWall {
     pub commit_ns: u64,
     /// khugepaged, the KSM scanner and sharing samples.
     pub scan_ns: u64,
-    /// The pool-parallel share of [`scan_ns`](Self::scan_ns): the KSM
-    /// scanner's classify + resolve phases (its own wake accounting).
-    /// The remainder of `scan_ns` — scanner plan/commit, khugepaged and
-    /// sampling — runs serially.
+    /// Always 0: the KSM wake no longer has a pool-parallel share of
+    /// [`scan_ns`](Self::scan_ns). Kept only because `perfbench` reads
+    /// it; it goes at the next change to the benchmark.
     pub scan_parallel_ns: u64,
 }
 
@@ -437,10 +436,7 @@ impl World {
                 pages_sharing,
             });
         }
-        let parallel_ns = self.scanner.wake_totals().parallel_nanos();
-        let traffic = self.traffic_mut();
-        traffic.wall.scan_ns += elapsed_ns(daemons_started);
-        traffic.wall.scan_parallel_ns = parallel_ns;
+        self.traffic_mut().wall.scan_ns += elapsed_ns(daemons_started);
     }
 
     /// Ends a traffic run: settles every still-active guest's kernel
@@ -680,8 +676,7 @@ mod tests {
     #[test]
     fn churn_scenarios_stay_thread_independent() {
         // Rolling deploys and autoscale relaunch and drain guests
-        // mid-run; the report must still not depend on how many workers
-        // the KSM scanner's sharded wake uses.
+        // mid-run; the report must still not depend on `threads`.
         for (config, scenario) in [
             (cfg(3, 90), Scenario::rolling_deploy(90, 3)),
             (cfg(4, 90), Scenario::autoscale(90, 4)),

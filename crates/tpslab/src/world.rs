@@ -122,7 +122,7 @@ impl World {
         let mut world = World {
             config: config.clone(),
             host,
-            scanner: KsmScanner::new(config.ksm.warmup).with_threads(config.threads),
+            scanner: KsmScanner::new(config.ksm.warmup),
             slots: Vec::with_capacity(config.guests.len()),
             drive: match scenario {
                 Some(scenario) => Drive::Traffic(Box::new(Traffic::new(config, scenario))),

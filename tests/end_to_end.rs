@@ -157,7 +157,7 @@ fn overcommit_collapses_throughput_and_preloading_delays_it() {
 
 /// Fleet-scale smoke: the scale256 preset — 256 over-committed
 /// SPECjEnterprise guests on a host at the paper's over-commit knee —
-/// runs end to end through the sharded scanner, with the conservation
+/// runs end to end through the KSM scanner, with the conservation
 /// audit active (debug build). Run with `cargo test -- --ignored`.
 #[test]
 #[ignore = "fleet-scale config; CI runs it with -- --ignored"]

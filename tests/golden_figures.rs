@@ -18,7 +18,7 @@
 //!
 //! then review and commit the updated `tests/golden/*.txt`.
 
-use bench::{fleet, RunOpts, BENCHES};
+use bench::{RunOpts, BENCHES};
 use std::fs;
 use std::path::PathBuf;
 
@@ -153,26 +153,9 @@ fn ablation_placement_matches_golden_master() {
 
 #[test]
 fn fleet_matches_golden_master() {
-    // The committed file was generated with --threads 1; rendering at 4
-    // threads here asserts the sharded scanner's core guarantee — the
-    // fleet report is byte-identical at any thread count.
-    let opts = RunOpts {
-        threads: 4,
-        ..RunOpts::golden()
-    };
-    assert_golden("fleet.txt", &render("fleet", &opts));
-}
-
-#[test]
-fn fleet_report_is_identical_at_one_and_many_threads() {
-    let one = fleet::golden_text(1);
-    for threads in [2, 8] {
-        assert_eq!(
-            one,
-            fleet::golden_text(threads),
-            "fleet report diverged at {threads} threads"
-        );
-    }
+    // The KSM scanner alone on a synthetic 32-guest fleet: five passes
+    // of convergence with volatile churn.
+    assert_runner_golden("fleet");
 }
 
 #[test]
@@ -196,16 +179,8 @@ fn traffic_matches_golden_master() {
 #[test]
 fn fleet_traffic_matches_golden_master() {
     // Fleet-preset traffic: flash-crowd and rolling-deploy on a 64-guest
-    // fleet at the over-commit knee. Asserting the same golden at 1 and
-    // 4 threads pins the KSM scanner's sharded wake under traffic: the
-    // worker count may not change a single byte.
-    for threads in [1, 4] {
-        let opts = RunOpts {
-            threads,
-            ..RunOpts::golden()
-        };
-        assert_golden("fleet_traffic.txt", &render("fleet_traffic", &opts));
-    }
+    // fleet at the over-commit knee.
+    assert_runner_golden("fleet_traffic");
 }
 
 #[test]

@@ -1,18 +1,13 @@
 //! Telemetry determinism and daemon-oracle integration tests.
 //!
-//! Three layers of assurance for the monitoring stack (DESIGN.md §13):
+//! Two layers of assurance for the monitoring stack (DESIGN.md §13):
 //!
 //! 1. **Golden pin** — one deterministic metrics scrape of the
 //!    converged scale32 world is byte-pinned under
 //!    `tests/golden/telemetry.txt` (regenerate with
 //!    `UPDATE_GOLDEN=1 cargo test --test telemetry`), and asserted
 //!    byte-identical across `--threads` counts.
-//! 2. **Thread-invariance property** — random interleavings of guest
-//!    writes, `madvise` releases, balloon inflations and explicit 2 MiB
-//!    promotions/demotions, scanned at 1 vs. N threads, must render the
-//!    *entire* deterministic exposition (scanner + paging layers)
-//!    byte-identically.
-//! 3. **Daemon oracle** — a live `tpsd` serving the mutating scale32
+//! 2. **Daemon oracle** — a live `tpsd` serving the mutating scale32
 //!    world under concurrent client load must answer `/guest/<i>` with
 //!    exactly the JSON rebuilt post-hoc from an unmonitored world of
 //!    the same simulated length via the naive attribution walk and the
@@ -20,17 +15,10 @@
 //!    unmonitored diagnosed run, and its deterministic metrics must
 //!    match the unmonitored scrape series-for-series.
 
-use mem::{Fingerprint, Tick, HUGE_PAGE_SPAN};
-use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use tpslab::analysis::{GuestView, MemorySnapshot};
-use tpslab::hypervisor::BalloonDriver;
-use tpslab::ksm::{KsmParams, KsmScanner};
-use tpslab::obs::MetricsRegistry;
-use tpslab::oskernel::{GuestOs, OsImage, Pid};
-use tpslab::paging::{AsId, HostMm, MemTag, SplitReason, ThpPolicy, Vpn};
 use tpslab::{Daemon, DaemonConfig, ExperimentConfig, KsmSchedule};
 
 // ---------------------------------------------------------------------
@@ -88,202 +76,7 @@ fn telemetry_scrape_is_thread_count_invariant() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Thread-invariance property over mutation interleavings
-// ---------------------------------------------------------------------
-
-const GUESTS: usize = 2;
-const NAMES: [&str; GUESTS] = ["vm1", "vm2"];
-const HEAP_PAGES: u64 = 2 * HUGE_PAGE_SPAN as u64;
-const GUEST_PAGES: usize = 4 * HUGE_PAGE_SPAN;
-
-/// Mutations a guest or the host can interleave between scanner wakes —
-/// every kind the instrumented layers count: CoW writes, `madvise`
-/// releases, balloon reclaim, and explicit 2 MiB collapse/split.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Write {
-        guest: usize,
-        page: u64,
-        content: u64,
-    },
-    Madvise {
-        guest: usize,
-        page: u64,
-    },
-    Balloon {
-        guest: usize,
-        pages: u64,
-    },
-    Collapse {
-        guest: usize,
-        block: usize,
-    },
-    Split {
-        guest: usize,
-        block: usize,
-    },
-    Quiet,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let blocks = GUEST_PAGES / HUGE_PAGE_SPAN;
-    prop_oneof![
-        (0..GUESTS, 0..HEAP_PAGES, 0..6u64).prop_map(|(guest, page, content)| Op::Write {
-            guest,
-            page,
-            content
-        }),
-        (0..GUESTS, 0..HEAP_PAGES).prop_map(|(guest, page)| Op::Madvise { guest, page }),
-        (0..GUESTS, 1..64u64).prop_map(|(guest, pages)| Op::Balloon { guest, pages }),
-        (0..GUESTS, 0..blocks).prop_map(|(guest, block)| Op::Collapse { guest, block }),
-        (0..GUESTS, 0..blocks).prop_map(|(guest, block)| Op::Split { guest, block }),
-        Just(Op::Quiet),
-    ]
-}
-
-fn content_fp(content: u64) -> Fingerprint {
-    if content == 0 {
-        Fingerprint::ZERO
-    } else {
-        Fingerprint::of(&[content % 6])
-    }
-}
-
-struct GuestState {
-    os: GuestOs,
-    pid: Pid,
-    heap: Vpn,
-    space: AsId,
-    slot_base: Vpn,
-}
-
-struct WorldState {
-    mm: HostMm,
-    guests: Vec<GuestState>,
-}
-
-impl WorldState {
-    fn build() -> WorldState {
-        let mut mm = HostMm::new();
-        let mut guests = Vec::new();
-        for (i, &name) in NAMES.iter().enumerate() {
-            let space = mm.create_space(name);
-            let mut os = GuestOs::boot(
-                &mut mm,
-                space,
-                GUEST_PAGES,
-                &OsImage::tiny_test(),
-                i as u64 + 1,
-                Tick::ZERO,
-            );
-            os.set_thp_policy(ThpPolicy::Always);
-            let pid = os.spawn("java");
-            let heap = os.add_region(pid, HEAP_PAGES as usize, MemTag::JavaHeap);
-            for p in 0..HEAP_PAGES {
-                os.write_page(&mut mm, pid, heap.offset(p), content_fp(p % 5), Tick::ZERO);
-            }
-            let slot_base = mm
-                .spaces()
-                .iter()
-                .find(|s| s.id() == space)
-                .and_then(|s| s.regions().next())
-                .map(|r| r.base())
-                .expect("guest memslot region exists");
-            guests.push(GuestState {
-                os,
-                pid,
-                heap,
-                space,
-                slot_base,
-            });
-        }
-        WorldState { mm, guests }
-    }
-
-    fn apply(&mut self, op: Op, now: Tick) {
-        match op {
-            Op::Write {
-                guest,
-                page,
-                content,
-            } => {
-                let g = &mut self.guests[guest];
-                g.os.write_page(
-                    &mut self.mm,
-                    g.pid,
-                    g.heap.offset(page),
-                    content_fp(content),
-                    now,
-                );
-            }
-            Op::Madvise { guest, page } => {
-                let g = &mut self.guests[guest];
-                g.os.release_page(&mut self.mm, g.pid, g.heap.offset(page));
-            }
-            Op::Balloon { guest, pages } => {
-                let g = &mut self.guests[guest];
-                let target_mib = mem::pages_to_mib(pages as usize);
-                BalloonDriver::new(target_mib).inflate(&mut self.mm, &mut g.os);
-            }
-            Op::Collapse { guest, block } => {
-                let g = &self.guests[guest];
-                self.mm.try_collapse(g.space, g.slot_base, block);
-            }
-            Op::Split { guest, block } => {
-                let g = &self.guests[guest];
-                self.mm
-                    .split_block(g.space, g.slot_base, block, SplitReason::Madvise);
-            }
-            Op::Quiet => {}
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The rendered deterministic exposition — every scanner and paging
-    /// series at once — is byte-identical at 1, 2 and 4 scan threads
-    /// for arbitrary write/madvise/balloon/collapse/split interleavings.
-    #[test]
-    fn exposition_is_thread_invariant_under_interleavings(
-        ops in prop::collection::vec(op_strategy(), 0..20),
-        budget in 200usize..900,
-    ) {
-        let params = KsmParams::new(budget, 100);
-        let drive = |threads: usize| {
-            let mut w = WorldState::build();
-            let mut scanner = KsmScanner::new(params).with_threads(threads);
-            let mut t = 1u64;
-            for &op in &ops {
-                w.apply(op, Tick(t));
-                scanner.run(&mut w.mm, Tick(t));
-                t += 1;
-            }
-            for _ in 0..8 {
-                scanner.run(&mut w.mm, Tick(t));
-                t += 1;
-            }
-            scanner.recount(&w.mm);
-            let mut reg = MetricsRegistry::new();
-            scanner.record_metrics(&mut reg);
-            w.mm.record_metrics(&mut reg);
-            reg.render_deterministic()
-        };
-        let baseline = drive(1);
-        for threads in [2, 4] {
-            prop_assert_eq!(
-                &baseline,
-                &drive(threads),
-                "exposition diverged at {} threads",
-                threads
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// 3. Daemon vs. post-hoc naive oracle, under concurrent queries
+// 2. Daemon vs. post-hoc naive oracle, under concurrent queries
 // ---------------------------------------------------------------------
 
 /// Extracts the embedded epoch from a `/guest/<i>` or `/misses` JSON body.

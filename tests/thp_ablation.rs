@@ -78,7 +78,7 @@ fn thp_frontier_is_non_degenerate() {
 
 /// Fleet-scale THP smoke: the scale256 preset with `thp=always` — 256
 /// over-committed guests collapsing and splitting 2 MiB blocks against
-/// the sharded scanner — runs end to end. Run with
+/// the KSM scanner — runs end to end. Run with
 /// `cargo test -- --ignored` (CI does).
 #[test]
 #[ignore = "fleet-scale config; CI runs it with -- --ignored"]

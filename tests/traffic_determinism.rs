@@ -103,7 +103,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random curve × random scan budget: the report is byte-identical
-    /// between 1 and 4 attribution/scan worker threads, and reproducible.
+    /// between 1 and 4 worker threads, and reproducible.
     #[test]
     fn traffic_reports_are_thread_invariant(
         scenario in scenario_strategy(),
@@ -203,9 +203,9 @@ proptest! {
                 warmup_seconds: 20,
             });
         let serial = Experiment::run_traffic(&cfg, &scenario).unwrap();
-        let sharded =
+        let threaded =
             Experiment::run_traffic(&cfg.clone().with_threads(8), &scenario).unwrap();
-        prop_assert_eq!(&serial, &sharded);
-        prop_assert_eq!(serial.render(), sharded.render());
+        prop_assert_eq!(&serial, &threaded);
+        prop_assert_eq!(serial.render(), threaded.render());
     }
 }
