@@ -1,31 +1,28 @@
-//! Frame-indexed, parallel, incremental attribution engine.
+//! Frame-indexed, incremental attribution engine.
 //!
 //! [`MemorySnapshot::collect_naive`] re-derives the whole three-layer
 //! walk from scratch through hash accumulators on every call. Timeline
 //! sampling calls it once per sample over a world that barely changed
 //! between samples, which made attribution the dominant phase of every
 //! timeline run (see `results/BENCH_phases.json`). The engine removes
-//! all three costs:
+//! both costs:
 //!
 //! * **Frame-indexed storage** — per-frame users accumulate into dense
 //!   vectors indexed by [`FrameId::index`](mem::FrameId::index) (a CSR
 //!   table) instead of a `BTreeMap<FrameId, _>`, and guest-side claims
 //!   into a dense gpfn-indexed vector instead of a
 //!   `HashMap<(u32, Vpn), _>`.
-//! * **Deterministic parallelism** — each host address space is walked
-//!   independently (its guest's page tables first, then its host PTEs)
-//!   on the shared [`par`] pool; the per-space segments are then merged
-//!   *sequentially in space-creation order*, which reproduces the exact
-//!   global walk order of the naive reference, so reports are
-//!   byte-identical at 1 and N threads.
-//! * **Incrementality** — per-space walk segments are cached keyed on
-//!   the space's region-generation signature
+//! * **Incrementality** — each host address space is walked on its own
+//!   (its guest's page tables first, then its host PTEs) into a segment
+//!   cached keyed on the space's region-generation signature
 //!   ([`AddressSpace::generation_signature`]). A snapshot only re-walks
 //!   spaces whose signature moved; when [`HostMm::epoch`] itself is
-//!   unchanged even the signature scans are skipped. KSM stable flags
-//!   are *never* cached — `mark_ksm_stable` bumps the epoch without
-//!   touching any region generation, so flags are re-read from the frame
-//!   pool at every assembly.
+//!   unchanged even the signature scans are skipped. The segments are
+//!   merged in space-creation order, which reproduces the exact global
+//!   walk order of the naive reference. KSM stable flags are *never*
+//!   cached — `mark_ksm_stable` bumps the epoch without touching any
+//!   region generation, so flags are re-read from the frame pool at
+//!   every assembly.
 #![allow(rustdoc::private_intra_doc_links)]
 
 use crate::snapshot::{FrameTable, GuestView, MemorySnapshot, PageUser, SegEntry};
@@ -50,15 +47,13 @@ struct SpaceCache {
 ///
 /// One-shot use is equivalent to [`MemorySnapshot::collect`] (which is
 /// implemented on top of it). Across calls the engine re-walks only the
-/// address spaces whose region generations moved, in parallel on
-/// `threads` workers, and reassembles the frame table from cached and
-/// fresh segments. The output is guaranteed field-identical to
-/// [`MemorySnapshot::collect_naive`] on the same world regardless of
-/// thread count or call history; the audit layer re-checks that
+/// address spaces whose region generations moved and reassembles the
+/// frame table from the cached segments. The output is guaranteed
+/// field-identical to [`MemorySnapshot::collect_naive`] on the same
+/// world regardless of call history; the audit layer re-checks that
 /// guarantee differentially.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SnapshotEngine {
-    threads: usize,
     last_epoch: Option<u64>,
     /// `assignment[space index] = guest index` for VM spaces.
     assignment: Vec<Option<u32>>,
@@ -73,28 +68,12 @@ pub struct SnapshotEngine {
 }
 
 impl SnapshotEngine {
-    /// Creates an engine that walks dirty spaces on `threads` workers
-    /// (`0` is treated as `1`; see [`par::default_threads`] for a
-    /// machine-sized default).
+    /// The same as [`SnapshotEngine::default`]: the walk is serial, so
+    /// the worker count is ignored. Kept only because the `perfbench`
+    /// package calls it; it goes at the next change to the benchmark.
     #[must_use]
-    pub fn new(threads: usize) -> SnapshotEngine {
-        SnapshotEngine {
-            threads: threads.max(1),
-            last_epoch: None,
-            assignment: Vec::new(),
-            caches: Vec::new(),
-            rewalked: 0,
-            snapshots_total: 0,
-            rewalked_total: 0,
-            cached_total: 0,
-            epoch_short_circuits: 0,
-        }
-    }
-
-    /// Worker count this engine walks with.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
+    pub fn new(_threads: usize) -> SnapshotEngine {
+        SnapshotEngine::default()
     }
 
     /// How many address spaces the most recent [`snapshot`](Self::snapshot)
@@ -161,27 +140,27 @@ impl SnapshotEngine {
         self.caches.resize_with(spaces.len(), SpaceCache::default);
 
         let epoch = mm.epoch();
-        let dirty: Vec<usize> = if self.last_epoch == Some(epoch) {
+        self.rewalked = 0;
+        if self.last_epoch == Some(epoch) {
             self.epoch_short_circuits += 1;
-            Vec::new()
         } else {
-            (0..spaces.len())
-                .filter(|&i| !sig_matches(&spaces[i], &self.caches[i].sig))
-                .collect()
-        };
-        self.rewalked = dirty.len();
-        self.snapshots_total += 1;
-        self.rewalked_total += dirty.len() as u64;
-        self.cached_total += (spaces.len() - dirty.len()) as u64;
-
-        let assignment = &self.assignment;
-        let segments = par::map_parallel(&dirty, self.threads, |&i| {
-            walk_space(&spaces[i], assignment[i].map(|g| (g, &guests[g as usize])))
-        });
-        for (&i, seg) in dirty.iter().zip(segments) {
-            self.caches[i].sig = spaces[i].generation_signature();
-            self.caches[i].seg = seg;
+            for ((space, cache), &guest) in
+                spaces.iter().zip(&mut self.caches).zip(&self.assignment)
+            {
+                if !sig_matches(space, &cache.sig) {
+                    walk_space(
+                        space,
+                        guest.map(|g| (g, &guests[g as usize])),
+                        &mut cache.seg,
+                    );
+                    cache.sig = space.generation_signature();
+                    self.rewalked += 1;
+                }
+            }
         }
+        self.snapshots_total += 1;
+        self.rewalked_total += self.rewalked as u64;
+        self.cached_total += (spaces.len() - self.rewalked) as u64;
         self.last_epoch = Some(epoch);
 
         let segs: Vec<&[SegEntry]> = self.caches.iter().map(|c| c.seg.as_slice()).collect();
@@ -214,11 +193,11 @@ fn sig_matches(space: &AddressSpace, cached: &[(u64, u64)]) -> bool {
     it.next().is_none()
 }
 
-/// The independent per-space pass: the guest-side claims walk (layers
-/// 1+2, dense by gpfn) followed by the host-PTE walk (layer 3) of this
-/// space only. Reads nothing but the space and the guest's own page
-/// tables, so dirty spaces can be walked concurrently.
-fn walk_space(space: &AddressSpace, guest: Option<(u32, &GuestView<'_>)>) -> Vec<SegEntry> {
+/// The per-space pass: the guest-side claims walk (layers 1+2, dense by
+/// gpfn) followed by the host-PTE walk (layer 3) of this space only,
+/// written over `seg` (the space's cache slot, whose allocation it
+/// reuses). Reads nothing but the space and the guest's own page tables.
+fn walk_space(space: &AddressSpace, guest: Option<(u32, &GuestView<'_>)>, seg: &mut Vec<SegEntry>) {
     let claims = guest.map(|(_, view)| {
         let os = view.os();
         let mut claims: Vec<Option<(Pid, MemTag)>> = vec![None; os.guest_pages()];
@@ -235,7 +214,8 @@ fn walk_space(space: &AddressSpace, guest: Option<(u32, &GuestView<'_>)>) -> Vec
     });
     let guest_idx = guest.map(|(g, _)| g);
 
-    let mut seg = Vec::with_capacity(space.mapped_pages());
+    seg.clear();
+    seg.reserve(space.mapped_pages());
     for region in space.regions() {
         match (region.tag(), &claims) {
             (MemTag::VmGuestMemory, Some((memslot_base, claims))) => {
@@ -277,7 +257,6 @@ fn walk_space(space: &AddressSpace, guest: Option<(u32, &GuestView<'_>)>) -> Vec
             }
         }
     }
-    seg
 }
 
 #[cfg(test)]
@@ -327,15 +306,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_naive_at_any_thread_count() {
+    fn engine_matches_naive() {
         let mut mm = HostMm::new();
         let guests = world(&mut mm, 3);
         let views = views(&guests);
-        let naive = MemorySnapshot::collect_naive(&mm, &views);
-        for threads in [1, 2, 7] {
-            let snap = SnapshotEngine::new(threads).snapshot(&mm, &views);
-            assert_eq!(snap, naive, "divergence at {threads} threads");
-        }
+        let snap = SnapshotEngine::default().snapshot(&mm, &views);
+        assert_eq!(snap, MemorySnapshot::collect_naive(&mm, &views));
     }
 
     #[test]
@@ -343,7 +319,7 @@ mod tests {
         let mut mm = HostMm::new();
         let guests = world(&mut mm, 2);
         let views = views(&guests);
-        let mut engine = SnapshotEngine::new(2);
+        let mut engine = SnapshotEngine::default();
         let first = engine.snapshot(&mm, &views);
         assert_eq!(engine.rewalked_spaces(), mm.spaces().len());
         let second = engine.snapshot(&mm, &views);
@@ -357,10 +333,10 @@ mod tests {
         let mut guests = world(&mut mm, 3);
         {
             let v = views(&guests);
-            let mut engine = SnapshotEngine::new(2);
+            let mut engine = SnapshotEngine::default();
             engine.snapshot(&mm, &v);
         }
-        let mut engine = SnapshotEngine::new(2);
+        let mut engine = SnapshotEngine::default();
         {
             let v = views(&guests);
             engine.snapshot(&mm, &v);
@@ -386,7 +362,7 @@ mod tests {
         let r1 = g1.add_region(p1, 1, MemTag::JavaHeap);
         g0.write_page(&mut mm, p0, r0, Fingerprint::of(&[7]), Tick(1));
         g1.write_page(&mut mm, p1, r1, Fingerprint::of(&[7]), Tick(1));
-        let mut engine = SnapshotEngine::new(1);
+        let mut engine = SnapshotEngine::default();
         {
             let v = vec![
                 GuestView::new("vm0", &g0, vec![p0]),

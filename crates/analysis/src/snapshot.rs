@@ -255,7 +255,7 @@ pub fn huge_segments(mm: &HostMm) -> Vec<HugeSegment> {
 ///
 /// Equality is field-identical: two snapshots compare equal only if they
 /// attribute the same frames to the same users in the same per-frame
-/// order with the same KSM flags — the contract the parallel/incremental
+/// order with the same KSM flags — the contract the incremental
 /// [`SnapshotEngine`](crate::SnapshotEngine) upholds against
 /// [`collect_naive`](Self::collect_naive).
 #[derive(Debug, Clone, PartialEq)]
@@ -283,20 +283,19 @@ impl MemorySnapshot {
     /// attributed to the guest kernel, and the VM process's non-memslot
     /// regions are attributed as VM overhead.
     ///
-    /// This runs the frame-indexed engine once, single-threaded. For
-    /// repeated snapshots of an evolving world (timeline sampling) or
-    /// parallel walks, hold a [`SnapshotEngine`](crate::SnapshotEngine)
-    /// instead.
+    /// This runs the frame-indexed engine once. For repeated snapshots
+    /// of an evolving world (timeline sampling), hold a
+    /// [`SnapshotEngine`](crate::SnapshotEngine) instead.
     #[must_use]
     pub fn collect(mm: &HostMm, guests: &[GuestView<'_>]) -> MemorySnapshot {
-        crate::SnapshotEngine::new(1).snapshot(mm, guests)
+        crate::SnapshotEngine::default().snapshot(mm, guests)
     }
 
     /// The original hash-accumulator reference walk, retained verbatim as
     /// the differential oracle for the engine: same layering as
     /// [`collect`](Self::collect), but accumulating through a
     /// `BTreeMap<FrameId, _>` and a per-page claims `HashMap` instead of
-    /// dense frame-indexed vectors. Single-threaded, allocation-heavy;
+    /// dense frame-indexed vectors. Allocation-heavy;
     /// the audit compares its output field-for-field against the engine.
     #[must_use]
     pub fn collect_naive(mm: &HostMm, guests: &[GuestView<'_>]) -> MemorySnapshot {

@@ -172,14 +172,14 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 0..32),
     ) {
         let mut world = WorldState::build();
-        let mut engine = SnapshotEngine::new(3);
+        let mut engine = SnapshotEngine::default();
         engine.snapshot(&world.mm, &world.views());
 
         for (t, &op) in (1u64..).zip(ops.iter()) {
             world.apply(op, Tick(t));
             let views = world.views();
             let incremental = engine.snapshot(&world.mm, &views);
-            let rebuilt = SnapshotEngine::new(1).snapshot(&world.mm, &views);
+            let rebuilt = SnapshotEngine::default().snapshot(&world.mm, &views);
             prop_assert_eq!(&incremental, &rebuilt, "incremental != full rebuild after {:?}", op);
             let naive = MemorySnapshot::collect_naive(&world.mm, &views);
             prop_assert_eq!(&incremental, &naive, "incremental != naive after {:?}", op);

@@ -30,7 +30,7 @@ fn out_of_band_freed_frames_are_dropped_not_revived() {
         );
     }
 
-    let mut engine = SnapshotEngine::new(2);
+    let mut engine = SnapshotEngine::default();
     {
         let views = vec![GuestView::new("vm1", &os, vec![pid])];
         let before = engine.snapshot(&mm, &views);

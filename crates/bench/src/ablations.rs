@@ -173,7 +173,7 @@ pub fn balloon_text(opts: &RunOpts) -> String {
         opts,
     );
     let guests: Vec<u64> = (0..2).collect();
-    let outcomes = tpslab::sweep::map_parallel(&guests, opts.threads, |&i| balloon_guest(opts, i));
+    let outcomes = par::map_parallel(&guests, par::default_threads(), |&i| balloon_guest(opts, i));
     let resident_before: f64 = outcomes.iter().map(|o| o.resident_before).sum();
     let reclaimed: usize = outcomes.iter().map(|o| o.reclaimed_pages).sum();
     let resident_after: f64 = outcomes.iter().map(|o| o.resident_after).sum();
@@ -283,8 +283,9 @@ pub fn related_work_text(opts: &RunOpts) -> String {
     );
     let unscale = opts.unscale();
     let stages: Vec<usize> = (0..4).collect();
-    let results =
-        tpslab::sweep::map_parallel(&stages, opts.threads, |&s| related_work_stage(opts, s));
+    let results = par::map_parallel(&stages, par::default_threads(), |&s| {
+        related_work_stage(opts, s)
+    });
     let [Stage::Resident(resident), Stage::Satori(satori_pages), Stage::Balloon(balloon_pages), Stage::Diff(report)] =
         &results[..]
     else {

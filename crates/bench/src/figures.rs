@@ -235,9 +235,9 @@ pub fn fig8_text(opts: &RunOpts) -> String {
 /// The scale32 attribution timeline: 32 over-committed
 /// SPECjEnterprise guests sampled with the full attribution walk at
 /// a quarter of the run length. The rows come from the timeline
-/// report, which the engine guarantees bit-identical at any
-/// `--threads` value — this text is pinned by the golden-master
-/// tests and diffed across thread counts in CI.
+/// report, which the engine guarantees bit-identical to a
+/// from-scratch walk at every sample — this text is pinned by the
+/// golden-master tests and diffed against the golden in CI.
 pub fn attribution_text(opts: &RunOpts) -> String {
     let mut out = banner_text(
         "Attribution",
@@ -392,8 +392,8 @@ pub fn timeline_text(opts: &RunOpts) -> String {
 /// timeline samples advances the world one simulated second (all guests
 /// keep writing, as in a real timeline run) and times three walks of the
 /// same state: [`analysis::MemorySnapshot::collect_naive`], the
-/// persistent [`analysis::SnapshotEngine`] at `opts.threads` workers
-/// (incremental across samples), and an immediate engine re-walk of the
+/// persistent [`analysis::SnapshotEngine`] (incremental across
+/// samples), and an immediate engine re-walk of the
 /// unchanged world (the epoch short-circuit). Every engine snapshot is
 /// asserted field-identical to the naive one. Returns a single-line
 /// JSON record — the format committed as `results/BENCH_attribution.json`.
@@ -410,7 +410,7 @@ pub fn attribution_json(opts: &RunOpts) -> String {
     let seconds = (opts.minutes * 60.0) as u64;
     let cfg = opts.apply(ExperimentConfig::scale32(opts.scale));
     let (mut host, mut javas) = tpslab::Experiment::build_world(&cfg);
-    let mut engine = SnapshotEngine::new(opts.threads);
+    let mut engine = SnapshotEngine::default();
     let ticks_per_second = u64::from(mem::TICKS_PER_SECOND as u32);
     let base = Tick::from_seconds(seconds as f64).0;
 
@@ -448,17 +448,15 @@ pub fn attribution_json(opts: &RunOpts) -> String {
     let idle = median(idle_ns);
     format!(
         "{{\"preset\":\"scale32 32x SPECjEnterprise over-commit\",\
-         \"command\":\"cargo run --release -p bench -- attribution --json --scale {} --minutes {} --threads {}\",\
-         \"scale\":{},\"minutes\":{},\"threads\":{},\"samples\":{},\
+         \"command\":\"cargo run --release -p bench -- attribution --json --scale {} --minutes {}\",\
+         \"scale\":{},\"minutes\":{},\"samples\":{},\
          \"frames\":{frames},\"ptes\":{ptes},\
          \"naive_median_ns\":{naive},\"engine_median_ns\":{engine_med},\"idle_engine_median_ns\":{idle},\
          \"speedup\":{:.2},\"idle_speedup\":{:.2}}}\n",
         opts.scale,
         opts.minutes,
-        opts.threads,
         opts.scale,
         opts.minutes,
-        opts.threads,
         SAMPLES,
         naive as f64 / engine_med.max(1) as f64,
         naive as f64 / idle.max(1) as f64,

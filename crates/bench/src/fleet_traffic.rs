@@ -129,7 +129,7 @@ pub fn bench_json() -> String {
     let _ = writeln!(out, "  \"host_cores\": {host_cores},");
     let _ = writeln!(
         out,
-        "  \"measurement_note\": \"measured_1t_ms is whole-run wall-clock on this host ({host_cores} core(s)), one serial run each (a traffic run uses one thread at any --threads); the serial_*_ns fields split it by step phase: drain, plan (the per-batch capacity snapshot), commit (applying events) and scan (khugepaged, the KSM wake and samples)\","
+        "  \"measurement_note\": \"measured_1t_ms is whole-run wall-clock on this host ({host_cores} core(s)), one serial run each; the serial_*_ns fields split it by step phase: drain, plan (the per-batch capacity snapshot), commit (applying events) and scan (khugepaged, the KSM wake and samples)\","
     );
     let _ = writeln!(out, "  \"combos\": [");
     let combos = [

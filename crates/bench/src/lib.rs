@@ -2,7 +2,7 @@
 //! and tables, our ablations and the measurement records by name.
 //!
 //! ```text
-//! cargo run --release -p bench -- <name> [--scale S] [--minutes M] [--paper] [--threads T] [--audit] [--json]
+//! cargo run --release -p bench -- <name> [--scale S] [--minutes M] [--paper] [--audit] [--json]
 //! ```
 //!
 //! | Command | Prints |
@@ -35,8 +35,12 @@
 //! paper scale with a longer run (what EXPERIMENTS.md records). The
 //! fixed-shape names (`tables`, `fleet`, `fleet_traffic`, `thp`,
 //! `traffic`) reject those sizing flags and `--audit`. Text goes to
-//! stdout and is byte-identical at any `--threads`; sweep timings go to
-//! stderr.
+//! stdout and is a pure function of the flags; sweep timings go to
+//! stderr. A sweep runs its independent experiments side by side on
+//! [`par::default_threads`] workers, the machine's available
+//! parallelism, which honours the process's CPU affinity and quota
+//! (`taskset -c 0 bench fig7` runs one at a time); every experiment
+//! itself is serial.
 
 #![forbid(unsafe_code)]
 
@@ -237,7 +241,7 @@ pub const BENCHES: [Bench; 21] = [
 #[must_use]
 pub fn usage() -> String {
     let mut out = String::from(
-        "usage: bench <name> [--scale S] [--minutes M] [--paper] [--threads T] [--audit] [--json]\nnames:\n",
+        "usage: bench <name> [--scale S] [--minutes M] [--paper] [--audit] [--json]\nnames:\n",
     );
     for bench in &BENCHES {
         let _ = writeln!(out, "  {:<22} {}", bench.name, bench.about);
@@ -254,8 +258,7 @@ pub fn usage() -> String {
         out,
         "--scale S divides every size by S >= 1 (default 8); --minutes M sets the\n\
          simulated duration, at least one second (default 8); --paper is scale 1 for\n\
-         20 minutes; --threads T >= 1 sets the worker count (default: every core) and\n\
-         never changes the text; --audit runs the conservation audit.\n\
+         20 minutes; --audit runs the conservation audit.\n\
          fixed shape (no --scale, --minutes, --paper or --audit): {}\n\
          --json prints the measured record of: {}",
         names(|b| b.fixed_shape),
@@ -271,8 +274,6 @@ pub struct RunOpts {
     pub scale: f64,
     /// Simulated duration in minutes.
     pub minutes: f64,
-    /// Sweep worker threads (default: the machine's parallelism).
-    pub threads: usize,
     /// Run the cross-layer conservation audit during each experiment.
     pub audit: bool,
     /// Print the name's measured JSON record instead of its text.
@@ -285,7 +286,6 @@ impl RunOpts {
         RunOpts {
             scale: 8.0,
             minutes: 8.0,
-            threads: tpslab::sweep::default_threads(),
             audit: false,
             json: false,
         }
@@ -303,30 +303,29 @@ impl RunOpts {
     }
 
     /// The fixed preset the golden-master tests pin figure output
-    /// under: scale 128, 0.2 simulated minutes, two workers. Output is
-    /// bit-identical across thread counts and build profiles, so the
-    /// committed `tests/golden/*.txt` files are reproducible with e.g.
+    /// under: scale 128, 0.2 simulated minutes. Output is bit-identical
+    /// across build profiles and sweep worker counts, so the committed
+    /// `tests/golden/*.txt` files are reproducible with e.g.
     /// `cargo run --release -p bench -- fig7 --scale 128 --minutes 0.2`.
     pub fn golden() -> RunOpts {
         RunOpts {
             scale: 128.0,
             minutes: 0.2,
-            threads: 2,
             ..RunOpts::quick()
         }
     }
 
     /// Parses a `bench` command line after the program name: `<name>`,
-    /// then any of `--scale S`, `--minutes M`, `--paper`, `--threads T`,
-    /// `--audit` and `--json`. Flags apply in order, so `--paper` resets
-    /// an earlier `--scale` or `--minutes`.
+    /// then any of `--scale S`, `--minutes M`, `--paper`, `--audit` and
+    /// `--json`. Flags apply in order, so `--paper` resets an earlier
+    /// `--scale` or `--minutes`.
     ///
     /// # Errors
     ///
     /// A one-line message for a missing or unknown name, an unknown
     /// flag, a flag without its value, `--scale` below 1, `--minutes`
-    /// under one simulated second, `--threads 0`, `--json` on a name
-    /// without a record, or a sizing flag on a fixed-shape name.
+    /// under one simulated second, `--json` on a name without a record,
+    /// or a sizing flag on a fixed-shape name.
     pub fn parse(
         args: impl IntoIterator<Item = String>,
     ) -> Result<(&'static Bench, RunOpts), String> {
@@ -360,13 +359,6 @@ impl RunOpts {
                         .filter(|m: &f64| m.is_finite() && m * 60.0 >= 1.0)
                         .ok_or("--minutes needs at least one simulated second (1/60)")?;
                 }
-                "--threads" => {
-                    opts.threads = value()?
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n >= 1)
-                        .ok_or("--threads needs an integer >= 1")?;
-                }
                 "--paper" => {
                     let paper = RunOpts::paper();
                     opts.scale = paper.scale;
@@ -380,14 +372,13 @@ impl RunOpts {
         Ok((bench, opts))
     }
 
-    /// Applies duration, the compressed-run KSM schedule, the
-    /// attribution-walk worker count and the audit flag to a config.
+    /// Applies duration, the compressed-run KSM schedule and the audit
+    /// flag to a config.
     pub fn apply(&self, cfg: ExperimentConfig) -> ExperimentConfig {
         let seconds = (self.minutes * 60.0) as u64;
         let cfg = cfg
             .with_duration_seconds(seconds)
-            .with_ksm(KsmSchedule::compressed(self.scale, seconds))
-            .with_threads(self.threads);
+            .with_ksm(KsmSchedule::compressed(self.scale, seconds));
         if self.audit {
             cfg.with_audit()
         } else {
@@ -401,18 +392,20 @@ impl RunOpts {
         self.scale
     }
 
-    /// Runs a sweep of configs on the worker pool and returns the
-    /// reports in input order (bit-identical to a serial run).
+    /// Runs a sweep of configs on [`par::default_threads`] workers and
+    /// returns the reports in input order (bit-identical to serial
+    /// runs).
     ///
     /// Per-run wall-clock timings go to **stderr** so the figure rows on
-    /// stdout stay byte-identical across thread counts.
+    /// stdout stay byte-identical from run to run.
     ///
     /// # Panics
     ///
     /// Panics if a config fails validation.
     pub fn run_sweep(&self, configs: &[ExperimentConfig]) -> Vec<tpslab::ExperimentReport> {
         let start = Instant::now();
-        let timed = tpslab::sweep::map_parallel(configs, self.threads, |config| {
+        let threads = par::default_threads();
+        let timed = par::map_parallel(configs, threads, |config| {
             let run = Instant::now();
             let report = Experiment::run(config).expect("bench sweep configs are valid");
             (report, run.elapsed())
@@ -429,7 +422,7 @@ impl RunOpts {
         eprintln!(
             "[sweep] {} runs on {} thread(s): {:.2} s wall ({:.2} s of single-thread work)",
             timed.len(),
-            self.threads.max(1),
+            threads,
             start.elapsed().as_secs_f64(),
             serial
         );
@@ -589,7 +582,6 @@ mod tests {
         let opts = RunOpts {
             scale: 4.0,
             minutes: 2.0,
-            threads: 1,
             ..RunOpts::quick()
         };
         let cfg = opts.apply(tpslab::ExperimentConfig::tiny_test(1, false));
@@ -602,14 +594,14 @@ mod tests {
 
     #[test]
     fn parse_reads_flags_in_order() {
-        let (bench, opts) = parse("fig2 --scale 64 --minutes 0.5 --threads 1 --audit").unwrap();
+        let (bench, opts) = parse("fig2 --scale 64 --minutes 0.5 --audit").unwrap();
         assert_eq!(bench.name, "fig2");
-        assert_eq!((opts.scale, opts.minutes, opts.threads), (64.0, 0.5, 1));
+        assert_eq!((opts.scale, opts.minutes), (64.0, 0.5));
         assert!(opts.audit && !opts.json);
         assert_eq!(parse("fig7 --scale 4 --paper").unwrap().1.scale, 1.0);
         assert_eq!(parse("fig7 --paper --scale 4").unwrap().1.scale, 4.0);
-        assert!(parse("fleet --json --threads 2").unwrap().1.json);
-        assert!(parse("tables --threads 2").is_ok());
+        assert!(parse("fleet --json").unwrap().1.json);
+        assert!(parse("tables").is_ok());
     }
 
     #[test]
@@ -622,7 +614,8 @@ mod tests {
             ("fig2 --scale 0.5", "--scale needs a number >= 1"),
             ("fig2 --scale NaN", "--scale needs a number >= 1"),
             ("fig2 --minutes 0", "--minutes needs at least"),
-            ("fig2 --threads 0", "--threads needs an integer >= 1"),
+            ("fig2 --threads 2", "unknown flag --threads"),
+            ("fleet --threads 2", "unknown flag --threads"),
             ("fig2 --json", "fig2 has no --json record"),
             ("phases --json", "phases has no --json record"),
             ("tables --paper", "tables has a fixed shape: --paper"),
@@ -631,6 +624,27 @@ mod tests {
         ] {
             let err = parse(line).expect_err(line);
             assert!(err.starts_with(message), "{line}: {err}");
+        }
+    }
+
+    /// The sweep's contract: experiments run side by side come back in
+    /// input order, identical to serial runs of the same configs.
+    #[test]
+    fn sweep_matches_serial_runs() {
+        let configs = vec![
+            ExperimentConfig::tiny_test(1, false),
+            ExperimentConfig::tiny_test(2, true),
+            ExperimentConfig::tiny_test(2, false).with_seed(77),
+            ExperimentConfig::tiny_test(3, true).with_seed(99),
+        ];
+        let swept = RunOpts::quick().run_sweep(&configs);
+        assert_eq!(swept.len(), configs.len());
+        for (config, a) in configs.iter().zip(&swept) {
+            let b = Experiment::run(config).unwrap();
+            assert_eq!(a.breakdown, b.breakdown);
+            assert_eq!(a.ksm, b.ksm);
+            assert_eq!(a.resident_mib, b.resident_mib);
+            assert_eq!(a.slowdown, b.slowdown);
         }
     }
 

@@ -2,7 +2,7 @@
 //! record by name; `bench` with no arguments lists them.
 //!
 //! ```text
-//! cargo run --release -p bench -- <name> [--scale S] [--minutes M] [--paper] [--threads T] [--audit] [--json]
+//! cargo run --release -p bench -- <name> [--scale S] [--minutes M] [--paper] [--audit] [--json]
 //! ```
 
 use std::process::ExitCode;

@@ -92,7 +92,7 @@ impl TelemetryPoint {
 /// unchanged world (pure epoch short-circuit + segment reuse).
 fn idle_resample_median(cfg: &ExperimentConfig, samples: usize) -> u128 {
     let (host, javas) = tpslab::Experiment::build_world(cfg);
-    let mut engine = SnapshotEngine::new(cfg.threads);
+    let mut engine = SnapshotEngine::default();
     let views: Vec<GuestView<'_>> = host
         .guests()
         .iter()
@@ -227,10 +227,10 @@ pub fn bench_json(opts: &RunOpts) -> String {
 
     let mut out = format!(
         "{{\"benchmark\":\"telemetry\",\
-         \"command\":\"cargo run --release -p bench -- telemetry --json --scale {} --minutes {} --threads {}\",\
-         \"scale\":{},\"minutes\":{},\"threads\":{},\
+         \"command\":\"cargo run --release -p bench -- telemetry --json --scale {} --minutes {}\",\
+         \"scale\":{},\"minutes\":{},\
          \"acceptance\":\"scale256 cached_vs_idle <= 2.0\",\"points\":[",
-        opts.scale, opts.minutes, opts.threads, opts.scale, opts.minutes, opts.threads,
+        opts.scale, opts.minutes, opts.scale, opts.minutes,
     );
     for (i, p) in points.iter().enumerate() {
         if i > 0 {

@@ -1,10 +1,10 @@
 //! Traffic-scenario reports and benchmark (`results/BENCH_traffic.json`).
 //!
-//! Two entry points, both reached through the `traffic` binary:
+//! Two entry points, both reached through `bench traffic`:
 //!
 //! * [`golden_text`] — the deterministic three-scenario report pinned at
 //!   `tests/golden/traffic.txt` (diurnal, flash-crowd, rolling-deploy on
-//!   a fixed miniature fleet; byte-identical at any thread count).
+//!   a fixed miniature fleet; byte-identical on every run).
 //! * [`bench_json`] — wall-clock measurements: sustained requests/sec
 //!   through the engine + event sink, per-scenario sharing stability,
 //!   and the idle-path speedup of the event queue over the tick loop.

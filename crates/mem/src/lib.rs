@@ -67,17 +67,6 @@ pub fn pages_for_bytes(bytes: usize) -> usize {
     bytes.div_ceil(PAGE_SIZE)
 }
 
-/// Converts a page count to a byte count.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(mem::bytes_for_pages(3), 3 * 4096);
-/// ```
-pub fn bytes_for_pages(pages: usize) -> usize {
-    pages * PAGE_SIZE
-}
-
 /// Converts a page count to mebibytes as a floating point value, which is
 /// the unit the paper's figures are drawn in.
 ///

@@ -12,9 +12,9 @@
 //!
 //! * [`MetricClass::Sim`] — derived purely from simulated state
 //!   (ticks, page counts, deterministic layer counters). The rendered
-//!   exposition of these series is **byte-identical at any
-//!   `--threads`** and across hosts; golden tests and the
-//!   thread-invariance proptests pin it.
+//!   exposition of these series is **byte-identical on every rerun of
+//!   a config** and across hosts; golden tests and the rerun checks
+//!   pin it.
 //! * [`MetricClass::Wall`] — wall-clock timings (phase nanos, walk
 //!   latency). These are real measurements of *this* host and run and
 //!   are rendered in a clearly separated trailing section that goldens
@@ -50,8 +50,8 @@ use std::fmt::Write as _;
 /// Determinism class of a series (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MetricClass {
-    /// Derived from simulated state only; byte-identical at any thread
-    /// count. Covered by goldens.
+    /// Derived from simulated state only; byte-identical on every
+    /// rerun of a config. Covered by goldens.
     Sim,
     /// Wall-clock measurement; varies run to run. Rendered in a
     /// separated trailing section, never pinned by goldens.
@@ -369,7 +369,7 @@ impl MetricsRegistry {
 
     /// Renders only the deterministic ([`MetricClass::Sim`]) series.
     /// This is the text that goldens pin and that must be
-    /// byte-identical at any `--threads`.
+    /// byte-identical on every rerun of a config.
     pub fn render_deterministic(&self) -> String {
         let mut out = String::new();
         self.render_class(&mut out, MetricClass::Sim);

@@ -7,11 +7,11 @@
 //! [`std::thread::scope`] over plain workers pulling from an atomic
 //! work index; no external dependencies.
 //!
-//! Two layers build on this primitive: `tpslab::sweep` runs whole
-//! experiment sweeps on it (one experiment per item), and
-//! `analysis::SnapshotEngine` runs the per-guest passes of the
-//! attribution walk on it (one address space per item). It lives in
-//! its own crate so both can share it without a dependency cycle.
+//! One caller builds on this primitive: the `bench` runner's sweeps,
+//! which run independent experiments side by side (one experiment per
+//! item) on [`default_threads`] workers. Every simulated world is
+//! serial; a fan-out inside one (the KSM wake, the attribution walk)
+//! lost to its serial pass on a 2-core host and was deleted.
 //!
 //! ```
 //! let items: Vec<u64> = (0..32).collect();

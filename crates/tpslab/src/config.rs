@@ -31,16 +31,6 @@ impl KsmSchedule {
         }
     }
 
-    /// Keeps the aggressive rate for the whole run.
-    #[must_use]
-    pub fn aggressive() -> KsmSchedule {
-        KsmSchedule {
-            warmup: KsmParams::paper_warmup(),
-            steady: KsmParams::paper_warmup(),
-            warmup_seconds: 0,
-        }
-    }
-
     /// The schedule used by the figure binaries when regenerating at
     /// compressed durations and reduced scale: an aggressive phase
     /// converges the *stable* content (code, class cache) to the same
@@ -97,7 +87,7 @@ pub struct ExperimentConfig {
     /// KSM schedule (§II.C).
     pub ksm: KsmSchedule,
     /// Simulated run length, seconds (the paper measures after 90
-    /// minutes; compressed runs with [`KsmSchedule::aggressive`] converge
+    /// minutes; compressed runs with [`KsmSchedule::compressed`] converge
     /// to the same state much sooner).
     pub duration_seconds: u64,
     /// Whether the paper's technique — a pre-populated shared class
@@ -127,12 +117,10 @@ pub struct ExperimentConfig {
     /// every test); this flag extends the self-check to release runs
     /// (CLI/figure-binary `--audit`).
     pub audit: bool,
-    /// Worker threads for the attribution walks
-    /// ([`analysis::SnapshotEngine`]), the only parallel path in a run;
-    /// the KSM wake and the traffic step are serial. The report is
-    /// bit-identical at any value — threads only change the wall-clock
-    /// of timeline-attribution sampling. `1` (the default) runs
-    /// everything on the calling thread.
+    /// Read by nothing: every run is serial (the attribution walk, the
+    /// KSM wake and the traffic step). Kept only because the
+    /// `perfbench` package sets and prints it; it goes at the next
+    /// change to the benchmark.
     pub threads: usize,
     /// Host-side transparent-huge-page policy: what the khugepaged
     /// collapse scan ([`hypervisor::KvmHost::thp_scan`]) is allowed to
@@ -287,8 +275,9 @@ impl ExperimentConfig {
 
     /// The most over-commit the throughput model tolerates before a run
     /// stops being meaningful: past ≈4× nominal-to-usable the thrash
-    /// term collapses throughput to noise. The CLI validates `--guests`
-    /// overrides against this ceiling.
+    /// term collapses throughput to noise. The CLI validates every
+    /// `--guests` count against this ceiling through
+    /// [`with_guest_count`](Self::with_guest_count).
     pub const MAX_OVERCOMMIT: f64 = 4.0;
 
     /// Greatest guest count this configuration's host can hold within
@@ -301,6 +290,29 @@ impl ExperimentConfig {
             return usize::MAX;
         }
         ((self.host.usable_mib() * Self::MAX_OVERCOMMIT) / per_guest).floor() as usize
+    }
+
+    /// Replaces the guests with `n` copies of the first, checked against
+    /// the [`MAX_OVERCOMMIT`](Self::MAX_OVERCOMMIT) budget.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::NoGuests`] if there is no guest to copy;
+    /// [`Error::BudgetExceeded`] when `n` guests exceed
+    /// [`max_guests_for_budget`](Self::max_guests_for_budget).
+    pub fn with_guest_count(mut self, n: usize) -> Result<ExperimentConfig, Error> {
+        let spec = self.guests.first().cloned().ok_or(Error::NoGuests)?;
+        let budget = self.max_guests_for_budget();
+        if n > budget {
+            return Err(Error::BudgetExceeded {
+                guests: n,
+                nominal_mib: spec.mem_mib * n as f64,
+                usable_mib: self.host.usable_mib(),
+                max_guests: budget,
+            });
+        }
+        self.guests = vec![spec; n];
+        Ok(self)
     }
 
     /// A miniature configuration for unit tests: `n` guests with the tiny
@@ -434,7 +446,8 @@ impl ExperimentConfig {
         self
     }
 
-    /// Sets the attribution-walk worker count (`0` is treated as `1`).
+    /// Sets [`threads`](Self::threads), which no run reads (`0` is
+    /// treated as `1`). Kept only for the `perfbench` package.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> ExperimentConfig {
         self.threads = threads.max(1);
@@ -551,17 +564,7 @@ impl ExperimentBuilder {
             other => return Err(Error::UnknownPreset(other.to_string())),
         };
         if let Some(n) = self.guests {
-            let spec = cfg.guests.first().cloned().ok_or(Error::NoGuests)?;
-            let budget = cfg.max_guests_for_budget();
-            if n > budget {
-                return Err(Error::BudgetExceeded {
-                    guests: n,
-                    nominal_mib: spec.mem_mib * n as f64,
-                    usable_mib: cfg.host.usable_mib(),
-                    max_guests: budget,
-                });
-            }
-            cfg.guests = (0..n).map(|_| spec.clone()).collect();
+            cfg = cfg.with_guest_count(n)?;
         }
         cfg.validate()?;
         Ok(cfg)

@@ -237,7 +237,7 @@ impl Daemon {
 /// clock series; ticks simulated seconds and publishes rendered state.
 fn run_ticker(cfg: &DaemonConfig, shared: &Shared) {
     let mut world = World::new(&cfg.config, cfg.scenario.as_ref());
-    let mut engine = SnapshotEngine::new(cfg.config.threads);
+    let mut engine = SnapshotEngine::default();
     // Wall-clock series survive across publishes (the deterministic
     // registry is rebuilt from layer counters each time).
     let mut wall = MetricsRegistry::new();

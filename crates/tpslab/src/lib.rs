@@ -56,7 +56,6 @@ mod error;
 mod powervm;
 mod report;
 mod run;
-pub mod sweep;
 pub mod telemetry;
 mod traffic_run;
 mod world;

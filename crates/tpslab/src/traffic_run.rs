@@ -24,9 +24,8 @@
 //! remembers the last tick it was advanced to and catches up in one
 //! [`tick_many`](oskernel::GuestOs::tick_many) call at its next event —
 //! so a fleet that is mostly idle costs O(pending events), not
-//! O(guests), per tick. A traffic run is serial: it does not read
-//! `threads`, so its report is the same at any setting, and it is
-//! byte-identical across platforms (see DESIGN.md §11).
+//! O(guests), per tick. A traffic run is serial, and its report is
+//! byte-identical across reruns and platforms (see DESIGN.md §11).
 
 use crate::run::{cold_estimate_mib, tlb_boost};
 use crate::world::{Drive, GuestSlot, World};
@@ -568,8 +567,8 @@ impl World {
 
 impl Experiment {
     /// Runs `config`'s fleet under `scenario`'s request traffic instead
-    /// of the tick-scripted workload. Deterministic in `config.seed` and
-    /// byte-identical at any `config.threads`.
+    /// of the tick-scripted workload. Deterministic in `config.seed`:
+    /// the same config and scenario give a byte-identical report.
     ///
     /// # Errors
     ///
@@ -662,32 +661,13 @@ mod tests {
     }
 
     #[test]
-    fn traffic_runs_are_deterministic_and_thread_independent() {
+    fn traffic_runs_are_deterministic() {
         let base = cfg(2, 60);
         let scenario = Scenario::flash_crowd(60);
         let a = Experiment::run_traffic(&base, &scenario).unwrap();
         let b = Experiment::run_traffic(&base, &scenario).unwrap();
+        assert_eq!(a.render(), b.render());
         assert_eq!(a, b);
-        let threaded = Experiment::run_traffic(&base.clone().with_threads(4), &scenario).unwrap();
-        assert_eq!(a.render(), threaded.render());
-        assert_eq!(a, threaded);
-    }
-
-    #[test]
-    fn churn_scenarios_stay_thread_independent() {
-        // Rolling deploys and autoscale relaunch and drain guests
-        // mid-run; the report must still not depend on `threads`.
-        for (config, scenario) in [
-            (cfg(3, 90), Scenario::rolling_deploy(90, 3)),
-            (cfg(4, 90), Scenario::autoscale(90, 4)),
-        ] {
-            let serial = Experiment::run_traffic(&config, &scenario).unwrap();
-            for threads in [2, 8] {
-                let t = Experiment::run_traffic(&config.clone().with_threads(threads), &scenario)
-                    .unwrap();
-                assert_eq!(serial, t, "{} diverged at {threads} threads", scenario.name);
-            }
-        }
     }
 
     #[test]
@@ -717,10 +697,8 @@ mod tests {
             .with_ksm(no_ksm)
             .with_thp(ThpPolicy::Always, ThpPolicy::Always);
         let a = Experiment::run_traffic(&config, &Scenario::constant()).unwrap();
-        let threaded =
-            Experiment::run_traffic(&config.clone().with_threads(4), &Scenario::constant())
-                .unwrap();
-        assert_eq!(a, threaded);
+        let again = Experiment::run_traffic(&config, &Scenario::constant()).unwrap();
+        assert_eq!(a, again);
         assert!(a.huge_mib > 0.0, "huge {}", a.huge_mib);
         assert!(a.render().contains("thp huge"));
         // The non-THP render carries no THP line at all.

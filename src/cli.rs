@@ -10,9 +10,9 @@ use workloads::Benchmark;
 pub const USAGE: &str = "\
 usage:
   tps-java run     [--guests N] [--benchmark NAME] [--preset NAME] [--scale S] [--minutes M] [--preload]
-                   [--csv] [--audit] [--trace FILE] [--profile] [--timeline S] [--threads N] [--thp POLICY]
+                   [--csv] [--audit] [--trace FILE] [--profile] [--timeline S] [--thp POLICY]
   tps-java traffic [--scenario NAME] [--guests N] [--benchmark NAME] [--preset NAME] [--scale S]
-                   [--minutes M] [--preload] [--audit] [--threads N] [--thp POLICY]
+                   [--minutes M] [--preload] [--audit] [--thp POLICY]
   tps-java explain [--guests N] [--benchmark NAME] [--preset NAME] [--scale S] [--minutes M] [--preload] [--top N]
   tps-java sweep   [--from N] [--to N] [--benchmark NAME] [--scale S] [--minutes M] [--audit]
   tps-java powervm [--scale S] [--minutes M]
@@ -22,8 +22,8 @@ usage:
   tps-java scenario list
 benchmarks: daytrader | specjenterprise | tpcw | tuscany
 presets: scale32 | scale256 | scale1024 — fleet SPECjEnterprise
-configurations (preset fixes the benchmark and host; --guests overrides
-the guest count, validated against the preset's memory budget).
+configurations (preset fixes the benchmark and host). --guests sets the
+guest count, validated against the host's memory budget.
 scenarios: constant | diurnal | flash-crowd | rolling-deploy |
 noisy-neighbor | autoscale — `traffic` replaces the scripted tick
 workload with the discrete-event request engine and reports sharing
@@ -36,11 +36,10 @@ prints the per-phase cost table. `explain` reruns the experiment with
 tracing on and reports why content-identical pages were not merged,
 plus the --top N busiest page lifecycles. --timeline S samples the
 sharing timeline with full attribution every S simulated seconds and
-prints one row per sample; --threads N walks attribution on N workers
-(the report is bit-identical at any thread count). --thp POLICY
-(never | madvise | always, default never) sets both the host khugepaged
-and guest fault-around transparent-huge-page policies; the run reports
-2 MiB-mapped memory and the TLB-reach throughput credit when nonzero.
+prints one row per sample. --thp POLICY (never | madvise | always,
+default never) sets both the host khugepaged and guest fault-around
+transparent-huge-page policies; the run reports 2 MiB-mapped memory and
+the TLB-reach throughput credit when nonzero.
 `serve` runs the experiment as the persistent tpsd monitoring daemon on
 a local socket (default port 7878, --port 0 for ephemeral): /metrics is
 the Prometheus-style exposition, /guest/N and /fleet and /misses are
@@ -84,7 +83,6 @@ struct Opts {
     profile: bool,
     top: usize,
     timeline: Option<u64>,
-    threads: usize,
     scenario: String,
     scenario_explicit: bool,
     thp: Option<String>,
@@ -113,7 +111,6 @@ impl Default for Opts {
             profile: false,
             top: 3,
             timeline: None,
-            threads: 1,
             scenario: "constant".into(),
             scenario_explicit: false,
             thp: None,
@@ -180,11 +177,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
                         .map_err(|_| err("--timeline: not a number"))?,
                 )
             }
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| err("--threads: not a number"))?
-            }
             "--scenario" => {
                 opts.scenario = value("--scenario")?.clone();
                 opts.scenario_explicit = true;
@@ -213,17 +205,17 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
     if opts.guests == 0 || opts.from == 0 || opts.to < opts.from {
         return Err(err("guest counts must be positive and --to >= --from"));
     }
-    if opts.scale < 1.0 {
-        return Err(err("--scale must be >= 1"));
+    if !(opts.scale.is_finite() && opts.scale >= 1.0) {
+        return Err(err("--scale must be a finite number >= 1"));
+    }
+    if !opts.minutes.is_finite() {
+        return Err(err("--minutes must be a finite number"));
     }
     if opts.top == 0 {
         return Err(err("--top must be positive"));
     }
     if opts.timeline == Some(0) {
         return Err(err("--timeline must be positive"));
-    }
-    if opts.threads == 0 {
-        return Err(err("--threads must be positive"));
     }
     if opts.interval_ms == 0 {
         return Err(err("--interval-ms must be positive"));
@@ -264,20 +256,16 @@ fn config_for(opts: &Opts, guests: usize) -> Result<ExperimentConfig, CliError> 
     let mut cfg = if let Some(name) = &opts.preset {
         preset_config(opts, name, guests)?
     } else {
-        let bench = benchmark_by_name(&opts.benchmark, opts.scale)?;
+        let benchmark = benchmark_by_name(&opts.benchmark, opts.scale)?;
         let mut cfg = ExperimentConfig::paper_daytrader_4vm(opts.scale);
         let mem_mib = if opts.benchmark == "specjenterprise" {
             1280.0 / opts.scale
         } else {
             1024.0 / opts.scale
         };
-        cfg.guests = (0..guests)
-            .map(|_| GuestSpec {
-                benchmark: bench.clone(),
-                mem_mib,
-            })
-            .collect();
-        cfg
+        cfg.guests = vec![GuestSpec { benchmark, mem_mib }];
+        cfg.with_guest_count(guests)
+            .map_err(|e| err(e.to_string()))?
     };
     let seconds = (opts.minutes * 60.0) as u64;
     cfg = cfg
@@ -289,7 +277,6 @@ fn config_for(opts: &Opts, guests: usize) -> Result<ExperimentConfig, CliError> 
     if opts.audit {
         cfg = cfg.with_audit();
     }
-    cfg = cfg.with_threads(opts.threads);
     if let Some(name) = &opts.thp {
         let policy = tpslab::paging::ThpPolicy::parse(name).ok_or_else(|| {
             err(format!(
@@ -531,9 +518,12 @@ fn cmd_sweep(opts: &Opts) -> Result<String, CliError> {
         "{:>4} {:>18} {:>18}",
         "VMs", "default (thr)", "preloaded (thr)"
     );
-    for n in opts.from..=opts.to {
-        let cfg = config_for(opts, n)?;
-        let default = Experiment::run(&cfg).map_err(|e| err(e.to_string()))?;
+    // Every point is built (and budget-checked) before the first runs.
+    let configs = (opts.from..=opts.to)
+        .map(|n| config_for(opts, n))
+        .collect::<Result<Vec<_>, _>>()?;
+    for (n, cfg) in (opts.from..).zip(&configs) {
+        let default = Experiment::run(cfg).map_err(|e| err(e.to_string()))?;
         let preload =
             Experiment::run(&cfg.clone().with_class_sharing()).map_err(|e| err(e.to_string()))?;
         let _ = writeln!(
@@ -679,24 +669,31 @@ mod tests {
         assert!(parse_opts(&argv("--scale 0.5")).is_err());
         assert!(parse_opts(&argv("--from 5 --to 3")).is_err());
         assert!(parse_opts(&argv("--timeline 0")).is_err());
-        assert!(parse_opts(&argv("--threads 0")).is_err());
-        assert!(parse_opts(&argv("--threads two")).is_err());
+        // Non-finite sizes would panic deep in the run or never end.
+        for line in [
+            "--scale nan",
+            "--scale inf",
+            "--minutes inf",
+            "--minutes nan",
+        ] {
+            assert!(parse_opts(&argv(line)).is_err(), "{line}");
+        }
+        let e = parse_opts(&argv("--threads 2")).unwrap_err();
+        assert_eq!(e.to_string(), "unknown option --threads");
     }
 
     #[test]
-    fn parse_timeline_and_threads() {
-        let opts = parse_opts(&argv("--timeline 15 --threads 4")).unwrap();
+    fn parse_timeline() {
+        let opts = parse_opts(&argv("--timeline 15")).unwrap();
         assert_eq!(opts.timeline, Some(15));
-        assert_eq!(opts.threads, 4);
         let defaults = parse_opts(&argv("")).unwrap();
         assert_eq!(defaults.timeline, None);
-        assert_eq!(defaults.threads, 1);
     }
 
     #[test]
     fn run_with_timeline_prints_sample_rows() {
         let text = dispatch(&argv(
-            "run --guests 2 --scale 64 --minutes 0.5 --timeline 10 --threads 2",
+            "run --guests 2 --scale 64 --minutes 0.5 --timeline 10",
         ))
         .unwrap();
         assert!(text.contains("pages_sharing"));
@@ -754,6 +751,14 @@ mod tests {
 
         let bad = parse_opts(&argv("--preset scale9000")).unwrap();
         assert!(config_for(&bad, bad.guests).is_err());
+
+        // The --benchmark path checks the same budget: 22 DayTrader
+        // guests at any scale.
+        let huge = parse_opts(&argv("--guests 100000")).unwrap();
+        let e = config_for(&huge, huge.guests).unwrap_err();
+        assert!(e.to_string().contains("caps the fleet"), "got: {e}");
+        assert!(config_for(&huge, 22).is_ok());
+        assert!(config_for(&huge, 23).is_err());
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! ([`bench::BENCHES`]) at the fixed [`RunOpts::golden`] preset and
 //! compares the output byte-for-byte against the committed file under
 //! `tests/golden/`. The output is what `cargo run --release -p bench --
-//! <name> --scale 128 --minutes 0.2 --threads 2` prints (the
-//! fixed-shape names ignore the sizes). Figure output is deterministic
-//! (timings go to stderr, sweeps return results in input order
-//! regardless of thread count), so any diff here is a real behaviour
-//! change in the simulation or the report formatting.
+//! <name> --scale 128 --minutes 0.2` prints (the fixed-shape names
+//! ignore the sizes). Figure output is deterministic (timings go to
+//! stderr, sweeps return results in input order at any worker count),
+//! so any diff here is a real behaviour change in the simulation or the
+//! report formatting.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -185,8 +185,7 @@ fn fleet_traffic_matches_golden_master() {
 
 #[test]
 fn attribution_matches_golden_master() {
-    // The golden preset runs at 2 worker threads; the committed file was
-    // generated single-threaded. Passing byte-for-byte here is itself an
-    // assertion — attribution output is thread-count invariant.
+    // The scale32 timeline's TPS-saving rows come from the incremental
+    // attribution engine at every sample, so this pins its walk.
     assert_runner_golden("attribution");
 }

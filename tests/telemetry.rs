@@ -5,8 +5,7 @@
 //! 1. **Golden pin** — one deterministic metrics scrape of the
 //!    converged scale32 world is byte-pinned under
 //!    `tests/golden/telemetry.txt` (regenerate with
-//!    `UPDATE_GOLDEN=1 cargo test --test telemetry`), and asserted
-//!    byte-identical across `--threads` counts.
+//!    `UPDATE_GOLDEN=1 cargo test --test telemetry`).
 //! 2. **Daemon oracle** — a live `tpsd` serving the mutating scale32
 //!    world under concurrent client load must answer `/guest/<i>` with
 //!    exactly the JSON rebuilt post-hoc from an unmonitored world of
@@ -27,13 +26,12 @@ use tpslab::{Daemon, DaemonConfig, ExperimentConfig, KsmSchedule};
 
 /// The fixed configuration the telemetry golden is generated under:
 /// the scale32 over-commit preset at the figure-golden settings
-/// (scale 128, 12 simulated seconds, 2 attribution workers) — the same
-/// world `cargo run -p bench -- telemetry` prints.
-fn golden_config(threads: usize) -> ExperimentConfig {
+/// (scale 128, 12 simulated seconds) — the same world
+/// `cargo run -p bench -- telemetry` prints.
+fn golden_config() -> ExperimentConfig {
     ExperimentConfig::scale32(128.0)
         .with_duration_seconds(12)
         .with_ksm(KsmSchedule::compressed(128.0, 12))
-        .with_threads(threads)
 }
 
 fn golden_path() -> PathBuf {
@@ -42,7 +40,7 @@ fn golden_path() -> PathBuf {
 
 #[test]
 fn telemetry_scrape_matches_golden_master() {
-    let actual = tpslab::telemetry::golden_scrape(&golden_config(2));
+    let actual = tpslab::telemetry::golden_scrape(&golden_config());
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -61,18 +59,6 @@ fn telemetry_scrape_matches_golden_master() {
         "telemetry scrape diverged from tests/golden/telemetry.txt; if \
          intentional, regenerate with UPDATE_GOLDEN=1 cargo test --test telemetry"
     );
-}
-
-#[test]
-fn telemetry_scrape_is_thread_count_invariant() {
-    let one = tpslab::telemetry::golden_scrape(&golden_config(1));
-    for threads in [2, 8] {
-        assert_eq!(
-            one,
-            tpslab::telemetry::golden_scrape(&golden_config(threads)),
-            "telemetry scrape diverged at {threads} threads"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -114,9 +100,7 @@ fn daemon_answers_match_naive_oracle_at_same_epoch() {
     // published epoch; the oracle below replays the same config to the
     // observed epoch. The KSM schedule is fixed up front so truncating
     // the duration cannot change scanner behaviour.
-    let base = ExperimentConfig::scale32(128.0)
-        .with_ksm(KsmSchedule::compressed(128.0, 12))
-        .with_threads(2);
+    let base = ExperimentConfig::scale32(128.0).with_ksm(KsmSchedule::compressed(128.0, 12));
     let mut dcfg = DaemonConfig::new(base.clone().with_duration_seconds(3_600));
     dcfg.throttle_ms = 250;
     let mut daemon = Daemon::spawn(dcfg).expect("spawn daemon");
