@@ -116,7 +116,7 @@ impl JavaBreakdown {
 }
 
 /// The full report: per-guest and per-Java-process rollups.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BreakdownReport {
     /// Per-guest rollups, in guest order.
     pub guests: Vec<GuestBreakdown>,

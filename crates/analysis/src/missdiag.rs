@@ -213,7 +213,10 @@ pub fn diagnose_misses(
     // just those frames as (fingerprint, frame) pairs. Groups come out
     // in fingerprint order with their frames in index order.
     let phys = mm.phys();
-    let mut ptes_of: IdMap<Fingerprint, u64> = IdMap::default();
+    // Sized for all-distinct contents up front, so counting never
+    // regrows the map.
+    let mut ptes_of: IdMap<Fingerprint, u64> =
+        IdMap::with_capacity_and_hasher(phys.allocated_frames(), Default::default());
     for (_, frame) in phys.iter() {
         *ptes_of.entry(frame.fingerprint()).or_default() += u64::from(frame.refcount());
     }

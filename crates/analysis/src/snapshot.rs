@@ -137,31 +137,41 @@ impl FrameTable {
     /// (possible only through out-of-band frame-pool mutation, which
     /// bumps no region generation) is dropped instead of reviving a
     /// stale id, and the KSM flag is read fresh only for live frames —
-    /// [`PhysMemory::is_ksm_shared`] panics on freed ones.
+    /// [`PhysMemory::is_ksm_shared`] panics on freed ones. Both are read
+    /// once per referenced frame, in index order: the entries are
+    /// counted per raw index first, and one pass over the counted rows
+    /// zeroes the dead ones before the users are scattered.
     pub(crate) fn assemble(segments: &[&[SegEntry]], phys: &PhysMemory) -> FrameTable {
+        let rows = segments
+            .iter()
+            .flat_map(|seg| seg.iter())
+            .map(|&(raw, _)| raw as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut offsets = vec![0u32; rows + 1];
+        for seg in segments {
+            for &(raw, _) in *seg {
+                offsets[raw as usize + 1] += 1;
+            }
+        }
+        let mut ksm = vec![false; rows];
         let mut slots = 0usize;
-        for seg in segments {
-            for &(raw, _) in *seg {
-                if phys.is_live(FrameId::from_index(raw as usize)) {
-                    slots = slots.max(raw as usize + 1);
-                }
-            }
-        }
-        let mut offsets = vec![0u32; slots + 1];
-        let mut ksm = vec![false; slots];
         let mut live = 0usize;
-        for seg in segments {
-            for &(raw, _) in *seg {
-                let i = raw as usize;
-                if i < slots && phys.is_live(FrameId::from_index(i)) {
-                    if offsets[i + 1] == 0 {
-                        live += 1;
-                        ksm[i] = phys.is_ksm_shared(FrameId::from_index(i));
-                    }
-                    offsets[i + 1] += 1;
-                }
+        for i in 0..rows {
+            if offsets[i + 1] == 0 {
+                continue;
+            }
+            let frame = FrameId::from_index(i);
+            if phys.is_live(frame) {
+                ksm[i] = phys.is_ksm_shared(frame);
+                live += 1;
+                slots = i + 1;
+            } else {
+                offsets[i + 1] = 0;
             }
         }
+        offsets.truncate(slots + 1);
+        ksm.truncate(slots);
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
@@ -176,7 +186,9 @@ impl FrameTable {
         for seg in segments {
             for &(raw, user) in *seg {
                 let i = raw as usize;
-                if i < slots && phys.is_live(FrameId::from_index(i)) {
+                // A row with no users is a dead frame (or past the last
+                // live one).
+                if i < slots && offsets[i] != offsets[i + 1] {
                     users[cursor[i] as usize] = user;
                     cursor[i] += 1;
                 }

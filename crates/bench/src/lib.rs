@@ -53,6 +53,7 @@ pub mod thp;
 pub mod traffic;
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::time::Instant;
 
 use tpslab::{Experiment, ExperimentConfig, KsmSchedule};
@@ -410,8 +411,12 @@ impl RunOpts {
             let report = Experiment::run(config).expect("bench sweep configs are valid");
             (report, run.elapsed())
         });
+        // The timing is a side note: a closed stderr (`2>&1 | head`)
+        // loses it, not the run.
+        let mut err = std::io::stderr().lock();
         for (i, (_, wall)) in timed.iter().enumerate() {
-            eprintln!(
+            let _ = writeln!(
+                err,
                 "[sweep] run {}/{}: {:.2} s",
                 i + 1,
                 timed.len(),
@@ -419,7 +424,8 @@ impl RunOpts {
             );
         }
         let serial: f64 = timed.iter().map(|(_, wall)| wall.as_secs_f64()).sum();
-        eprintln!(
+        let _ = writeln!(
+            err,
             "[sweep] {} runs on {} thread(s): {:.2} s wall ({:.2} s of single-thread work)",
             timed.len(),
             threads,

@@ -1,9 +1,12 @@
 //! Telemetry benchmark: what does *watching* the fleet cost?
 //!
-//! The monitoring daemon answers queries from state pre-rendered at each
-//! published epoch, so a query is a lock-read plus a string copy — it
-//! never re-walks attribution and never blocks the ticker. This module
-//! measures that claim against the natural baseline from
+//! The monitoring daemon answers queries from the state it publishes at
+//! each epoch. Every endpoint but `/guest/<i>` is rendered at publish;
+//! a guest's body is rendered from the published breakdown on its first
+//! request and kept for the rest of the epoch. So a query is a
+//! lock-read plus a string copy, or one guest's render the first time —
+//! it never re-walks attribution and never blocks the ticker. This
+//! module measures that claim against the natural baseline from
 //! `results/BENCH_attribution.json`: the *idle re-sample*, i.e. a warm
 //! [`SnapshotEngine`] re-snapshotting an unchanged world (the
 //! denominator of that record's 19.8x `idle_speedup`).

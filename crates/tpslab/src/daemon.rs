@@ -5,13 +5,15 @@
 //! continuously. [`Daemon`] turns the simulator into that monitoring
 //! service: a **ticker thread** owns the ticking world (the [`HostMm`]
 //! stack is deliberately not `Sync`, so all mutation stays on one
-//! thread) and, once per simulated second, publishes a fully rendered
-//! [`ServedState`] — Prometheus-style metrics text, per-guest
-//! attribution JSON, a `diagnose_misses` breakdown and a `top`-style
-//! fleet table — behind an `Arc<RwLock>`. Query threads (one per
-//! accepted connection on a local socket) answer from that published
-//! state, so queries are served **from cached segments while the world
-//! keeps mutating** and never block the ticker.
+//! thread) and, once per simulated second, publishes a [`ServedState`]
+//! behind an `Arc<RwLock>`. It holds the Prometheus-style metrics text,
+//! a `diagnose_misses` breakdown, the fleet rollup and a `top`-style
+//! fleet table, all rendered, plus the epoch's attribution breakdown,
+//! from which each per-guest JSON body is rendered on its first
+//! request. Query threads (one per accepted connection on a local
+//! socket) answer from that published state, so queries are served
+//! **from cached segments while the world keeps mutating** and never
+//! block the ticker.
 //!
 //! Attribution stays warm across epochs: one [`SnapshotEngine`] lives
 //! for the daemon's lifetime, so each publish re-walks only the address
@@ -31,7 +33,8 @@
 //! byte-identical to an unmonitored run of duration `s`, which is what
 //! `tests/telemetry.rs` checks against the `collect_naive` oracle.
 //!
-//! Endpoints (HTTP/1.0, text or JSON, one request per connection):
+//! Endpoints (HTTP/1.0 `GET`, text or JSON, one request per connection;
+//! any other method gets `405`, a request line without a path `400`):
 //!
 //! | path                    | payload                                       |
 //! |-------------------------|-----------------------------------------------|
@@ -59,7 +62,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Take, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use traffic::Scenario;
@@ -95,9 +98,12 @@ impl DaemonConfig {
     }
 }
 
-/// Everything a query can be answered from, rendered once per published
-/// epoch by the ticker thread. Immutable after publication — query
-/// threads clone the `Arc`, never the strings.
+/// Everything a query can be answered from, published once per epoch by
+/// the ticker thread. The endpoints a client reads every epoch are
+/// rendered at publish; the per-guest bodies, of which a client reads a
+/// few, are rendered on first request from the epoch's breakdown.
+/// Immutable after publication apart from those write-once bodies —
+/// query threads clone the `Arc`, never the strings.
 #[derive(Clone)]
 struct ServedState {
     /// Simulated seconds this state describes.
@@ -108,8 +114,8 @@ struct ServedState {
     metrics: String,
     /// The deterministic section alone (golden-safe).
     metrics_deterministic: String,
-    /// Per-guest attribution JSON, indexed by guest.
-    guests: Vec<String>,
+    /// Per-guest attribution, shared by every state of the epoch.
+    guests: Arc<GuestAnswers>,
     /// Fleet rollup JSON.
     fleet: String,
     /// Miss-class breakdown JSON.
@@ -118,12 +124,65 @@ struct ServedState {
     top: String,
 }
 
+/// One epoch's per-guest attribution: what [`render_guest`] needs, and
+/// each guest's body once something asked for it.
+#[derive(Default)]
+struct GuestAnswers {
+    /// Simulated seconds of the epoch.
+    second: u64,
+    breakdown: BreakdownReport,
+    /// Each guest's huge-page MiB at this epoch.
+    huge_mib: Vec<f64>,
+    /// Per-guest request tallies under a traffic scenario.
+    traffic: Option<Vec<crate::GuestTraffic>>,
+    /// One body per guest, rendered on its first request.
+    bodies: Vec<OnceLock<String>>,
+}
+
+impl GuestAnswers {
+    /// Guest `i`'s `/guest/<i>` body; `None` past the last guest.
+    fn body(&self, i: usize) -> Option<&str> {
+        let body = self.bodies.get(i)?.get_or_init(|| {
+            render_guest(
+                i,
+                &self.breakdown,
+                self.huge_mib[i],
+                self.second,
+                self.traffic.as_deref(),
+            )
+        });
+        Some(body)
+    }
+}
+
 /// State shared between the ticker, the acceptor and query threads.
 struct Shared {
     state: RwLock<Arc<ServedState>>,
     stop: AtomicBool,
     /// Queries answered so far (wall-clock series in the exposition).
     queries: AtomicU64,
+}
+
+impl Shared {
+    /// A daemon's shared state before its first epoch: not stopped, no
+    /// queries answered, and the placeholder answers of a booting world.
+    fn booting() -> Shared {
+        let boot = ServedState {
+            epoch_seconds: 0,
+            running: true,
+            metrics: String::new(),
+            metrics_deterministic: String::new(),
+            guests: Arc::default(),
+            fleet: "{\"epoch_seconds\":0,\"booting\":true}\n".to_string(),
+            misses: "{\"epoch_seconds\":0,\"booting\":true}\n".to_string(),
+            top: "tpsd: booting\n".to_string(),
+        };
+        Shared {
+            state: RwLock::new(Arc::new(boot)),
+            stop: AtomicBool::new(false),
+            queries: AtomicU64::new(0),
+        }
+    }
 }
 
 /// A running `tpsd` instance. Dropping the handle does **not** stop the
@@ -152,21 +211,7 @@ impl Daemon {
             .local_addr()
             .map_err(|e| Error::Daemon(format!("local_addr: {e}")))?;
 
-        let boot = ServedState {
-            epoch_seconds: 0,
-            running: true,
-            metrics: String::new(),
-            metrics_deterministic: String::new(),
-            guests: Vec::new(),
-            fleet: "{\"epoch_seconds\":0,\"booting\":true}\n".to_string(),
-            misses: "{\"epoch_seconds\":0,\"booting\":true}\n".to_string(),
-            top: "tpsd: booting\n".to_string(),
-        };
-        let shared = Arc::new(Shared {
-            state: RwLock::new(Arc::new(boot)),
-            stop: AtomicBool::new(false),
-            queries: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::booting());
 
         let ticker = {
             let shared = Arc::clone(&shared);
@@ -300,8 +345,9 @@ fn count_queries(reg: &mut MetricsRegistry, shared: &Shared) -> u64 {
     added
 }
 
-/// Publishes one epoch: snapshot, breakdown, misses, metrics, table.
-/// Also returns the registry the exposition was rendered from.
+/// Publishes one epoch: snapshot, breakdown, misses, metrics, table;
+/// the per-guest bodies wait for their first request. Also returns the
+/// registry the exposition was rendered from.
 fn publish(
     world: &World,
     engine: &mut SnapshotEngine,
@@ -377,7 +423,6 @@ fn publish(
 
     let per_guest_traffic = traffic.map(|t| t.report.per_guest.as_slice());
 
-    let guests = render_guests(host, &breakdown, second, per_guest_traffic);
     let fleet = render_fleet(
         host,
         &breakdown,
@@ -402,12 +447,21 @@ fn publish(
         misses_json.push('\n');
     }
 
+    let guests = GuestAnswers {
+        second,
+        huge_mib: (0..breakdown.guests.len())
+            .map(|i| mem::pages_to_mib(host.guest_huge_pages(i)))
+            .collect(),
+        traffic: per_guest_traffic.map(<[_]>::to_vec),
+        bodies: breakdown.guests.iter().map(|_| OnceLock::new()).collect(),
+        breakdown,
+    };
     let state = ServedState {
         epoch_seconds: second,
         running,
         metrics,
         metrics_deterministic,
-        guests,
+        guests: Arc::new(guests),
         fleet,
         misses: misses_json,
         top,
@@ -416,11 +470,10 @@ fn publish(
 }
 
 /// Per-guest attribution JSON ("what does guest 17's Java heap cost
-/// right now?"): the guest rollup plus, when a JVM is live, its
-/// Table IV category breakdown. Field order is fixed — this is the
-/// canonical shape of the daemon's `/guest/<i>` responses, exported so
-/// oracle tests can rebuild the exact text from an unmonitored world
-/// (e.g. via `MemorySnapshot::collect_naive`) and compare bytes.
+/// right now?") for every guest, in guest order: what [`render_guest`]
+/// gives each. Exported so oracle tests can rebuild the daemon's exact
+/// `/guest/<i>` text from an unmonitored world (e.g. via
+/// `MemorySnapshot::collect_naive`) and compare bytes.
 #[must_use]
 pub fn render_guests(
     host: &KvmHost,
@@ -428,70 +481,81 @@ pub fn render_guests(
     second: u64,
     traffic: Option<&[crate::GuestTraffic]>,
 ) -> Vec<String> {
-    breakdown
-        .guests
-        .iter()
-        .enumerate()
-        .map(|(i, g)| {
-            let mut out = String::with_capacity(512);
-            let _ = write!(
-                out,
-                "{{\"epoch_seconds\":{second},\"guest\":{i},\"name\":\"{}\",\
-                 \"resident_mib\":{:.3},\"owned_mib\":{:.3},\"java_owned_mib\":{:.3},\
-                 \"other_owned_mib\":{:.3},\"kernel_owned_mib\":{:.3},\
-                 \"vm_overhead_owned_mib\":{:.3},\"tps_saving_mib\":{:.3},\
-                 \"huge_mib\":{:.3}",
-                g.name,
-                g.resident_mib,
-                g.owned_total_mib(),
-                g.java_owned_mib,
-                g.other_owned_mib,
-                g.kernel_owned_mib,
-                g.vm_overhead_owned_mib,
-                g.tps_saving_mib(),
-                mem::pages_to_mib(host.guest_huge_pages(i)),
-            );
-            if let Some(per_guest) = traffic {
-                let t = per_guest.get(i).copied().unwrap_or_default();
-                let _ = write!(
-                    out,
-                    ",\"offered\":{},\"served\":{},\"shed\":{}",
-                    t.offered, t.served, t.dropped
-                );
-            }
-            // `javas` is in (guest, pid) order: this guest's first JVM
-            // sits where the earlier guests' end.
-            let first = breakdown.javas.partition_point(|j| j.guest < i as u32);
-            match breakdown.javas.get(first).filter(|j| j.guest == i as u32) {
-                Some(java) => {
-                    let _ = write!(out, ",\"java\":{{\"pid\":{},\"categories\":{{", java.pid.0);
-                    for (k, (category, usage)) in java.categories.iter().enumerate() {
-                        if k > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(
-                            out,
-                            "\"{category:?}\":{{\"resident_mib\":{:.3},\"owned_mib\":{:.3},\
-                             \"saved_mib\":{:.3}}}",
-                            usage.resident_mib,
-                            usage.owned_mib,
-                            usage.saved_mib(),
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "}},\"resident_total_mib\":{:.3},\"owned_total_mib\":{:.3},\
-                         \"saved_total_mib\":{:.3}}}}}",
-                        java.resident_total_mib(),
-                        java.owned_total_mib(),
-                        java.saved_total_mib(),
-                    );
-                }
-                None => out.push_str(",\"java\":null}\n"),
-            }
-            out
+    (0..breakdown.guests.len())
+        .map(|i| {
+            let huge_mib = mem::pages_to_mib(host.guest_huge_pages(i));
+            render_guest(i, breakdown, huge_mib, second, traffic)
         })
         .collect()
+}
+
+/// Guest `i`'s attribution JSON: the guest rollup plus, when a JVM is
+/// live, its Table IV category breakdown. Field order is fixed — this
+/// is the canonical shape of the daemon's `/guest/<i>` responses.
+fn render_guest(
+    i: usize,
+    breakdown: &BreakdownReport,
+    huge_mib: f64,
+    second: u64,
+    traffic: Option<&[crate::GuestTraffic]>,
+) -> String {
+    let g = &breakdown.guests[i];
+    let mut out = String::with_capacity(512);
+    let _ = write!(
+        out,
+        "{{\"epoch_seconds\":{second},\"guest\":{i},\"name\":\"{}\",\
+         \"resident_mib\":{:.3},\"owned_mib\":{:.3},\"java_owned_mib\":{:.3},\
+         \"other_owned_mib\":{:.3},\"kernel_owned_mib\":{:.3},\
+         \"vm_overhead_owned_mib\":{:.3},\"tps_saving_mib\":{:.3},\
+         \"huge_mib\":{huge_mib:.3}",
+        g.name,
+        g.resident_mib,
+        g.owned_total_mib(),
+        g.java_owned_mib,
+        g.other_owned_mib,
+        g.kernel_owned_mib,
+        g.vm_overhead_owned_mib,
+        g.tps_saving_mib(),
+    );
+    if let Some(per_guest) = traffic {
+        let t = per_guest.get(i).copied().unwrap_or_default();
+        let _ = write!(
+            out,
+            ",\"offered\":{},\"served\":{},\"shed\":{}",
+            t.offered, t.served, t.dropped
+        );
+    }
+    // `javas` is in (guest, pid) order: this guest's first JVM sits
+    // where the earlier guests' end.
+    let first = breakdown.javas.partition_point(|j| j.guest < i as u32);
+    match breakdown.javas.get(first).filter(|j| j.guest == i as u32) {
+        Some(java) => {
+            let _ = write!(out, ",\"java\":{{\"pid\":{},\"categories\":{{", java.pid.0);
+            for (k, (category, usage)) in java.categories.iter().enumerate() {
+                if k > 0 {
+                    out.push(',');
+                }
+                let _ = write!(
+                    out,
+                    "\"{category:?}\":{{\"resident_mib\":{:.3},\"owned_mib\":{:.3},\
+                     \"saved_mib\":{:.3}}}",
+                    usage.resident_mib,
+                    usage.owned_mib,
+                    usage.saved_mib(),
+                );
+            }
+            let _ = writeln!(
+                out,
+                "}},\"resident_total_mib\":{:.3},\"owned_total_mib\":{:.3},\
+                 \"saved_total_mib\":{:.3}}}}}",
+                java.resident_total_mib(),
+                java.owned_total_mib(),
+                java.saved_total_mib(),
+            );
+        }
+        None => out.push_str(",\"java\":null}\n"),
+    }
+    out
 }
 
 /// Fleet rollup JSON: host totals, sharing counters, miss classes and
@@ -642,10 +706,8 @@ fn answer(state: &ServedState, path: &str) -> Option<(&'static str, String)> {
         )),
         _ => {
             let idx: usize = path.strip_prefix("/guest/")?.parse().ok()?;
-            state
-                .guests
-                .get(idx)
-                .map(|g| ("application/json", g.clone()))
+            let body = state.guests.body(idx)?;
+            Some(("application/json", body.to_string()))
         }
     }
 }
@@ -679,7 +741,10 @@ const MAX_REQUEST_HEAD: u64 = 16 * 1024;
 
 /// Answers one HTTP/1.0 request from the published state. A client
 /// silent for [`READ_TIMEOUT`], or whose request head passes
-/// [`MAX_REQUEST_HEAD`] bytes, is disconnected without an answer.
+/// [`MAX_REQUEST_HEAD`] bytes, is disconnected without an answer, and
+/// so is an empty request line (the shutdown wake-up connection). A
+/// request line without a path gets `400`, and any method but `GET`
+/// gets `405` — `/shutdown` included.
 fn handle(stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
     if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
         return;
@@ -689,10 +754,11 @@ fn handle(stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
     if read_head_line(&mut reader, &mut request_line).is_none() {
         return;
     }
-    let path = match request_line.split_whitespace().nth(1) {
-        Some(p) => p.to_string(),
-        None => return, // e.g. the shutdown wake-up connection
+    let mut words = request_line.split_whitespace();
+    let Some(method) = words.next() else {
+        return;
     };
+    let path = words.next();
     // Drain the (ignored) headers so the client can write them fully.
     loop {
         let mut line = String::new();
@@ -706,6 +772,14 @@ fn handle(stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
     shared.queries.fetch_add(1, Ordering::Relaxed);
 
     let mut stream = stream;
+    let Some(path) = path else {
+        let _ = respond(&mut stream, 400, "text/plain", "bad request\n");
+        return;
+    };
+    if method != "GET" {
+        let _ = respond(&mut stream, 405, "text/plain", "method not allowed\n");
+        return;
+    }
     if path == "/shutdown" {
         shared.stop.store(true, Ordering::SeqCst);
         let _ = respond(&mut stream, 200, "text/plain", "shutting down\n");
@@ -716,7 +790,7 @@ fn handle(stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
         return;
     }
     let state = Arc::clone(&shared.state.read().expect("state lock"));
-    match answer(&state, &path) {
+    match answer(&state, path) {
         Some((content_type, body)) => {
             let _ = respond(&mut stream, 200, content_type, &body);
         }
@@ -741,10 +815,15 @@ fn respond(
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    let reason = if status == 200 { "OK" } else { "Not Found" };
+    let (reason, allow) = match status {
+        200 => ("OK", ""),
+        400 => ("Bad Request", ""),
+        405 => ("Method Not Allowed", "Allow: GET\r\n"),
+        _ => ("Not Found", ""),
+    };
     write!(
         stream,
-        "HTTP/1.0 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        "HTTP/1.0 {status} {reason}\r\n{allow}Content-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     )?;
     stream.write_all(body.as_bytes())?;
@@ -924,6 +1003,73 @@ mod tests {
             other => panic!("connection stayed open: {other:?}"),
         }
         writer.join().unwrap();
+        daemon.shutdown();
+        daemon.join();
+    }
+
+    /// Each `/guest/<i>` body is rendered on its first request from the
+    /// epoch the ticker published: it must equal `render_guests` over
+    /// the same world, read the same a second time, and stop at the
+    /// last guest.
+    #[test]
+    fn guest_bodies_render_on_request_from_the_published_epoch() {
+        let config = ExperimentConfig::tiny_test(2, true).with_duration_seconds(15);
+        let mut world = World::new(&config, Some(&Scenario::constant()));
+        let second = 15;
+        for t in 1..=second * mem::TICKS_PER_SECOND {
+            world.step(t);
+        }
+        let (_, state) = publish(
+            &world,
+            &mut SnapshotEngine::default(),
+            &mut MetricsRegistry::new(),
+            &Shared::booting(),
+            second,
+            false,
+            &mut 0,
+        );
+
+        let breakdown =
+            analysis::MemorySnapshot::collect(world.host.mm(), &world.views()).breakdown();
+        let per_guest = &world.traffic().expect("a traffic world").report.per_guest;
+        let expected = render_guests(&world.host, &breakdown, second, Some(per_guest));
+        assert_eq!(expected.len(), 2);
+        assert!(expected.iter().any(|g| g.contains("\"java\":{")));
+        for (i, want) in expected.iter().enumerate() {
+            let path = format!("/guest/{i}");
+            let (content_type, first) = answer(&state, &path).expect("a guest body");
+            assert_eq!(content_type, "application/json");
+            assert_eq!(&first, want, "guest {i}");
+            assert_eq!(answer(&state, &path).map(|(_, body)| body), Some(first));
+        }
+        assert!(answer(&state, &format!("/guest/{}", expected.len())).is_none());
+    }
+
+    /// Sends `request` raw and returns the status line of the answer.
+    fn raw_status(addr: SocketAddr, request: &str) -> String {
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.set_read_timeout(Some(READ_TIMEOUT * 3)).unwrap();
+        client.write_all(request.as_bytes()).unwrap();
+        let mut reply = String::new();
+        client.read_to_string(&mut reply).unwrap();
+        reply.lines().next().unwrap_or_default().to_string()
+    }
+
+    /// Only `GET` is served: a `POST /shutdown` gets 405 and leaves the
+    /// daemon running, and a request line with no path gets 400.
+    #[test]
+    fn wrong_method_and_pathless_request_are_refused() {
+        let config = ExperimentConfig::tiny_test(1, false).with_duration_seconds(2);
+        let mut daemon = Daemon::spawn(DaemonConfig::new(config)).unwrap();
+        wait_for_epoch(&daemon, 1);
+        let status = raw_status(daemon.addr(), "POST /shutdown HTTP/1.0\r\n\r\n");
+        assert_eq!(status, "HTTP/1.0 405 Method Not Allowed");
+        let status = raw_status(daemon.addr(), "POST /metrics HTTP/1.0\r\n\r\n");
+        assert_eq!(status, "HTTP/1.0 405 Method Not Allowed");
+        let health = http_get(&daemon.addr().to_string(), "/healthz").unwrap();
+        assert!(health.starts_with("ok epoch="), "got: {health}");
+        let status = raw_status(daemon.addr(), "GARBAGE\r\n\r\n");
+        assert_eq!(status, "HTTP/1.0 400 Bad Request");
         daemon.shutdown();
         daemon.join();
     }

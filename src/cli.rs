@@ -2,6 +2,7 @@
 //! execution, testable without spawning a process.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 use tpslab::traffic::Scenario;
 use tpslab::{Experiment, ExperimentConfig, GuestSpec, KsmSchedule, PowerVmExperiment};
 use workloads::Benchmark;
@@ -472,7 +473,8 @@ fn render_lifecycles(log: &tpslab::obs::TraceLog, top: usize) -> String {
 /// the *surviving* events (lifecycles, broken-mapping sets) is partial.
 fn warn_dropped_events(log: &tpslab::obs::TraceLog) {
     if log.dropped > 0 {
-        eprintln!(
+        let _ = writeln!(
+            std::io::stderr(),
             "warning: trace ring buffer dropped {} events; lifecycle and \
              broken-mapping views are incomplete (raise the tracer capacity \
              or shorten the run)",
@@ -602,9 +604,11 @@ fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
         .unwrap_or_else(|| format!("127.0.0.1:{}", opts.port));
     dcfg.throttle_ms = opts.throttle_ms;
     let mut daemon = tpslab::Daemon::spawn(dcfg).map_err(|e| err(e.to_string()))?;
-    println!("tpsd listening on {}", daemon.addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    // Nobody may read the banner (`serve | head -1`); the daemon serves
+    // on regardless.
+    let mut out = std::io::stdout();
+    let _ = writeln!(out, "tpsd listening on {}", daemon.addr());
+    let _ = out.flush();
     daemon.join();
     Ok(format!(
         "tpsd: stopped at simulated second {}\n",
@@ -627,10 +631,15 @@ fn cmd_top(opts: &Opts) -> Result<String, CliError> {
     // an infinite repaint loop.
     let mut table = tpslab::http_get(&addr, "/top").map_err(|e| err(e.to_string()))?;
     loop {
-        // ANSI clear + home, then the freshly rendered fleet table.
-        print!("\x1b[2J\x1b[H{table}");
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
+        // ANSI clear + home, then the freshly rendered fleet table. The
+        // view ends when nothing reads it any more.
+        let mut out = std::io::stdout();
+        if write!(out, "\x1b[2J\x1b[H{table}")
+            .and_then(|()| out.flush())
+            .is_err()
+        {
+            return Ok(String::new());
+        }
         std::thread::sleep(std::time::Duration::from_millis(opts.interval_ms));
         table = match tpslab::http_get(&addr, "/top") {
             Ok(t) => t,

@@ -1,0 +1,29 @@
+//! Exit codes of `tps-java-repro` when nobody reads its output: a
+//! reader that stops early (`| head -1`) must not turn a bad command
+//! line or a finished run into a panic.
+
+use std::process::Command;
+
+/// Runs the binary with `args`, its stdout and stderr on a pipe whose
+/// reader is already closed, and returns its exit code.
+fn exit_code_into_closed_pipe(args: &[&str]) -> Option<i32> {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_tps-java-repro"))
+        .args(args)
+        .stdout(writer.try_clone().expect("clone pipe"))
+        .stderr(writer)
+        .status()
+        .expect("spawn tps-java-repro")
+        .code()
+}
+
+#[test]
+fn bad_command_line_exits_2_into_a_closed_pipe() {
+    assert_eq!(exit_code_into_closed_pipe(&["run", "--bogus"]), Some(2));
+}
+
+#[test]
+fn finished_run_exits_0_into_a_closed_pipe() {
+    assert_eq!(exit_code_into_closed_pipe(&["scenario", "list"]), Some(0));
+}
