@@ -24,7 +24,7 @@
 //! tests and by the audit): `achieved + Σ missed == potential`, where
 //! all three are page counts over fingerprint groups with ≥ 2 PTEs.
 
-use mem::{Fingerprint, FrameId, IdMap, Tick};
+use mem::{FrameId, Tick};
 use paging::HostMm;
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -209,20 +209,17 @@ pub fn diagnose_misses(
 ) -> MergeMissReport {
     assert!(cap >= 2, "max_page_sharing cap must be at least 2");
     // Only contents held by two or more PTEs form a group, and they are
-    // few among the live frames: count PTEs per fingerprint, then sort
-    // just those frames as (fingerprint, frame) pairs. Groups come out
-    // in fingerprint order with their frames in index order.
+    // few among the live frames. A frame with one PTE whose bucket in
+    // the frame pool's sole-holder filter counts one frame holds the
+    // only copy of its content, so it cannot be in a group; sort the
+    // other frames as (fingerprint, frame) pairs and drop the groups
+    // that still come to one PTE (bucket collisions). Groups come out in
+    // fingerprint order with their frames in index order.
     let phys = mm.phys();
-    // Sized for all-distinct contents up front, so counting never
-    // regrows the map.
-    let mut ptes_of: IdMap<Fingerprint, u64> =
-        IdMap::with_capacity_and_hasher(phys.allocated_frames(), Default::default());
-    for (_, frame) in phys.iter() {
-        *ptes_of.entry(frame.fingerprint()).or_default() += u64::from(frame.refcount());
-    }
+    let holders = phys.holders();
     let mut pairs: Vec<(u128, FrameId)> = phys
         .iter()
-        .filter(|(_, frame)| ptes_of[&frame.fingerprint()] >= 2)
+        .filter(|(_, frame)| frame.refcount() > 1 || holders.count(frame.fingerprint()) > 1)
         .map(|(id, frame)| (frame.fingerprint().as_u128(), id))
         .collect();
     pairs.sort_unstable();
@@ -235,6 +232,9 @@ pub fn diagnose_misses(
             .iter()
             .map(|&(_, f)| u64::from(phys.refcount(f)))
             .sum();
+        if ptes < 2 {
+            continue;
+        }
         let n = group.len() as u64;
         let needed = ptes.div_ceil(u64::from(cap));
         report.groups_considered += 1;

@@ -3,7 +3,8 @@
 //! slot is filled; a huge-collapsed, unmapped or changed candidate is
 //! replaced; the same page re-encountered is kept; equal content is
 //! merged and the entry removed), plus the overlay check that skips a
-//! frame merged away earlier in the same wake.
+//! frame merged away earlier in the same wake and the sole-holder skip
+//! of the unstable tree.
 //!
 //! Each test drives the real [`ksm::KsmScanner`] and the naive
 //! [`audit::NaiveScanner`] oracle through the same operations on two
@@ -214,4 +215,33 @@ fn frame_merged_away_earlier_in_the_wake_is_skipped() {
     assert_eq!(pair.frame(3, 0), node);
     let frame = node.expect("page 0 mapped");
     assert_eq!(pair.real.0.phys().refcount(frame), 4);
+}
+
+/// A page whose frame is the only live holder of its content skips the
+/// unstable tree. A second copy written later in the same pass, in
+/// place over another page's frame, is volatile through the next pass;
+/// once it has aged past the filter, the two pages merge on the same
+/// wake as under the oracle, which has no such skip. Only the in-place
+/// write tells the frame pool's sole-holder filter that the content has
+/// a second holder: without it, both pages would skip the unstable tree
+/// on every pass and never merge.
+#[test]
+fn sole_holder_skips_the_unstable_tree_and_a_later_copy_still_merges() {
+    const Y: u64 = 1_000;
+    let mut pair = Pair::new(1, &[&[X], &[Y]]);
+    let first = pair.frame(0, 0).expect("page 0 mapped");
+    let second = pair.frame(1, 0).expect("page 1 mapped");
+    assert!(pair.real.0.phys().sole_holder(first));
+    // Wake 1 judges page 0 alone: non-volatile and the sole holder of X.
+    assert_eq!(pair.wake().merges, 0);
+    pair.write(1, 0, X);
+    assert_eq!(pair.frame(1, 0), Some(second), "written in place");
+    assert!(!pair.real.0.phys().sole_holder(first));
+    // Wake 2 finds the copy volatile, wake 3 ends the pass; the next
+    // pass (wakes 4 to 6) still finds it volatile.
+    for wake in 2..=7 {
+        assert_eq!(pair.wake().merges, 0, "wake {wake}");
+    }
+    assert_eq!(pair.wake().merges, 1);
+    assert_eq!(pair.frame(1, 0), Some(first));
 }

@@ -258,7 +258,7 @@ pub fn usage() -> String {
     let _ = write!(
         out,
         "--scale S divides every size by S >= 1 (default 8); --minutes M sets the\n\
-         simulated duration, at least one second (default 8); --paper is scale 1 for\n\
+         simulated duration, one second to one day (default 8); --paper is scale 1 for\n\
          20 minutes; --audit runs the conservation audit.\n\
          fixed shape (no --scale, --minutes, --paper or --audit): {}\n\
          --json prints the measured record of: {}",
@@ -325,7 +325,8 @@ impl RunOpts {
     ///
     /// A one-line message for a missing or unknown name, an unknown
     /// flag, a flag without its value, `--scale` below 1, `--minutes`
-    /// under one simulated second, `--json` on a name without a record,
+    /// under one simulated second or over one simulated day, `--json`
+    /// on a name without a record,
     /// or a sizing flag on a fixed-shape name.
     pub fn parse(
         args: impl IntoIterator<Item = String>,
@@ -354,11 +355,15 @@ impl RunOpts {
                         .ok_or("--scale needs a number >= 1")?;
                 }
                 "--minutes" => {
+                    let max = ExperimentConfig::MAX_DURATION_SECONDS as f64;
                     opts.minutes = value()?
                         .parse()
                         .ok()
-                        .filter(|m: &f64| m.is_finite() && m * 60.0 >= 1.0)
-                        .ok_or("--minutes needs at least one simulated second (1/60)")?;
+                        .filter(|m: &f64| (1.0..=max).contains(&(m * 60.0)))
+                        .ok_or(
+                            "--minutes needs at least one simulated second (1/60) \
+                             and at most one simulated day (1440)",
+                        )?;
                 }
                 "--paper" => {
                     let paper = RunOpts::paper();
@@ -608,6 +613,7 @@ mod tests {
         assert_eq!(parse("fig7 --paper --scale 4").unwrap().1.scale, 4.0);
         assert!(parse("fleet --json").unwrap().1.json);
         assert!(parse("tables").is_ok());
+        assert_eq!(parse("fig2 --minutes 1440").unwrap().1.minutes, 1440.0);
     }
 
     #[test]
@@ -620,6 +626,9 @@ mod tests {
             ("fig2 --scale 0.5", "--scale needs a number >= 1"),
             ("fig2 --scale NaN", "--scale needs a number >= 1"),
             ("fig2 --minutes 0", "--minutes needs at least"),
+            ("fig2 --minutes 1440.5", "--minutes needs at least"),
+            ("fig2 --minutes 1e12", "--minutes needs at least"),
+            ("fig2 --minutes inf", "--minutes needs at least"),
             ("fig2 --threads 2", "unknown flag --threads"),
             ("fleet --threads 2", "unknown flag --threads"),
             ("fig2 --json", "fig2 has no --json record"),

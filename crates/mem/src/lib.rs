@@ -41,7 +41,7 @@ mod tick;
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
 pub use idhash::{IdHasher, IdMap, IdSet};
 pub use layout::{LayoutImage, LayoutWriter};
-pub use phys::{Frame, FrameId, PhysMemory};
+pub use phys::{Frame, FrameId, HolderFilter, PhysMemory};
 pub use tick::{Tick, TICKS_PER_SECOND};
 
 /// The size of one page frame in bytes (4 KiB, as on the paper's x86 and

@@ -495,7 +495,9 @@ impl HostMm {
     /// Checks the global CoW invariant: every frame's refcount equals its
     /// rmap entry count, the total rmap size equals the total number of
     /// populated PTEs, and no freed frame keeps rmap users (the pool
-    /// reuses freed ids). Intended for tests; O(total pages).
+    /// reuses freed ids). Also recounts the frame pool's sole-holder
+    /// filter ([`PhysMemory::assert_holders_consistent`], which builds
+    /// it on the first check). Intended for tests; O(total pages).
     ///
     /// # Panics
     ///
@@ -532,6 +534,7 @@ impl HostMm {
                 "refcount mismatch on {frame_id}"
             );
         }
+        self.phys.assert_holders_consistent();
     }
 }
 

@@ -194,6 +194,17 @@ impl Region {
         (raw != UNMAPPED).then(|| FrameId::from_raw(raw))
     }
 
+    /// Index of the first populated page at or after `index`, or `None`
+    /// if every page from there to the region's end is a hole: one
+    /// slice scan, for walks that skip holes.
+    #[must_use]
+    pub fn next_mapped(&self, index: usize) -> Option<usize> {
+        let rest = self.pages.get(index..)?;
+        rest.iter()
+            .position(|&raw| raw != UNMAPPED)
+            .map(|i| index + i)
+    }
+
     /// Page index of the `n`-th (0-based) populated page, or `None` if
     /// fewer than `n + 1` pages are populated. O(len); used only on the
     /// rare fall-back when a clean-region skip is interrupted.
@@ -528,6 +539,21 @@ mod tests {
         space.add_region_at(Vpn(100), 10, MemTag::Other, false);
         space.add_region_at(Vpn(110), 10, MemTag::Other, false);
         assert_eq!(space.regions().count(), 2);
+    }
+
+    #[test]
+    fn next_mapped_skips_holes() {
+        let mut space = AddressSpace::new_standalone("t");
+        let base = space.add_region(8, MemTag::Other, true);
+        let region = space.region_containing_mut(base).unwrap();
+        region.set_frame(base.offset(2), Some(FrameId::from_index(7)));
+        region.set_frame(base.offset(5), Some(FrameId::from_index(9)));
+        assert_eq!(region.next_mapped(0), Some(2));
+        assert_eq!(region.next_mapped(2), Some(2));
+        assert_eq!(region.next_mapped(3), Some(5));
+        assert_eq!(region.next_mapped(6), None);
+        assert_eq!(region.next_mapped(8), None);
+        assert_eq!(region.next_mapped(99), None);
     }
 
     #[test]

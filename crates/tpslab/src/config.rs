@@ -280,6 +280,10 @@ impl ExperimentConfig {
     /// [`with_guest_count`](Self::with_guest_count).
     pub const MAX_OVERCOMMIT: f64 = 4.0;
 
+    /// The longest run [`validate`](Self::validate) accepts: one
+    /// simulated day, sixteen times the paper's 90-minute runs.
+    pub const MAX_DURATION_SECONDS: u64 = 24 * 60 * 60;
+
     /// Greatest guest count this configuration's host can hold within
     /// the [`MAX_OVERCOMMIT`](Self::MAX_OVERCOMMIT) memory budget,
     /// assuming every guest is sized like the first.
@@ -469,7 +473,8 @@ impl ExperimentConfig {
     }
 
     /// Checks that this configuration describes a runnable experiment:
-    /// at least one guest and a non-zero duration.
+    /// at least one guest and a duration of one second to
+    /// [`MAX_DURATION_SECONDS`](Self::MAX_DURATION_SECONDS).
     ///
     /// Every entry point ([`Experiment::run`](crate::Experiment::run),
     /// [`Experiment::run_traffic`](crate::Experiment::run_traffic), the
@@ -491,6 +496,11 @@ impl ExperimentConfig {
         }
         if self.duration_seconds == 0 {
             return Err(Error::ZeroDuration);
+        }
+        if self.duration_seconds > Self::MAX_DURATION_SECONDS {
+            return Err(Error::DurationTooLong {
+                seconds: self.duration_seconds,
+            });
         }
         Ok(())
     }
@@ -601,6 +611,21 @@ mod tests {
         let quarter = ExperimentConfig::paper_daytrader_4vm(4.0);
         assert!((quarter.host.ram_mib - full.host.ram_mib / 4.0).abs() < 1e-9);
         assert!((quarter.guests[0].mem_mib - 256.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn validate_bounds_the_duration() {
+        let day = ExperimentConfig::MAX_DURATION_SECONDS;
+        let cfg = ExperimentConfig::tiny_test(1, false);
+        assert_eq!(cfg.clone().with_duration_seconds(day).validate(), Ok(()));
+        assert_eq!(
+            cfg.clone().with_duration_seconds(day + 1).validate(),
+            Err(Error::DurationTooLong { seconds: day + 1 })
+        );
+        assert_eq!(
+            cfg.with_duration_seconds(0).validate(),
+            Err(Error::ZeroDuration)
+        );
     }
 
     #[test]

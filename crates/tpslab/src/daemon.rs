@@ -45,7 +45,7 @@
 //! | `/misses`               | `diagnose_misses` miss-class JSON             |
 //! | `/top`                  | rendered fleet table (what `tps top` shows)   |
 //! | `/healthz`              | readiness + epoch (404 until first publish)   |
-//! | `/shutdown`             | stop ticking and serving, then exit           |
+//! | `/shutdown`             | stop and exit (loopback peers only, else 403) |
 //!
 //! [`HostMm`]: paging::HostMm
 //! [`Experiment::build_world`]: crate::Experiment::build_world
@@ -735,18 +735,33 @@ fn run_acceptor(listener: &TcpListener, shared: &Arc<Shared>) {
 /// rather than left holding its handler thread.
 const READ_TIMEOUT: Duration = Duration::from_secs(3);
 
+/// How long a query handler waits for a client that stops reading its
+/// answer, so a stalled reader cannot hold its handler thread either.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(3);
+
 /// Most bytes a request line and its headers may take together. A
 /// longer head, such as a line that never ends, closes the connection.
 const MAX_REQUEST_HEAD: u64 = 16 * 1024;
+
+/// Whether a client at `peer` may stop the daemon: only one on this
+/// host, connected from a loopback address (IPv4-mapped included). An
+/// unknown peer may not.
+fn may_shut_down(peer: Option<SocketAddr>) -> bool {
+    peer.is_some_and(|peer| peer.ip().to_canonical().is_loopback())
+}
 
 /// Answers one HTTP/1.0 request from the published state. A client
 /// silent for [`READ_TIMEOUT`], or whose request head passes
 /// [`MAX_REQUEST_HEAD`] bytes, is disconnected without an answer, and
 /// so is an empty request line (the shutdown wake-up connection). A
-/// request line without a path gets `400`, and any method but `GET`
-/// gets `405` — `/shutdown` included.
+/// request line without a path gets `400`, any method but `GET` gets
+/// `405` — `/shutdown` included — and `/shutdown` from a peer that is
+/// not on a loopback address gets `403`. Writing an answer gives up
+/// after [`WRITE_TIMEOUT`].
 fn handle(stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
-    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+    {
         return;
     }
     let mut reader = BufReader::new((&stream).take(MAX_REQUEST_HEAD));
@@ -781,6 +796,10 @@ fn handle(stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
         return;
     }
     if path == "/shutdown" {
+        if !may_shut_down(stream.peer_addr().ok()) {
+            let _ = respond(&mut stream, 403, "text/plain", "forbidden\n");
+            return;
+        }
         shared.stop.store(true, Ordering::SeqCst);
         let _ = respond(&mut stream, 200, "text/plain", "shutting down\n");
         // Unblock the accept loop so the daemon exits promptly.
@@ -818,6 +837,7 @@ fn respond(
     let (reason, allow) = match status {
         200 => ("OK", ""),
         400 => ("Bad Request", ""),
+        403 => ("Forbidden", ""),
         405 => ("Method Not Allowed", "Allow: GET\r\n"),
         _ => ("Not Found", ""),
     };
@@ -1072,6 +1092,30 @@ mod tests {
         assert_eq!(status, "HTTP/1.0 400 Bad Request");
         daemon.shutdown();
         daemon.join();
+    }
+
+    /// `/shutdown` is honoured only from a loopback peer; any other
+    /// peer, or one whose address is unknown, may not stop the daemon.
+    #[test]
+    fn shutdown_is_honoured_only_from_loopback_peers() {
+        let peer = |addr: &str| Some(addr.parse::<SocketAddr>().unwrap());
+        for addr in [
+            "127.0.0.1:5000",
+            "127.8.9.10:1",
+            "[::1]:5000",
+            "[::ffff:127.0.0.1]:80",
+        ] {
+            assert!(may_shut_down(peer(addr)), "{addr}");
+        }
+        for addr in [
+            "10.0.0.7:5000",
+            "0.0.0.0:1",
+            "[2001:db8::1]:5000",
+            "[::ffff:10.0.0.7]:80",
+        ] {
+            assert!(!may_shut_down(peer(addr)), "{addr}");
+        }
+        assert!(!may_shut_down(None));
     }
 
     #[test]

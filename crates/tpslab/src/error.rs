@@ -14,6 +14,13 @@ pub enum Error {
     NoGuests,
     /// The configured run length is zero seconds.
     ZeroDuration,
+    /// The configured run length exceeds
+    /// [`MAX_DURATION_SECONDS`](crate::ExperimentConfig::MAX_DURATION_SECONDS),
+    /// one simulated day.
+    DurationTooLong {
+        /// The configured run length, seconds.
+        seconds: u64,
+    },
     /// The guests' nominal memory exceeds the host's budget: past
     /// [`MAX_OVERCOMMIT`](crate::ExperimentConfig::MAX_OVERCOMMIT) ×
     /// usable RAM the throughput model collapses to noise.
@@ -40,6 +47,11 @@ impl fmt::Display for Error {
         match self {
             Error::NoGuests => write!(f, "the configuration has no guests"),
             Error::ZeroDuration => write!(f, "the run duration is zero seconds"),
+            Error::DurationTooLong { seconds } => write!(
+                f,
+                "the run duration of {seconds} s exceeds one simulated day ({} s)",
+                crate::ExperimentConfig::MAX_DURATION_SECONDS
+            ),
             Error::BudgetExceeded {
                 guests,
                 nominal_mib,

@@ -212,6 +212,13 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
     if !opts.minutes.is_finite() {
         return Err(err("--minutes must be a finite number"));
     }
+    // A huge finite count would cast to a run that never ends.
+    let max_minutes = ExperimentConfig::MAX_DURATION_SECONDS / 60;
+    if opts.minutes > max_minutes as f64 {
+        return Err(err(format!(
+            "--minutes must be at most {max_minutes} (one simulated day)"
+        )));
+    }
     if opts.top == 0 {
         return Err(err("--top must be positive"));
     }
@@ -686,6 +693,12 @@ mod tests {
             "--minutes nan",
         ] {
             assert!(parse_opts(&argv(line)).is_err(), "{line}");
+        }
+        // So would a finite count past one simulated day.
+        assert!(parse_opts(&argv("--minutes 1440")).is_ok());
+        for line in ["--minutes 1440.5", "--minutes 1e12"] {
+            let e = parse_opts(&argv(line)).unwrap_err();
+            assert!(e.to_string().contains("at most 1440"), "{line}: {e}");
         }
         let e = parse_opts(&argv("--threads 2")).unwrap_err();
         assert_eq!(e.to_string(), "unknown option --threads");
