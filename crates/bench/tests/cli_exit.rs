@@ -23,6 +23,20 @@ fn bad_command_line_exits_2_into_a_closed_pipe() {
     assert_eq!(exit_code_into_closed_pipe(&["nosuch"]), Some(2));
 }
 
+/// A scale past the cap used to reach a guest-OOM or kernel-fit panic
+/// (exit 101) instead of the parser.
+#[test]
+fn oversized_scale_exits_2_into_a_closed_pipe() {
+    for scale in ["30000", "100000"] {
+        let args = ["fig2", "--scale", scale, "--minutes", "0.1"];
+        assert_eq!(
+            exit_code_into_closed_pipe(&args),
+            Some(2),
+            "--scale {scale}"
+        );
+    }
+}
+
 #[test]
 fn finished_run_exits_0_into_a_closed_pipe() {
     assert_eq!(exit_code_into_closed_pipe(&["tables"]), Some(0));

@@ -1,6 +1,6 @@
 //! The KVM-style process-VM host.
 
-use mem::{Fingerprint, Tick};
+use mem::{FingerprintBuilder, Tick};
 use oskernel::{GuestOs, OsImage, Pid};
 use paging::{HostMm, MemTag, ThpPolicy, Vpn};
 
@@ -194,14 +194,15 @@ impl KvmHost {
         let overhead_base = self
             .mm
             .map_region(vm_space, overhead_pages, MemTag::VmOverhead, false);
-        for i in 0..overhead_pages as u64 {
-            self.mm.write_page(
-                vm_space,
-                overhead_base.offset(i),
-                Fingerprint::of(&[0x9e40, boot_salt, i]),
-                now,
-            );
-        }
+        let mut head = FingerprintBuilder::new();
+        head.push(0x9e40);
+        head.push(boot_salt);
+        let overhead = (0..overhead_pages as u64).map(|i| {
+            let mut fp = head.clone();
+            fp.push(i);
+            (overhead_base.offset(i), fp.finish())
+        });
+        self.mm.write_run(vm_space, now, overhead);
         // Guest daemons: small, private.
         let mut daemon_pids = Vec::new();
         let per_daemon_pages =
@@ -214,15 +215,14 @@ impl KvmHost {
                 per_daemon_pages.max(1),
                 MemTag::OtherProcess,
             );
-            for i in 0..per_daemon_pages as u64 {
-                os.write_page(
-                    &mut self.mm,
-                    pid,
-                    base.offset(i),
-                    Fingerprint::of(&[0x0dae + d as u64, boot_salt, i]),
-                    now,
-                );
-            }
+            let mut head = FingerprintBuilder::new();
+            head.push(0x0dae + d as u64);
+            head.push(boot_salt);
+            os.write_run(&mut self.mm, pid, base, per_daemon_pages, now, |i| {
+                let mut fp = head.clone();
+                fp.push(i);
+                fp.finish()
+            });
             daemon_pids.push(pid);
         }
         self.guests.push(KvmGuest {
@@ -356,7 +356,7 @@ impl KvmHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mem::HUGE_PAGE_SPAN;
+    use mem::{Fingerprint, HUGE_PAGE_SPAN};
 
     fn host_with_two_guests() -> KvmHost {
         let mut host = KvmHost::new(HostConfig::paper_intel().scaled(16.0));

@@ -142,16 +142,14 @@ impl ClassLoader {
         fraction: f64,
         now: Tick,
     ) {
-        let mut private_pages = 0u64;
-        for i in self.private_fill.advance(fraction) {
-            let fp = self.private_image.pages[i];
-            guest.write_page(mm, pid, self.private_base.offset(i as u64), fp, now);
-            private_pages += 1;
-        }
-        if private_pages > 0 {
+        let fill = self.private_fill.advance(fraction);
+        if !fill.is_empty() {
+            let pages = &self.private_image.pages[fill.clone()];
+            let base = self.private_base.offset(fill.start as u64);
+            guest.write_run(mm, pid, base, pages.len(), now, |i| pages[i as usize]);
             mm.tracer().emit_with(|| EventKind::ClassLoad {
                 pid: pid.0,
-                pages: private_pages,
+                pages: pages.len() as u64,
                 from_cache: false,
             });
         }

@@ -1,8 +1,8 @@
 //! The code area: mapped executables and library data.
 
-use crate::fill::ProgressFill;
+use crate::fill::{run_head, ProgressFill};
 use crate::profile::AppProfile;
-use mem::{Fingerprint, Tick};
+use mem::Tick;
 use oskernel::{GuestOs, Pid};
 use paging::{HostMm, MemTag, Vpn};
 
@@ -43,10 +43,12 @@ impl CodeArea {
         // Text is demand-paged from the same binary: identical content at
         // identical offsets, mapped eagerly here (the dynamic loader
         // touches it all during startup relocation/warm-up).
-        for i in 0..text_pages {
-            let fp = Fingerprint::of(&[TEXT_TOKEN, jvm_version, i as u64]);
-            guest.write_page(mm, pid, text_base.offset(i as u64), fp, now);
-        }
+        let text_head = run_head(&[TEXT_TOKEN, jvm_version]);
+        guest.write_run(mm, pid, text_base, text_pages, now, |i| {
+            let mut fp = text_head.clone();
+            fp.push(i);
+            fp.finish()
+        });
         CodeArea {
             text_base,
             text_pages,
@@ -64,9 +66,15 @@ impl CodeArea {
         startup_fraction: f64,
         now: Tick,
     ) {
-        for i in self.data_fill.advance(startup_fraction) {
-            let fp = Fingerprint::of(&[DATA_TOKEN, salt, i as u64]);
-            guest.write_page(mm, pid, self.data_base.offset(i as u64), fp, now);
+        let fill = self.data_fill.advance(startup_fraction);
+        if !fill.is_empty() {
+            let (start, head) = (fill.start as u64, run_head(&[DATA_TOKEN, salt]));
+            let base = self.data_base.offset(start);
+            guest.write_run(mm, pid, base, fill.len(), now, |i| {
+                let mut fp = head.clone();
+                fp.push(start + i);
+                fp.finish()
+            });
         }
     }
 

@@ -1,5 +1,7 @@
 //! Paced one-time page fills (startup phases write their areas gradually).
 
+use mem::FingerprintBuilder;
+
 /// Tracks gradual population of a fixed page range: given a progress
 /// fraction, yields the next page indices to write, each exactly once.
 #[derive(Debug, Clone)]
@@ -34,6 +36,18 @@ impl ProgressFill {
     pub(crate) fn total(&self) -> usize {
         self.total
     }
+}
+
+/// A fingerprint builder with `tokens` pushed: the head that every page
+/// of one run shares, hashed once per run. Each page clones it and
+/// pushes only its own tokens, which yields the same fingerprint as
+/// `Fingerprint::of` over the whole token list.
+pub(crate) fn run_head(tokens: &[u64]) -> FingerprintBuilder {
+    let mut head = FingerprintBuilder::new();
+    for &token in tokens {
+        head.push(token);
+    }
+    head
 }
 
 /// Converts an elapsed/duration pair into a progress fraction, treating a

@@ -10,7 +10,7 @@
 //! * moving objects re-salts pages with a GC epoch, so even logically
 //!   read-only data never stays page-identical across processes.
 
-use crate::fill::ProgressFill;
+use crate::fill::{run_head, ProgressFill};
 use crate::profile::{GcPolicy, HeapProfile};
 use mem::{Fingerprint, Tick};
 use obs::EventKind;
@@ -92,17 +92,24 @@ impl Space {
         fraction: f64,
         now: Tick,
     ) {
-        for i in self.fill.advance(fraction) {
-            let fp = Fingerprint::of(&[HEAP_TOKEN, salt, i as u64, 0]);
-            guest.write_page(mm, pid, self.base.offset(i as u64), fp, now);
+        let fill = self.fill.advance(fraction);
+        if !fill.is_empty() {
+            let (start, head) = (fill.start as u64, run_head(&[HEAP_TOKEN, salt]));
+            guest.write_run(mm, pid, self.base.offset(start), fill.len(), now, |i| {
+                let mut fp = head.clone();
+                fp.push(start + i);
+                fp.push(0);
+                fp.finish()
+            });
         }
         if fraction >= 1.0 && !self.tail_written {
             // First-touch of the committed-but-never-reused tail: the
             // allocator zeroes it when committing the heap.
             self.tail_written = true;
-            for i in self.hwm..self.pages {
-                guest.write_page(mm, pid, self.base.offset(i as u64), Fingerprint::ZERO, now);
-            }
+            let tail = self.base.offset(self.hwm as u64);
+            guest.write_run(mm, pid, tail, self.pages - self.hwm, now, |_| {
+                Fingerprint::ZERO
+            });
         }
     }
 
@@ -117,19 +124,27 @@ impl Space {
         mut count: usize,
         now: Tick,
     ) -> u64 {
-        if self.free_pages() == 0 {
+        if self.free_pages() == 0 || count == 0 {
             return 0;
         }
         let mut collections = 0;
+        let head = run_head(&[HEAP_TOKEN, salt]);
         while count > 0 {
             if self.cursor >= self.hwm {
                 self.collect(mm, guest, pid, now);
                 collections += 1;
             }
-            let fp = Fingerprint::of(&[HEAP_TOKEN, salt, self.cursor as u64, self.epoch + 1]);
-            guest.write_page(mm, pid, self.base.offset(self.cursor as u64), fp, now);
-            self.cursor += 1;
-            count -= 1;
+            // One run up to the next collection.
+            let len = count.min(self.hwm - self.cursor);
+            let (start, epoch) = (self.cursor as u64, self.epoch + 1);
+            guest.write_run(mm, pid, self.base.offset(start), len, now, |i| {
+                let mut fp = head.clone();
+                fp.push(start + i);
+                fp.push(epoch);
+                fp.finish()
+            });
+            self.cursor += len;
+            count -= len;
         }
         collections
     }
@@ -137,9 +152,10 @@ impl Space {
     /// Stop-the-world collection: all garbage in the free area dies and
     /// the space is zero-filled for reuse.
     fn collect(&mut self, mm: &mut HostMm, guest: &mut GuestOs, pid: Pid, now: Tick) {
-        for i in self.live_pages..self.hwm {
-            guest.write_page(mm, pid, self.base.offset(i as u64), Fingerprint::ZERO, now);
-        }
+        let free = self.base.offset(self.live_pages as u64);
+        guest.write_run(mm, pid, free, self.hwm - self.live_pages, now, |_| {
+            Fingerprint::ZERO
+        });
         mm.tracer().emit_with(|| EventKind::GcCollect {
             pid: pid.0,
             gvpn: self.base.offset(self.live_pages as u64).0,

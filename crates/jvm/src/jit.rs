@@ -1,6 +1,6 @@
 //! The JIT compiler: profile-salted code cache and volatile scratch.
 
-use crate::fill::ProgressFill;
+use crate::fill::{run_head, ProgressFill};
 use crate::profile::AppProfile;
 use mem::{Fingerprint, Tick};
 use obs::EventKind;
@@ -59,15 +59,8 @@ impl JitSim {
         // The compiler's allocator grabs its arenas up front and zeroes
         // them; the tail beyond current use stays all-zero (one of the
         // three §III.A sources of residual sharing).
-        for i in 0..zero_pages {
-            guest.write_page(
-                mm,
-                pid,
-                work_base.offset((scratch_pages + i) as u64),
-                Fingerprint::ZERO,
-                now,
-            );
-        }
+        let zero_base = work_base.offset(scratch_pages as u64);
+        guest.write_run(mm, pid, zero_base, zero_pages, now, |_| Fingerprint::ZERO);
         jit.churn_carry = 0.0;
         jit
     }
@@ -112,16 +105,18 @@ impl JitSim {
         warm_fraction: f64,
         now: Tick,
     ) {
-        let mut emitted = 0u64;
-        for i in self.code_fill.advance(warm_fraction) {
-            let fp = Fingerprint::of(&[JIT_CODE_TOKEN, salt, i as u64]);
-            guest.write_page(mm, pid, self.code_base.offset(i as u64), fp, now);
-            emitted += 1;
-        }
-        if emitted > 0 {
+        let fill = self.code_fill.advance(warm_fraction);
+        if !fill.is_empty() {
+            let (start, head) = (fill.start as u64, run_head(&[JIT_CODE_TOKEN, salt]));
+            let base = self.code_base.offset(start);
+            guest.write_run(mm, pid, base, fill.len(), now, |i| {
+                let mut fp = head.clone();
+                fp.push(start + i);
+                fp.finish()
+            });
             mm.tracer().emit_with(|| EventKind::JitEmit {
                 pid: pid.0,
-                pages: emitted,
+                pages: fill.len() as u64,
             });
         }
     }
@@ -139,12 +134,22 @@ impl JitSim {
         self.churn_carry += pages;
         let mut writes = self.churn_carry as usize;
         self.churn_carry -= writes as f64;
-        while writes > 0 && self.scratch_pages > 0 {
-            let i = self.churn_cursor % self.scratch_pages as u64;
-            self.churn_cursor += 1;
-            let fp = Fingerprint::of(&[JIT_WORK_TOKEN, salt, i, now.0]);
-            guest.write_page(mm, pid, self.work_base.offset(i), fp, now);
-            writes -= 1;
+        if writes == 0 || self.scratch_pages == 0 {
+            return;
+        }
+        let head = run_head(&[JIT_WORK_TOKEN, salt]);
+        while writes > 0 {
+            // One run up to the end of the scratch pages, then wrap.
+            let start = self.churn_cursor % self.scratch_pages as u64;
+            let len = writes.min(self.scratch_pages - start as usize);
+            guest.write_run(mm, pid, self.work_base.offset(start), len, now, |i| {
+                let mut fp = head.clone();
+                fp.push(start + i);
+                fp.push(now.0);
+                fp.finish()
+            });
+            self.churn_cursor += len as u64;
+            writes -= len;
         }
     }
 

@@ -1,8 +1,8 @@
 //! Thread stacks: pointer-laden, per-process, continuously rewritten.
 
-use crate::fill::ProgressFill;
+use crate::fill::{run_head, ProgressFill};
 use crate::profile::AppProfile;
-use mem::{Fingerprint, Tick};
+use mem::Tick;
 use oskernel::{GuestOs, Pid};
 use paging::{HostMm, MemTag, Vpn};
 
@@ -67,9 +67,14 @@ impl StackSim {
         startup_fraction: f64,
         now: Tick,
     ) {
-        for i in self.fill.advance(startup_fraction) {
-            let fp = Fingerprint::of(&[STACK_TOKEN, salt, i as u64]);
-            guest.write_page(mm, pid, self.base.offset(i as u64), fp, now);
+        let fill = self.fill.advance(startup_fraction);
+        if !fill.is_empty() {
+            let (start, head) = (fill.start as u64, run_head(&[STACK_TOKEN, salt]));
+            guest.write_run(mm, pid, self.base.offset(start), fill.len(), now, |i| {
+                let mut fp = head.clone();
+                fp.push(start + i);
+                fp.finish()
+            });
         }
     }
 
@@ -86,12 +91,22 @@ impl StackSim {
         self.churn_carry += pages;
         let mut writes = self.churn_carry as usize;
         self.churn_carry -= writes as f64;
+        if writes == 0 {
+            return;
+        }
+        let head = run_head(&[STACK_TOKEN, salt]);
         while writes > 0 {
-            let i = self.churn_cursor % self.pages as u64;
-            self.churn_cursor += 1;
-            let fp = Fingerprint::of(&[STACK_TOKEN, salt, i, now.0]);
-            guest.write_page(mm, pid, self.base.offset(i), fp, now);
-            writes -= 1;
+            // One run up to the end of the area, then wrap.
+            let start = self.churn_cursor % self.pages as u64;
+            let len = writes.min(self.pages - start as usize);
+            guest.write_run(mm, pid, self.base.offset(start), len, now, |i| {
+                let mut fp = head.clone();
+                fp.push(start + i);
+                fp.push(now.0);
+                fp.finish()
+            });
+            self.churn_cursor += len as u64;
+            writes -= len;
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The JVM work area: private structures, NIO buffers, zeroed arena tails.
 
-use crate::fill::ProgressFill;
+use crate::fill::{run_head, ProgressFill};
 use crate::profile::AppProfile;
 use mem::{Fingerprint, Tick};
 use oskernel::{GuestOs, Pid};
@@ -171,9 +171,15 @@ impl WorkArea {
         nio_fraction: f64,
         now: Tick,
     ) {
-        for i in self.nio_fill.advance(nio_fraction) {
-            let fp = Fingerprint::of(&[NIO_TOKEN, profile.workload_id, i as u64]);
-            guest.write_page(mm, pid, self.nio_base.offset(i as u64), fp, now);
+        let fill = self.nio_fill.advance(nio_fraction);
+        if !fill.is_empty() {
+            let start = fill.start as u64;
+            let head = run_head(&[NIO_TOKEN, profile.workload_id]);
+            guest.write_run(mm, pid, self.nio_base.offset(start), fill.len(), now, |i| {
+                let mut fp = head.clone();
+                fp.push(start + i);
+                fp.finish()
+            });
         }
     }
 
@@ -191,14 +197,24 @@ impl WorkArea {
         self.churn_carry += pages;
         let mut writes = self.churn_carry as usize;
         self.churn_carry -= writes as f64;
+        if writes == 0 {
+            return;
+        }
         // Only the first quarter of the data area is hot.
         let hot = (self.data_pages / 4).max(1);
+        let head = run_head(&[WORK_TOKEN, salt]);
         while writes > 0 {
-            let i = self.churn_cursor % hot as u64;
-            self.churn_cursor += 1;
-            let fp = Fingerprint::of(&[WORK_TOKEN, salt, i, now.0]);
-            guest.write_page(mm, pid, self.data_base.offset(i), fp, now);
-            writes -= 1;
+            // One run up to the end of the hot slice, then wrap.
+            let start = self.churn_cursor % hot as u64;
+            let len = writes.min(hot - start as usize);
+            guest.write_run(mm, pid, self.data_base.offset(start), len, now, |i| {
+                let mut fp = head.clone();
+                fp.push(start + i);
+                fp.push(now.0);
+                fp.finish()
+            });
+            self.churn_cursor += len as u64;
+            writes -= len;
         }
     }
 

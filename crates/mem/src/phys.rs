@@ -450,7 +450,10 @@ impl PhysMemory {
         self.total_frees
     }
 
-    /// Cumulative number of frame writes.
+    /// Cumulative number of in-place overwrites, the calls to
+    /// [`write`](Self::write). A page write that faults a frame in or
+    /// breaks copy-on-write allocates a fresh frame instead and is
+    /// counted by [`total_allocs`](Self::total_allocs), not here.
     #[must_use]
     pub fn total_writes(&self) -> u64 {
         self.total_writes

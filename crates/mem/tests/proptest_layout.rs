@@ -1,7 +1,7 @@
 //! Property tests for the layout/fingerprint machinery — the invariants
 //! the whole reproduction rests on.
 
-use mem::{Fingerprint, LayoutWriter, PAGE_SIZE};
+use mem::{Fingerprint, FingerprintBuilder, LayoutWriter, PAGE_SIZE};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -76,6 +76,28 @@ proptest! {
             let mut swapped = tokens.clone();
             swapped.swap(0, 1);
             prop_assert_ne!(Fingerprint::of(&tokens), Fingerprint::of(&swapped));
+        }
+    }
+
+    /// A builder holding a prefix of the tokens, cloned and fed the
+    /// rest, yields the whole list's fingerprint: a run of pages hashes
+    /// its constant head once and pushes only what varies per page.
+    #[test]
+    fn prefix_plus_rest_equals_whole(
+        tokens in prop::collection::vec(any::<u64>(), 0..8),
+        split in 0..9usize,
+    ) {
+        let split = split.min(tokens.len());
+        let mut head = FingerprintBuilder::new();
+        for &token in &tokens[..split] {
+            head.push(token);
+        }
+        for _page in 0..2 {
+            let mut fp = head.clone();
+            for &token in &tokens[split..] {
+                fp.push(token);
+            }
+            prop_assert_eq!(fp.finish(), Fingerprint::of(&tokens));
         }
     }
 

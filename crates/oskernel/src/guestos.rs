@@ -1,7 +1,8 @@
 //! The guest OS: boots kernel memory, runs processes, owns guest frames.
 
+use crate::guestas::GuestRegion;
 use crate::{GuestAddressSpace, OsImage, Pid};
-use mem::{Fingerprint, Tick, HUGE_PAGE_SPAN};
+use mem::{Fingerprint, FingerprintBuilder, Tick, HUGE_PAGE_SPAN};
 use obs::EventKind;
 use paging::{AsId, HostMm, MemTag, ThpPolicy, Vpn};
 use std::collections::{BTreeMap, BTreeSet};
@@ -12,8 +13,9 @@ pub const KERNEL_PID: Pid = Pid(0);
 /// A booted guest operating system inside one VM process.
 ///
 /// Owns the guest-physical frame allocator and the per-process guest page
-/// tables; every guest write funnels through [`write_page`](Self::write_page),
-/// which translates guest vpn → gpfn → host vpn and lets the host memory
+/// tables; every guest write funnels through [`write_run`](Self::write_run)
+/// (or its one-page case [`write_page`](Self::write_page)), which
+/// translates guest vpn → gpfn → host vpn and lets the host memory
 /// manager handle faulting and copy-on-write.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
@@ -21,9 +23,7 @@ pub const KERNEL_PID: Pid = Pid(0);
 pub struct GuestOs {
     vm_space: AsId,
     memslot_base: Vpn,
-    guest_pages: usize,
-    next_gpfn: u64,
-    free_gpfns: Vec<u64>,
+    gpfns: GpfnPool,
     contexts: BTreeMap<Pid, GuestAddressSpace>,
     next_pid: u32,
     boot_salt: u64,
@@ -62,9 +62,11 @@ impl GuestOs {
         let mut os = GuestOs {
             vm_space,
             memslot_base,
-            guest_pages,
-            next_gpfn: 0,
-            free_gpfns: Vec::new(),
+            gpfns: GpfnPool {
+                next: 0,
+                free: Vec::new(),
+                limit: guest_pages,
+            },
             contexts: BTreeMap::new(),
             // Init and early daemons take the first pids; a per-boot
             // offset keeps pid values unrelated across guests (§II.A).
@@ -81,57 +83,72 @@ impl GuestOs {
         os.contexts
             .insert(KERNEL_PID, GuestAddressSpace::new("kernel"));
 
-        let code_pages = mem::mib_to_pages(image.kernel_code_mib);
-        let data_pages = mem::mib_to_pages(image.kernel_data_mib);
-        let clean_pages = mem::mib_to_pages(image.pagecache_clean_mib);
-        let dirty_pages = mem::mib_to_pages(image.pagecache_dirty_mib);
         assert!(
-            code_pages + data_pages + clean_pages + dirty_pages <= guest_pages,
+            image.kernel_pages() <= guest_pages,
             "kernel image does not fit in guest memory"
         );
-
-        let id = image.image_id;
-        let salt = boot_salt;
-        let code = os.kernel_region(code_pages, MemTag::GuestKernelCode);
-        os.fill(mm, KERNEL_PID, code, code_pages, now, |i| {
-            Fingerprint::of(&[0x6b_c0de, id, i])
-        });
-        let data = os.kernel_region(data_pages, MemTag::GuestKernelData);
-        os.fill(mm, KERNEL_PID, data, data_pages, now, |i| {
-            Fingerprint::of(&[0x6b_da7a, id, salt, i])
-        });
-        os.kernel_data_base = data;
+        let (id, salt) = (image.image_id, boot_salt);
+        let code_pages = mem::mib_to_pages(image.kernel_code_mib);
+        os.kernel_fill(
+            mm,
+            code_pages,
+            MemTag::GuestKernelCode,
+            &[0x6b_c0de, id],
+            now,
+        );
+        let data_pages = mem::mib_to_pages(image.kernel_data_mib);
+        os.kernel_data_base = os.kernel_fill(
+            mm,
+            data_pages,
+            MemTag::GuestKernelData,
+            &[0x6b_da7a, id, salt],
+            now,
+        );
         os.kernel_data_pages = data_pages;
-        let clean = os.kernel_region(clean_pages, MemTag::GuestPageCache);
-        os.fill(mm, KERNEL_PID, clean, clean_pages, now, |i| {
-            Fingerprint::of(&[0x6b_cace, id, i])
-        });
-        let dirty = os.kernel_region(dirty_pages, MemTag::GuestPageCache);
-        os.fill(mm, KERNEL_PID, dirty, dirty_pages, now, |i| {
-            Fingerprint::of(&[0x6b_d1e7, id, salt, i])
-        });
+        let clean_pages = mem::mib_to_pages(image.pagecache_clean_mib);
+        os.kernel_fill(
+            mm,
+            clean_pages,
+            MemTag::GuestPageCache,
+            &[0x6b_cace, id],
+            now,
+        );
+        let dirty_pages = mem::mib_to_pages(image.pagecache_dirty_mib);
+        os.kernel_fill(
+            mm,
+            dirty_pages,
+            MemTag::GuestPageCache,
+            &[0x6b_d1e7, id, salt],
+            now,
+        );
         os
     }
 
-    fn kernel_region(&mut self, pages: usize, tag: MemTag) -> Vpn {
-        self.contexts
-            .get_mut(&KERNEL_PID)
-            .expect("kernel context exists")
-            .add_region(pages.max(1), tag)
-    }
-
-    fn fill(
+    /// Maps a kernel region of `pages` pages and writes page `i` with the
+    /// fingerprint of `head` followed by `i`. Returns the region's base.
+    fn kernel_fill(
         &mut self,
         mm: &mut HostMm,
-        pid: Pid,
-        base: Vpn,
         pages: usize,
+        tag: MemTag,
+        head: &[u64],
         now: Tick,
-        content: impl Fn(u64) -> Fingerprint,
-    ) {
-        for i in 0..pages as u64 {
-            self.write_page(mm, pid, base.offset(i), content(i), now);
+    ) -> Vpn {
+        let base = self
+            .contexts
+            .get_mut(&KERNEL_PID)
+            .expect("kernel context exists")
+            .add_region(pages.max(1), tag);
+        let mut prefix = FingerprintBuilder::new();
+        for &token in head {
+            prefix.push(token);
         }
+        self.write_run(mm, KERNEL_PID, base, pages, now, |i| {
+            let mut fp = prefix.clone();
+            fp.push(i);
+            fp.finish()
+        });
+        base
     }
 
     /// The host address space of the VM process this guest runs in.
@@ -150,13 +167,13 @@ impl GuestOs {
     /// Guest memory size in pages.
     #[must_use]
     pub fn guest_pages(&self) -> usize {
-        self.guest_pages
+        self.gpfns.limit
     }
 
     /// Guest physical frames currently handed out.
     #[must_use]
     pub fn gpfns_in_use(&self) -> usize {
-        self.next_gpfn as usize - self.free_gpfns.len()
+        self.gpfns.next as usize - self.gpfns.free.len()
     }
 
     /// Gpfns currently on the kernel's free list — released by
@@ -164,7 +181,7 @@ impl GuestOs {
     /// No host frame may back any of them.
     #[must_use]
     pub fn free_gpfns(&self) -> &[u64] {
-        &self.free_gpfns
+        &self.gpfns.free
     }
 
     /// The gpfn allocation high-water mark: every gpfn at or above it
@@ -172,7 +189,7 @@ impl GuestOs {
     /// hold no host frames.
     #[must_use]
     pub fn gpfn_watermark(&self) -> u64 {
-        self.next_gpfn
+        self.gpfns.next
     }
 
     /// Sets the guest kernel's transparent-huge-page policy. Affects
@@ -220,27 +237,79 @@ impl GuestOs {
     }
 
     /// Writes one page in a process's address space, faulting in a guest
-    /// frame (and transitively a host frame) as needed.
+    /// frame (and transitively a host frame) as needed: the one-page case
+    /// of [`write_run`](Self::write_run).
     ///
     /// # Panics
     ///
     /// Panics if the address is outside every region of `pid`, or if guest
     /// physical memory is exhausted (guest OOM).
     pub fn write_page(&mut self, mm: &mut HostMm, pid: Pid, vpn: Vpn, fp: Fingerprint, now: Tick) {
-        let gpfn = match self.translate(pid, vpn) {
+        self.write_run(mm, pid, vpn, 1, now, |_| fp);
+    }
+
+    /// Writes the `count` consecutive pages from `base` in a process's
+    /// address space, page `base + i` with content `fp_of(i)`, with
+    /// exactly the effects of one [`write_page`](Self::write_page) per
+    /// page in order.
+    ///
+    /// Under the `never` THP policy the context and region are resolved
+    /// once, and each page's guest fault (from the same free list and
+    /// watermark) is interleaved with its host write through
+    /// [`HostMm::write_run`]. Under any other policy a huge fault-around
+    /// writes through `mm` in the middle of the run, so each page takes
+    /// the per-page path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is not inside one region of `pid`, or if guest
+    /// physical memory is exhausted (guest OOM).
+    pub fn write_run(
+        &mut self,
+        mm: &mut HostMm,
+        pid: Pid,
+        base: Vpn,
+        count: usize,
+        now: Tick,
+        mut fp_of: impl FnMut(u64) -> Fingerprint,
+    ) {
+        if count == 0 {
+            return;
+        }
+        if self.thp != ThpPolicy::Never {
+            for i in 0..count as u64 {
+                self.write_faulting(mm, pid, base.offset(i), fp_of(i), now);
+            }
+            return;
+        }
+        let region = region_mut(&mut self.contexts, pid, base);
+        assert!(
+            base.offset(count as u64) <= region.end(),
+            "{pid} run of {count} pages at {base} crosses its region's end"
+        );
+        let (gpfns, memslot) = (&mut self.gpfns, self.memslot_base);
+        mm.write_run(
+            self.vm_space,
+            now,
+            (0..count as u64).map(|i| {
+                let gpfn = gpfns.fault_in(region, base.offset(i));
+                (memslot.offset(gpfn), fp_of(i))
+            }),
+        );
+    }
+
+    /// One page write under a THP policy other than `never`: a fault may
+    /// populate a whole huge block first.
+    fn write_faulting(&mut self, mm: &mut HostMm, pid: Pid, vpn: Vpn, fp: Fingerprint, now: Tick) {
+        let gpfn = match self
+            .translate(pid, vpn)
+            .or_else(|| self.try_huge_fault(mm, pid, vpn, now))
+        {
             Some(g) => g,
-            None => match self.try_huge_fault(mm, pid, vpn, now) {
-                Some(g) => g,
-                None => {
-                    let g = self.alloc_gpfn();
-                    let region = self
-                        .context_mut(pid)
-                        .region_containing_mut(vpn)
-                        .unwrap_or_else(|| panic!("{pid} write outside regions at {vpn}"));
-                    region.set_gpfn(vpn, Some(g));
-                    g
-                }
-            },
+            None => {
+                let region = region_mut(&mut self.contexts, pid, vpn);
+                self.gpfns.fault_in(region, vpn)
+            }
         };
         mm.write_page(self.vm_space, self.host_vpn(gpfn), fp, now);
     }
@@ -277,7 +346,7 @@ impl GuestOs {
             }
             (start, slot % span)
         };
-        let g0 = self.alloc_gpfn_block()?;
+        let g0 = self.gpfns.alloc_block()?;
         {
             let region = self
                 .context_mut(pid)
@@ -337,7 +406,7 @@ impl GuestOs {
         self.huge_gpfn_blocks
             .remove(&(gpfn / HUGE_PAGE_SPAN as u64));
         mm.unmap_page(self.vm_space, self.host_vpn(gpfn));
-        self.free_gpfns.push(gpfn);
+        self.gpfns.free.push(gpfn);
         true
     }
 
@@ -356,7 +425,7 @@ impl GuestOs {
             self.huge_gpfn_blocks
                 .remove(&(gpfn / HUGE_PAGE_SPAN as u64));
             mm.unmap_page(self.vm_space, self.host_vpn(gpfn));
-            self.free_gpfns.push(gpfn);
+            self.gpfns.free.push(gpfn);
         }
     }
 
@@ -376,7 +445,7 @@ impl GuestOs {
                 self.huge_gpfn_blocks
                     .remove(&(gpfn / HUGE_PAGE_SPAN as u64));
                 mm.unmap_page(self.vm_space, self.host_vpn(gpfn));
-                self.free_gpfns.push(gpfn);
+                self.gpfns.free.push(gpfn);
             }
         }
     }
@@ -404,19 +473,26 @@ impl GuestOs {
                 / mem::Tick::from_seconds(1.0).0 as f64;
         let mut to_write = self.churn_carry as usize;
         self.churn_carry -= to_write as f64;
-        let (id, salt) = (self.image.image_id, self.boot_salt);
+        if to_write == 0 {
+            return;
+        }
+        let mut head = FingerprintBuilder::new();
+        for token in [0x6b_da7a, self.image.image_id, self.boot_salt] {
+            head.push(token);
+        }
         while to_write > 0 {
-            let i = self.churn_cursor % self.kernel_data_pages as u64;
-            self.churn_cursor += 1;
-            let vpn = self.kernel_data_base.offset(i);
-            self.write_page(
-                mm,
-                KERNEL_PID,
-                vpn,
-                Fingerprint::of(&[0x6b_da7a, id, salt, i, now.0]),
-                now,
-            );
-            to_write -= 1;
+            // One run up to the end of the data area, then wrap.
+            let start = self.churn_cursor % self.kernel_data_pages as u64;
+            let len = to_write.min(self.kernel_data_pages - start as usize);
+            let base = self.kernel_data_base.offset(start);
+            self.write_run(mm, KERNEL_PID, base, len, now, |i| {
+                let mut fp = head.clone();
+                fp.push(start + i);
+                fp.push(now.0);
+                fp.finish()
+            });
+            self.churn_cursor += len as u64;
+            to_write -= len;
         }
     }
 
@@ -437,19 +513,55 @@ impl GuestOs {
             .get_mut(&pid)
             .unwrap_or_else(|| panic!("unknown {pid}"))
     }
+}
 
-    fn alloc_gpfn(&mut self) -> u64 {
-        if let Some(g) = self.free_gpfns.pop() {
+/// The region of `pid`'s context holding `vpn`, borrowed apart from the
+/// rest of the [`GuestOs`].
+fn region_mut(
+    contexts: &mut BTreeMap<Pid, GuestAddressSpace>,
+    pid: Pid,
+    vpn: Vpn,
+) -> &mut GuestRegion {
+    contexts
+        .get_mut(&pid)
+        .unwrap_or_else(|| panic!("unknown {pid}"))
+        .region_containing_mut(vpn)
+        .unwrap_or_else(|| panic!("{pid} write outside regions at {vpn}"))
+}
+
+/// The guest-physical frame allocator: released gpfns go on a free list
+/// that is reused first (last released, first reused), and below the
+/// watermark `next` every gpfn has been handed out at least once.
+#[derive(Debug)]
+struct GpfnPool {
+    next: u64,
+    free: Vec<u64>,
+    /// Guest memory size in pages: the watermark's ceiling.
+    limit: usize,
+}
+
+impl GpfnPool {
+    fn alloc(&mut self) -> u64 {
+        if let Some(g) = self.free.pop() {
             return g;
         }
         assert!(
-            (self.next_gpfn as usize) < self.guest_pages,
+            (self.next as usize) < self.limit,
             "guest OOM: all {} guest frames in use",
-            self.guest_pages
+            self.limit
         );
-        let g = self.next_gpfn;
-        self.next_gpfn += 1;
+        let g = self.next;
+        self.next += 1;
         g
+    }
+
+    /// The gpfn behind `vpn` of `region`, faulting one in if it has none.
+    fn fault_in(&mut self, region: &mut GuestRegion, vpn: Vpn) -> u64 {
+        region.gpfn_at(vpn).unwrap_or_else(|| {
+            let g = self.alloc();
+            region.set_gpfn(vpn, Some(g));
+            g
+        })
     }
 
     /// Allocates an aligned run of [`HUGE_PAGE_SPAN`] fresh gpfns from
@@ -458,16 +570,16 @@ impl GuestOs {
     /// gpfns go to the free list for later 4 KiB faults. Returns `None`
     /// when no aligned run fits, modeling allocation failure under
     /// fragmentation/pressure instead of OOMing the guest.
-    fn alloc_gpfn_block(&mut self) -> Option<u64> {
+    fn alloc_block(&mut self) -> Option<u64> {
         let span = HUGE_PAGE_SPAN as u64;
-        let aligned = self.next_gpfn.next_multiple_of(span);
-        if aligned as usize + HUGE_PAGE_SPAN > self.guest_pages {
+        let aligned = self.next.next_multiple_of(span);
+        if aligned as usize + HUGE_PAGE_SPAN > self.limit {
             return None;
         }
-        for gap in self.next_gpfn..aligned {
-            self.free_gpfns.push(gap);
+        for gap in self.next..aligned {
+            self.free.push(gap);
         }
-        self.next_gpfn = aligned + span;
+        self.next = aligned + span;
         Some(aligned)
     }
 }

@@ -100,6 +100,23 @@ impl OsImage {
         self.kernel_code_mib + self.pagecache_clean_mib
     }
 
+    /// Guest pages the kernel area takes at boot: kernel code and data
+    /// plus the clean and dirty page cache, each rounded up to whole
+    /// pages as the boot lays them out. A guest smaller than this cannot
+    /// boot the image.
+    #[must_use]
+    pub fn kernel_pages(&self) -> usize {
+        [
+            self.kernel_code_mib,
+            self.kernel_data_mib,
+            self.pagecache_clean_mib,
+            self.pagecache_dirty_mib,
+        ]
+        .into_iter()
+        .map(mem::mib_to_pages)
+        .sum()
+    }
+
     /// Total kernel-area MiB at boot.
     #[must_use]
     pub fn total_mib(&self) -> f64 {

@@ -1,7 +1,7 @@
 //! The host kernel's memory manager.
 
 use crate::rmap::Rmap;
-use crate::{AddressSpace, AsId, Mapping, MemTag, SplitReason, Vpn};
+use crate::{AddressSpace, AsId, Mapping, MemTag, Region, SplitReason, Vpn};
 use mem::{Fingerprint, FrameId, PhysMemory, Tick, HUGE_PAGE_SPAN};
 use obs::{EventKind, Tracer};
 
@@ -248,7 +248,8 @@ impl HostMm {
         });
     }
 
-    /// Writes `fingerprint` to the page at (`space`, `vpn`).
+    /// Writes `fingerprint` to the page at (`space`, `vpn`): the one-page
+    /// case of [`write_run`](Self::write_run).
     ///
     /// Faults the page in if unpopulated, breaks copy-on-write sharing if
     /// the backing frame is shared, otherwise overwrites in place.
@@ -257,14 +258,65 @@ impl HostMm {
     ///
     /// Panics if `vpn` lies outside every region of `space`.
     pub fn write_page(&mut self, space: AsId, vpn: Vpn, fingerprint: Fingerprint, now: Tick) {
+        self.write_run(space, now, std::iter::once((vpn, fingerprint)));
+    }
+
+    /// Writes each `(vpn, fingerprint)` of `pages` in `space`, in order,
+    /// with exactly the effects of one [`write_page`](Self::write_page)
+    /// per page: the same frames, events, counters, region generations
+    /// and epoch.
+    ///
+    /// The region is resolved once for each stretch of consecutive pages
+    /// that falls inside it, so a run over one memslot pays one range
+    /// lookup. A region holding any huge block is written page by page,
+    /// because a CoW write there may split a block; a region with none
+    /// cannot gain one from a write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page lies outside every region of `space`.
+    pub fn write_run(
+        &mut self,
+        space: AsId,
+        now: Tick,
+        pages: impl IntoIterator<Item = (Vpn, Fingerprint)>,
+    ) {
+        let mut pages = pages.into_iter().peekable();
+        while let Some(&(vpn, fingerprint)) = pages.peek() {
+            let region = self.spaces[space.index()]
+                .region_containing_mut(vpn)
+                .unwrap_or_else(|| panic!("write to unmapped address {space}/{vpn}"));
+            if region.huge_blocks() > 0 {
+                pages.next();
+                self.write_huge(space, vpn, fingerprint, now);
+                continue;
+            }
+            let (start, end) = (region.base(), region.end());
+            while let Some((vpn, fingerprint)) = pages.next_if(|&(v, _)| v >= start && v < end) {
+                self.epoch += 1;
+                let broke = write_in(
+                    region,
+                    &mut self.phys,
+                    &mut self.rmap,
+                    &self.tracer,
+                    Mapping { space, vpn },
+                    fingerprint,
+                    now,
+                );
+                self.cow_breaks += u64::from(broke);
+            }
+        }
+    }
+
+    /// One page write into a region holding huge blocks.
+    fn write_huge(&mut self, space: AsId, vpn: Vpn, fingerprint: Fingerprint, now: Tick) {
         // A CoW write landing inside a huge mapping demotes it to base
         // pages first: the kernel cannot break sharing at 4 KiB
-        // granularity under a 2 MiB translation. Guarded on the region
-        // having any huge blocks so the hot path stays one comparison.
+        // granularity under a 2 MiB translation.
         if let Some((base, block)) = {
             let region = self.spaces[space.index()].region_containing(vpn);
             region
-                .filter(|r| r.huge_blocks() > 0 && r.is_huge_page(vpn))
+                .filter(|r| r.is_huge_page(vpn))
                 .filter(|r| {
                     r.frame_at(vpn)
                         .is_some_and(|frame| self.phys.refcount(frame) > 1)
@@ -274,38 +326,19 @@ impl HostMm {
             self.split_block(space, base, block, SplitReason::Cow);
         }
         self.epoch += 1;
-        let mapping = Mapping { space, vpn };
         let region = self.spaces[space.index()]
             .region_containing_mut(vpn)
-            .unwrap_or_else(|| panic!("write to unmapped address {space}/{vpn}"));
-        match region.frame_at(vpn) {
-            None => {
-                let frame = self.phys.alloc(fingerprint, now);
-                region.set_frame(vpn, Some(frame));
-                self.rmap.add(frame, mapping);
-            }
-            Some(frame) => {
-                if self.phys.refcount(frame) > 1 {
-                    // CoW break: give the writer a private copy.
-                    self.cow_breaks += 1;
-                    let fresh = self.phys.alloc(fingerprint, now);
-                    region.set_frame(vpn, Some(fresh));
-                    self.rmap.remove(frame, mapping);
-                    self.rmap.add(fresh, mapping);
-                    self.tracer.emit_with(|| EventKind::CowBreak {
-                        space: space.0,
-                        vpn: vpn.0,
-                        old_frame: frame.index() as u64,
-                        new_frame: fresh.index() as u64,
-                        was_ksm_shared: self.phys.is_ksm_shared(frame),
-                    });
-                    self.phys.dec_ref(frame);
-                } else {
-                    region.touch();
-                    self.phys.write(frame, fingerprint, now);
-                }
-            }
-        }
+            .expect("region resolved by the caller");
+        let broke = write_in(
+            region,
+            &mut self.phys,
+            &mut self.rmap,
+            &self.tracer,
+            Mapping { space, vpn },
+            fingerprint,
+            now,
+        );
+        self.cow_breaks += u64::from(broke);
     }
 
     /// Returns the frame backing (`space`, `vpn`), or `None` if the page is
@@ -535,6 +568,51 @@ impl HostMm {
             );
         }
         self.phys.assert_holders_consistent();
+    }
+}
+
+/// The per-page core of every write: faults the page in, breaks
+/// copy-on-write sharing (emitting [`EventKind::CowBreak`]), or
+/// overwrites the exclusively owned frame in place. Returns whether it
+/// broke sharing.
+fn write_in(
+    region: &mut Region,
+    phys: &mut PhysMemory,
+    rmap: &mut Rmap,
+    tracer: &Tracer,
+    mapping: Mapping,
+    fingerprint: Fingerprint,
+    now: Tick,
+) -> bool {
+    let Mapping { space, vpn } = mapping;
+    match region.frame_at(vpn) {
+        None => {
+            let frame = phys.alloc(fingerprint, now);
+            region.set_frame(vpn, Some(frame));
+            rmap.add(frame, mapping);
+            false
+        }
+        Some(frame) if phys.refcount(frame) > 1 => {
+            // CoW break: give the writer a private copy.
+            let fresh = phys.alloc(fingerprint, now);
+            region.set_frame(vpn, Some(fresh));
+            rmap.remove(frame, mapping);
+            rmap.add(fresh, mapping);
+            tracer.emit_with(|| EventKind::CowBreak {
+                space: space.0,
+                vpn: vpn.0,
+                old_frame: frame.index() as u64,
+                new_frame: fresh.index() as u64,
+                was_ksm_shared: phys.is_ksm_shared(frame),
+            });
+            phys.dec_ref(frame);
+            true
+        }
+        Some(frame) => {
+            region.touch();
+            phys.write(frame, fingerprint, now);
+            false
+        }
     }
 }
 

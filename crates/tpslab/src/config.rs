@@ -284,6 +284,31 @@ impl ExperimentConfig {
     /// simulated day, sixteen times the paper's 90-minute runs.
     pub const MAX_DURATION_SECONDS: u64 = 24 * 60 * 60;
 
+    /// The largest size divisor either binary accepts. Every sized
+    /// `bench` name and every `tps-java-repro` subcommand runs at it
+    /// through the end of the JVMs' warm-up. From a divisor of about 830
+    /// the scaled guests have too few pages for a booted kernel, a JVM
+    /// and the guest's daemons, and the run panics with a guest out of
+    /// memory once the JVMs warm up. Each region rounds up to whole
+    /// pages on its own, so where that starts is irregular; the cap is
+    /// the power of two below it.
+    pub const MAX_SCALE: f64 = 512.0;
+
+    /// Checks a size divisor given on a command line: a finite number
+    /// from 1 (paper scale) to [`MAX_SCALE`](Self::MAX_SCALE). Both
+    /// binaries' parsers call this.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ScaleOutOfRange`] otherwise.
+    pub fn check_scale(scale: f64) -> Result<f64, Error> {
+        if (1.0..=Self::MAX_SCALE).contains(&scale) {
+            Ok(scale)
+        } else {
+            Err(Error::ScaleOutOfRange { scale })
+        }
+    }
+
     /// Greatest guest count this configuration's host can hold within
     /// the [`MAX_OVERCOMMIT`](Self::MAX_OVERCOMMIT) memory budget,
     /// assuming every guest is sized like the first.
@@ -473,7 +498,8 @@ impl ExperimentConfig {
     }
 
     /// Checks that this configuration describes a runnable experiment:
-    /// at least one guest and a duration of one second to
+    /// at least one guest, each with room for the image's kernel, and a
+    /// duration of one second to
     /// [`MAX_DURATION_SECONDS`](Self::MAX_DURATION_SECONDS).
     ///
     /// Every entry point ([`Experiment::run`](crate::Experiment::run),
@@ -493,6 +519,17 @@ impl ExperimentConfig {
     pub fn validate(&self) -> Result<(), Error> {
         if self.guests.is_empty() {
             return Err(Error::NoGuests);
+        }
+        let kernel_pages = self.image.kernel_pages();
+        for (guest, spec) in self.guests.iter().enumerate() {
+            let guest_pages = mem::mib_to_pages(spec.mem_mib);
+            if guest_pages < kernel_pages {
+                return Err(Error::GuestTooSmall {
+                    guest,
+                    guest_pages,
+                    kernel_pages,
+                });
+            }
         }
         if self.duration_seconds == 0 {
             return Err(Error::ZeroDuration);
@@ -611,6 +648,38 @@ mod tests {
         let quarter = ExperimentConfig::paper_daytrader_4vm(4.0);
         assert!((quarter.host.ram_mib - full.host.ram_mib / 4.0).abs() < 1e-9);
         assert!((quarter.guests[0].mem_mib - 256.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn validate_refuses_a_guest_smaller_than_its_kernel() {
+        let cfg = ExperimentConfig::paper_daytrader_4vm(64.0);
+        assert_eq!(cfg.validate(), Ok(()));
+        let mut small = cfg.clone();
+        let kernel_pages = small.image.kernel_pages();
+        small.guests[2].mem_mib = mem::pages_to_mib(kernel_pages - 1);
+        assert_eq!(
+            small.validate(),
+            Err(Error::GuestTooSmall {
+                guest: 2,
+                guest_pages: kernel_pages - 1,
+                kernel_pages,
+            })
+        );
+        small.guests[2].mem_mib = mem::pages_to_mib(kernel_pages);
+        assert_eq!(small.validate(), Ok(()));
+    }
+
+    #[test]
+    fn check_scale_bounds_the_divisor() {
+        let max = ExperimentConfig::MAX_SCALE;
+        for ok in [1.0, 8.0, max] {
+            assert_eq!(ExperimentConfig::check_scale(ok), Ok(ok));
+        }
+        for bad in [0.5, max + 1.0, 1e5, f64::NAN, f64::INFINITY] {
+            let e = ExperimentConfig::check_scale(bad).unwrap_err();
+            assert!(matches!(e, Error::ScaleOutOfRange { .. }), "{bad}");
+            assert!(!e.to_string().contains('\n'));
+        }
     }
 
     #[test]

@@ -34,6 +34,22 @@ pub enum Error {
         /// Largest guest count the budget admits (first-guest sizing).
         max_guests: usize,
     },
+    /// A size divisor outside 1 to
+    /// [`MAX_SCALE`](crate::ExperimentConfig::MAX_SCALE).
+    ScaleOutOfRange {
+        /// The divisor given.
+        scale: f64,
+    },
+    /// A guest's memory cannot hold the kernel image it boots.
+    GuestTooSmall {
+        /// The guest's index in the configuration.
+        guest: usize,
+        /// The guest's memory, pages.
+        guest_pages: usize,
+        /// The image's kernel area, pages
+        /// ([`OsImage::kernel_pages`](oskernel::OsImage::kernel_pages)).
+        kernel_pages: usize,
+    },
     /// No experiment preset has this name.
     UnknownPreset(String),
     /// No traffic scenario has this name.
@@ -63,6 +79,21 @@ impl fmt::Display for Error {
                  {usable_mib:.0} MiB usable caps the fleet at {max_guests} guests \
                  ({:.0}x over-commit)",
                 crate::ExperimentConfig::MAX_OVERCOMMIT
+            ),
+            Error::ScaleOutOfRange { scale } => write!(
+                f,
+                "the size divisor {scale} is not a number from 1 (paper scale) to {}, \
+                 the largest at which the scaled guests still hold a kernel and a JVM",
+                crate::ExperimentConfig::MAX_SCALE
+            ),
+            Error::GuestTooSmall {
+                guest,
+                guest_pages,
+                kernel_pages,
+            } => write!(
+                f,
+                "guest {guest} has {guest_pages} pages of memory but its kernel image \
+                 needs {kernel_pages}"
             ),
             Error::UnknownPreset(name) => write!(
                 f,

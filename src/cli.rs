@@ -206,9 +206,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
     if opts.guests == 0 || opts.from == 0 || opts.to < opts.from {
         return Err(err("guest counts must be positive and --to >= --from"));
     }
-    if !(opts.scale.is_finite() && opts.scale >= 1.0) {
-        return Err(err("--scale must be a finite number >= 1"));
-    }
+    ExperimentConfig::check_scale(opts.scale).map_err(|e| err(format!("--scale: {e}")))?;
     if !opts.minutes.is_finite() {
         return Err(err("--minutes must be a finite number"));
     }
@@ -683,6 +681,16 @@ mod tests {
         assert!(parse_opts(&argv("--guests zero")).is_err());
         assert!(parse_opts(&argv("--wat 1")).is_err());
         assert!(parse_opts(&argv("--scale 0.5")).is_err());
+        // A divisor past the cap shrinks guests below a kernel and a JVM.
+        let max = ExperimentConfig::MAX_SCALE;
+        assert_eq!(
+            parse_opts(&argv(&format!("--scale {max}"))).unwrap().scale,
+            max
+        );
+        for line in ["--scale 30000", "--scale 100000", "--scale 1e300"] {
+            let e = parse_opts(&argv(line)).unwrap_err().to_string();
+            assert!(e.starts_with("--scale: the size divisor"), "{line}: {e}");
+        }
         assert!(parse_opts(&argv("--from 5 --to 3")).is_err());
         assert!(parse_opts(&argv("--timeline 0")).is_err());
         // Non-finite sizes would panic deep in the run or never end.
@@ -891,6 +899,43 @@ mod tests {
 
         // A dead daemon is a hard error for --once.
         assert!(dispatch(&argv(&arg)).is_err());
+    }
+
+    /// Every subcommand that sizes a world runs at the largest scale the
+    /// parser accepts, past the JVMs' warm-up, where the guests hold
+    /// the most pages.
+    #[test]
+    fn every_sized_subcommand_runs_at_max_scale() {
+        let sized = format!("--scale {} --minutes 8", ExperimentConfig::MAX_SCALE);
+        for cmd in [
+            "run --guests 2",
+            "run --guests 2 --benchmark specjenterprise --preload",
+            "run --guests 2 --benchmark tpcw --thp always",
+            "run --guests 2 --benchmark tuscany",
+            "run --preset scale32 --guests 2",
+            "traffic --guests 2 --scenario flash-crowd",
+            "explain --guests 2",
+            "sweep --from 1 --to 2",
+            "powervm",
+        ] {
+            let line = format!("{cmd} {sized}");
+            dispatch(&argv(&line)).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+        // `serve` ticks the same world in a daemon, to its last epoch.
+        let opts = parse_opts(&argv(&format!("--guests 2 {sized}"))).unwrap();
+        let config = config_for(&opts, opts.guests).unwrap();
+        let last = config.duration_seconds;
+        let mut daemon = tpslab::Daemon::spawn(tpslab::DaemonConfig::new(config)).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(300);
+        while daemon.epoch_seconds() < last {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "daemon stopped ticking"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        daemon.shutdown();
+        daemon.join();
     }
 
     #[test]
