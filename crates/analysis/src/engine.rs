@@ -4,8 +4,8 @@
 //! walk from scratch through hash accumulators on every call. Timeline
 //! sampling calls it once per sample over a world that barely changed
 //! between samples, which made attribution the dominant phase of every
-//! timeline run (see `results/BENCH_phases.json`). The engine removes
-//! both costs:
+//! timeline run (`run --profile` shows the `attribution` phase). The
+//! engine removes both costs:
 //!
 //! * **Frame-indexed storage** — per-frame users accumulate into dense
 //!   vectors indexed by [`FrameId::index`](mem::FrameId::index) (a CSR

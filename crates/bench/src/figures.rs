@@ -1,14 +1,14 @@
-//! The paper's figures and tables, the timeline, and the attribution
-//! and phase-profile records, each rendered as the text `bench <name>`
-//! prints. The golden-master tests (`tests/golden_figures.rs` at the
-//! workspace root) pin the deterministic ones at [`RunOpts::golden`].
+//! The paper's figures and tables, the timeline and the attribution
+//! timeline, each rendered as the text `bench <name>` prints. The
+//! golden-master tests (`tests/golden_figures.rs` at the workspace root)
+//! pin them at [`RunOpts::golden`].
 
 use std::fmt::Write as _;
 
 use tpslab::{Experiment, ExperimentConfig, PowerVmExperiment};
 use workloads::SlaOutcome;
 
-use crate::{banner_text, guest_figure_text, java_figure_text, median, RunOpts};
+use crate::{banner_text, guest_figure_text, java_figure_text, RunOpts};
 
 /// Fig. 2 — per-guest usage + TPS saving, 4 DayTrader guests,
 /// baseline (no preloading).
@@ -383,110 +383,4 @@ pub fn timeline_text(opts: &RunOpts) -> String {
         report.ksm.pages_shared
     );
     out
-}
-
-/// Measures the per-sample attribution walk on the scale32 preset:
-/// naive reference vs. frame-indexed engine, on identical world states.
-///
-/// Builds the warmed scale32 world once, then for each of nine
-/// timeline samples advances the world one simulated second (all guests
-/// keep writing, as in a real timeline run) and times three walks of the
-/// same state: [`analysis::MemorySnapshot::collect_naive`], the
-/// persistent [`analysis::SnapshotEngine`] (incremental across
-/// samples), and an immediate engine re-walk of the
-/// unchanged world (the epoch short-circuit). Every engine snapshot is
-/// asserted field-identical to the naive one. Returns a single-line
-/// JSON record — the format committed as `results/BENCH_attribution.json`.
-///
-/// # Panics
-///
-/// Panics if the engine's snapshot ever diverges from the naive walk.
-pub fn attribution_json(opts: &RunOpts) -> String {
-    use analysis::{GuestView, MemorySnapshot, SnapshotEngine};
-    use mem::Tick;
-    use std::time::Instant;
-    const SAMPLES: usize = 9;
-
-    let seconds = (opts.minutes * 60.0) as u64;
-    let cfg = opts.apply(ExperimentConfig::scale32(opts.scale));
-    let (mut host, mut javas) = tpslab::Experiment::build_world(&cfg);
-    let mut engine = SnapshotEngine::default();
-    let ticks_per_second = u64::from(mem::TICKS_PER_SECOND as u32);
-    let base = Tick::from_seconds(seconds as f64).0;
-
-    let mut naive_ns: Vec<u128> = Vec::new();
-    let mut engine_ns: Vec<u128> = Vec::new();
-    let mut idle_ns: Vec<u128> = Vec::new();
-    let mut frames = 0;
-    let mut ptes = 0;
-    for s in 0..SAMPLES as u64 {
-        for t in (s * ticks_per_second + 1)..=((s + 1) * ticks_per_second) {
-            tpslab::Experiment::tick_world(&mut host, &mut javas, Tick(base + t));
-        }
-        let views: Vec<GuestView<'_>> = host
-            .guests()
-            .iter()
-            .zip(&javas)
-            .map(|(g, j)| GuestView::new(&g.name, &g.os, vec![j.pid()]))
-            .collect();
-        let start = Instant::now();
-        let naive = MemorySnapshot::collect_naive(host.mm(), &views);
-        naive_ns.push(start.elapsed().as_nanos());
-        let start = Instant::now();
-        let snap = engine.snapshot(host.mm(), &views);
-        engine_ns.push(start.elapsed().as_nanos());
-        assert_eq!(snap, naive, "engine diverged from the naive reference");
-        let start = Instant::now();
-        let _ = engine.snapshot(host.mm(), &views);
-        idle_ns.push(start.elapsed().as_nanos());
-        frames = naive.frame_count();
-        ptes = naive.pte_count();
-    }
-
-    let naive = median(naive_ns);
-    let engine_med = median(engine_ns);
-    let idle = median(idle_ns);
-    format!(
-        "{{\"preset\":\"scale32 32x SPECjEnterprise over-commit\",\
-         \"command\":\"cargo run --release -p bench -- attribution --json --scale {} --minutes {}\",\
-         \"scale\":{},\"minutes\":{},\"samples\":{},\
-         \"frames\":{frames},\"ptes\":{ptes},\
-         \"naive_median_ns\":{naive},\"engine_median_ns\":{engine_med},\"idle_engine_median_ns\":{idle},\
-         \"speedup\":{:.2},\"idle_speedup\":{:.2}}}\n",
-        opts.scale,
-        opts.minutes,
-        opts.scale,
-        opts.minutes,
-        SAMPLES,
-        naive as f64 / engine_med.max(1) as f64,
-        naive as f64 / idle.max(1) as f64,
-    )
-}
-
-/// The per-phase cost profile of the Fig. 7 over-commit preset at six
-/// DayTrader guests (the middle of the sweep), as the one-line JSON
-/// record committed as `results/BENCH_phases.json`. Wall-clock numbers
-/// are machine-dependent; the interesting shape is the *relative* split
-/// between guest/JVM simulation, KSM scanning, sampling and the final
-/// attribution walk.
-pub fn phases_json(opts: &RunOpts) -> String {
-    const GUESTS: usize = 6;
-    let cfg = opts
-        .apply(ExperimentConfig::paper_overcommit_daytrader(
-            GUESTS, opts.scale,
-        ))
-        .with_profile();
-    let report = Experiment::run(&cfg).expect("bench configs are valid");
-    let phases = report.phases.expect("profiling was enabled");
-    format!(
-        "{{\"preset\":\"fig7 {GUESTS}x DayTrader over-commit\",\
-         \"command\":\"cargo run --release -p bench -- phases --scale {} --minutes {}\",\
-         \"scale\":{},\"minutes\":{},\"pages_sharing\":{},\"profile\":{}}}\n",
-        opts.scale,
-        opts.minutes,
-        opts.scale,
-        opts.minutes,
-        report.ksm.pages_sharing,
-        phases.to_json()
-    )
 }

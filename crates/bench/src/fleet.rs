@@ -1,7 +1,6 @@
 //! The fleet-scale KSM scenario: one synthetic consolidation host with
-//! tens to thousands of guests, built directly on [`paging::HostMm`] so
-//! the scanner is measured in isolation from the JVM and guest-OS
-//! layers.
+//! many guests, built directly on [`paging::HostMm`] so the scanner
+//! runs in isolation from the JVM and guest-OS layers.
 //!
 //! Each guest maps three mergeable regions modelling the memory classes
 //! of the paper's workloads:
@@ -13,13 +12,12 @@
 //! * **volatile** pages — rewritten before every wake (the nursery),
 //!   which the volatility filter must keep rejecting.
 //!
-//! The same world backs two consumers: the deterministic convergence
-//! report pinned by the golden-master test (`tests/golden/fleet.txt`)
-//! and the measured `results/BENCH_fleet.json` record that
-//! `bench fleet --json` prints.
+//! `bench fleet` prints the world's deterministic convergence report,
+//! pinned by the golden-master test (`tests/golden/fleet.txt`).
+//! `perfbench` times the KSM wake on its workloads
+//! (`ksm.{wake,plan,commit}_s`).
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use ksm::{KsmParams, KsmScanner};
 use mem::{Fingerprint, Tick};
@@ -39,18 +37,6 @@ pub struct FleetSpec {
 }
 
 impl FleetSpec {
-    /// The benchmark mix: 256 common + 128 unique + 64 volatile pages
-    /// per guest, at the given guest count.
-    #[must_use]
-    pub fn preset(guests: usize) -> FleetSpec {
-        FleetSpec {
-            guests,
-            common_pages: 256,
-            unique_pages: 128,
-            volatile_pages: 64,
-        }
-    }
-
     /// The small fixed shape the golden-master test pins: 32 guests,
     /// 112 pages each — seconds to run, with every page class present.
     #[must_use]
@@ -218,125 +204,6 @@ pub fn report_text(spec: &FleetSpec, passes: u64) -> String {
         last.full_scans,
         spec.volatile_pages * spec.guests as u64,
     );
-    out
-}
-
-/// One guest-count's measurements for `BENCH_fleet.json`.
-struct ScalePoint {
-    guests: usize,
-    total_pages: u64,
-    merges: u64,
-    merge_phase_ms: f64,
-    merge_throughput_per_s: f64,
-    converged_wake_us: f64,
-    plan_ns: u64,
-    commit_ns: u64,
-    measured_1t_ms: f64,
-}
-
-/// Passes to run before calling a fleet converged: merges complete by
-/// pass 2, stable skips by 3; two more passes exercise the clean-region
-/// credit steady state.
-const CONVERGE_PASSES: u64 = 5;
-/// Converged wakes sampled for the steady-state median.
-const STEADY_WAKES: u64 = 9;
-
-fn measure_scale(guests: usize) -> ScalePoint {
-    let spec = FleetSpec::preset(guests);
-
-    // Convergence: wall-clock plus the scanner's own phase split
-    // (the judging pass vs the commit).
-    let mut world = build(&spec);
-    let mut scanner = world.scanner();
-    let (mut plan_ns, mut commit_ns) = (0u64, 0u64);
-    let start = Instant::now();
-    for t in 1..=CONVERGE_PASSES {
-        world.churn(Tick(t));
-        scanner.run(&mut world.mm, Tick(t));
-        let w = scanner.last_wake_phases();
-        plan_ns += w.plan_nanos;
-        commit_ns += w.commit_nanos;
-    }
-    let measured_1t = start.elapsed().as_secs_f64();
-    let merges = scanner.stats().merges;
-
-    // Converged steady state: median wake time once every common page is
-    // stable and only churn + clean-region credits remain.
-    let mut steady_us: Vec<f64> = Vec::new();
-    for t in (CONVERGE_PASSES + 1)..=(CONVERGE_PASSES + STEADY_WAKES) {
-        world.churn(Tick(t));
-        let start = Instant::now();
-        scanner.run(&mut world.mm, Tick(t));
-        steady_us.push(start.elapsed().as_secs_f64() * 1e6);
-    }
-    steady_us.sort_by(f64::total_cmp);
-    let converged_wake_us = steady_us[steady_us.len() / 2];
-
-    ScalePoint {
-        guests,
-        total_pages: spec.total_pages(),
-        merges,
-        merge_phase_ms: measured_1t * 1e3,
-        merge_throughput_per_s: merges as f64 / measured_1t,
-        converged_wake_us,
-        plan_ns,
-        commit_ns,
-        measured_1t_ms: measured_1t * 1e3,
-    }
-}
-
-/// Measures the fleet scenario at 32, 256 and 1024 guests and renders
-/// the `results/BENCH_fleet.json` record.
-#[must_use]
-pub fn bench_json() -> String {
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"benchmark\": \"fleet KSM scan: converge + steady state at 32/256/1024 guests\","
-    );
-    let _ = writeln!(out, "  \"source\": \"crates/bench/src/fleet.rs\",");
-    let _ = writeln!(
-        out,
-        "  \"command\": \"cargo run --release -p bench -- fleet --json\","
-    );
-    let _ = writeln!(
-        out,
-        "  \"workload\": \"per guest: 256 fleet-common + 128 unique + 64 volatile mergeable pages; full pass per wake; 5 passes to converge, then 9 steady wakes\","
-    );
-    let _ = writeln!(out, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(
-        out,
-        "  \"measurement_note\": \"wall-clock on this host ({host_cores} core(s)), one run per scale; the KSM wake is serial, so the host core count does not change it; plan_ns is the judging pass and commit_ns the mutations applied in scan order, summed over the converging wakes\","
-    );
-    let _ = writeln!(out, "  \"scales\": [");
-    let points: Vec<ScalePoint> = [32usize, 256, 1024]
-        .iter()
-        .map(|&n| measure_scale(n))
-        .collect();
-    for (i, p) in points.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"guests\": {},", p.guests);
-        let _ = writeln!(out, "      \"mergeable_pages\": {},", p.total_pages);
-        let _ = writeln!(out, "      \"merges\": {},", p.merges);
-        let _ = writeln!(out, "      \"merge_phase_ms\": {:.3},", p.merge_phase_ms);
-        let _ = writeln!(
-            out,
-            "      \"merge_throughput_per_s\": {:.0},",
-            p.merge_throughput_per_s
-        );
-        let _ = writeln!(
-            out,
-            "      \"converged_wake_median_us\": {:.2},",
-            p.converged_wake_us
-        );
-        let _ = writeln!(out, "      \"plan_ns\": {},", p.plan_ns);
-        let _ = writeln!(out, "      \"commit_ns\": {},", p.commit_ns);
-        let _ = writeln!(out, "      \"measured_1t_ms\": {:.3}", p.measured_1t_ms);
-        let _ = writeln!(out, "    }}{}", if i + 1 < points.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
     out
 }
 

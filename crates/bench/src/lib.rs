@@ -1,8 +1,8 @@
 //! The `bench` runner: one binary that regenerates the paper's figures
-//! and tables, our ablations and the measurement records by name.
+//! and tables, our ablations and the extension reports by name.
 //!
 //! ```text
-//! cargo run --release -p bench -- <name> [--scale S] [--minutes M] [--paper] [--audit] [--json]
+//! cargo run --release -p bench -- <name> [--scale S] [--minutes M] [--paper] [--audit]
 //! ```
 //!
 //! | Command | Prints |
@@ -21,13 +21,12 @@
 //! | `bench ablation_balloon` | X3 — ballooning baseline |
 //! | `bench ablation_related_work` | X4 — Satori, ballooning and Difference Engine vs. TPS |
 //! | `bench ablation_placement` | X5 — sharing-aware placement over two hosts |
-//! | `bench attribution [--json]` | scale32 attribution timeline; `--json`: `results/BENCH_attribution.json` |
-//! | `bench phases` | `results/BENCH_phases.json` — per-phase cost profile of the Fig. 7 preset |
-//! | `bench telemetry [--json]` | scale32 metrics scrape; `--json`: `results/BENCH_telemetry.json` |
-//! | `bench fleet [--json]` | fleet-scale KSM convergence report; `--json`: `results/BENCH_fleet.json` |
-//! | `bench fleet_traffic [--json]` | fleet-preset traffic report; `--json`: `results/BENCH_fleet_traffic.json` |
-//! | `bench thp [--json]` | THP × KSM sweep table; `--json`: `results/BENCH_thp.json` |
-//! | `bench traffic [--json]` | three-scenario traffic report; `--json`: `results/BENCH_traffic.json` |
+//! | `bench attribution` | scale32 attribution timeline |
+//! | `bench telemetry` | scale32 metrics scrape |
+//! | `bench fleet` | fleet-scale KSM convergence report |
+//! | `bench fleet_traffic` | fleet-preset traffic report |
+//! | `bench thp` | THP × KSM sweep table |
+//! | `bench traffic` | three-scenario traffic report |
 //!
 //! Here `bench <name>` stands for `cargo run --release -p bench --
 //! <name>`. `--scale S` divides every size by S, from 1 to
@@ -37,7 +36,8 @@
 //! fixed-shape names (`tables`, `fleet`, `fleet_traffic`, `thp`,
 //! `traffic`) reject those sizing flags and `--audit`. Text goes to
 //! stdout and is a pure function of the flags; sweep timings go to
-//! stderr. A sweep runs its independent experiments side by side on
+//! stderr, and the repository's timed measurements are `perfbench`'s.
+//! A sweep runs its independent experiments side by side on
 //! [`par::default_threads`] workers, the machine's available
 //! parallelism, which honours the process's CPU affinity and quota
 //! (`taskset -c 0 bench fig7` runs one at a time); every experiment
@@ -49,7 +49,6 @@ pub mod ablations;
 pub mod figures;
 pub mod fleet;
 pub mod fleet_traffic;
-pub mod telemetry;
 pub mod thp;
 pub mod traffic;
 
@@ -69,203 +68,157 @@ pub struct Bench {
     /// The run's shape is fixed: `--scale`, `--minutes`, `--paper` and
     /// `--audit` do not apply.
     pub fixed_shape: bool,
-    /// Renders the name's text.
+    /// Renders what `bench <name>` prints at these options.
     pub text: fn(&RunOpts) -> String,
-    /// Renders the measured JSON record `--json` selects, if any.
-    pub record: Option<fn(&RunOpts) -> String>,
-}
-
-impl Bench {
-    /// What `bench <name>` prints at these options.
-    #[must_use]
-    pub fn render(&self, opts: &RunOpts) -> String {
-        match self.record {
-            Some(record) if opts.json => record(opts),
-            _ => (self.text)(opts),
-        }
-    }
 }
 
 /// Every name the runner answers to, in usage order.
-pub const BENCHES: [Bench; 21] = [
+pub const BENCHES: [Bench; 20] = [
     Bench {
         name: "fig2",
         about: "Fig. 2: per-guest usage and TPS saving, 4 DayTrader guests, baseline",
         fixed_shape: false,
         text: figures::fig2_text,
-        record: None,
     },
     Bench {
         name: "fig3",
         about: "Fig. 3(a/b/c): per-JVM Table IV breakdowns, baseline",
         fixed_shape: false,
         text: figures::fig3_text,
-        record: None,
     },
     Bench {
         name: "fig4",
         about: "Fig. 4: Fig. 2 with the shared class cache copied to all guests",
         fixed_shape: false,
         text: figures::fig4_text,
-        record: None,
     },
     Bench {
         name: "fig5",
         about: "Fig. 5(a/b/c): Fig. 3 with preloading",
         fixed_shape: false,
         text: figures::fig5_text,
-        record: None,
     },
     Bench {
         name: "fig6",
         about: "Fig. 6: PowerVM/AIX before/after sharing, with and without preloading",
         fixed_shape: false,
         text: figures::fig6_text,
-        record: None,
     },
     Bench {
         name: "fig7",
         about: "Fig. 7: DayTrader throughput vs. number of guests",
         fixed_shape: false,
         text: figures::fig7_text,
-        record: None,
     },
     Bench {
         name: "fig8",
         about: "Fig. 8: SPECjEnterprise EjOPS vs. number of guests, with the SLA",
         fixed_shape: false,
         text: figures::fig8_text,
-        record: None,
     },
     Bench {
         name: "tables",
         about: "Tables I-IV: configuration and taxonomy",
         fixed_shape: true,
         text: |_| figures::tables_text(),
-        record: None,
     },
     Bench {
         name: "timeline",
         about: "KSM sharing convergence over time, 4 DayTrader guests, preloaded",
         fixed_shape: false,
         text: figures::timeline_text,
-        record: None,
     },
     Bench {
         name: "ablation_scan_rate",
         about: "X1: KSM pages-to-scan sweep",
         fixed_shape: false,
         text: ablations::scan_rate_text,
-        record: None,
     },
     Bench {
         name: "ablation_cache_size",
         about: "X2: shared-class-cache capacity sweep",
         fixed_shape: false,
         text: ablations::cache_size_text,
-        record: None,
     },
     Bench {
         name: "ablation_balloon",
         about: "X3: ballooning baseline",
         fixed_shape: false,
         text: ablations::balloon_text,
-        record: None,
     },
     Bench {
         name: "ablation_related_work",
         about: "X4: Satori, ballooning and Difference Engine vs. TPS",
         fixed_shape: false,
         text: ablations::related_work_text,
-        record: None,
     },
     Bench {
         name: "ablation_placement",
         about: "X5: sharing-aware placement over two hosts",
         fixed_shape: false,
         text: ablations::placement_text,
-        record: None,
     },
     Bench {
         name: "attribution",
-        about: "scale32 attribution timeline (--json: BENCH_attribution.json)",
+        about: "scale32 attribution timeline",
         fixed_shape: false,
         text: figures::attribution_text,
-        record: Some(figures::attribution_json),
-    },
-    Bench {
-        name: "phases",
-        about: "per-phase cost profile of the Fig. 7 preset (BENCH_phases.json)",
-        fixed_shape: false,
-        text: figures::phases_json,
-        record: None,
     },
     Bench {
         name: "telemetry",
-        about: "scale32 metrics scrape (--json: BENCH_telemetry.json)",
+        about: "scale32 metrics scrape",
         fixed_shape: false,
         text: |opts| {
             tpslab::telemetry::golden_scrape(&opts.apply(ExperimentConfig::scale32(opts.scale)))
         },
-        record: Some(telemetry::bench_json),
     },
     Bench {
         name: "fleet",
-        about: "fleet-scale KSM convergence report (--json: BENCH_fleet.json)",
+        about: "fleet-scale KSM convergence report",
         fixed_shape: true,
         text: |_| fleet::golden_text(),
-        record: Some(|_| fleet::bench_json()),
     },
     Bench {
         name: "fleet_traffic",
-        about: "fleet-preset traffic report (--json: BENCH_fleet_traffic.json)",
+        about: "fleet-preset traffic report",
         fixed_shape: true,
         text: |_| fleet_traffic::golden_text(),
-        record: Some(|_| fleet_traffic::bench_json()),
     },
     Bench {
         name: "thp",
-        about: "THP x KSM sweep table (--json: BENCH_thp.json)",
+        about: "THP x KSM sweep table",
         fixed_shape: true,
         text: |_| thp::golden_text(),
-        record: Some(|_| thp::bench_json()),
     },
     Bench {
         name: "traffic",
-        about: "three-scenario traffic report (--json: BENCH_traffic.json)",
+        about: "three-scenario traffic report",
         fixed_shape: true,
         text: |_| traffic::golden_text(),
-        record: Some(|_| traffic::bench_json()),
     },
 ];
 
 /// The usage text the binary prints on a bad command line.
 #[must_use]
 pub fn usage() -> String {
-    let mut out = String::from(
-        "usage: bench <name> [--scale S] [--minutes M] [--paper] [--audit] [--json]\nnames:\n",
-    );
+    let mut out =
+        String::from("usage: bench <name> [--scale S] [--minutes M] [--paper] [--audit]\nnames:\n");
     for bench in &BENCHES {
         let _ = writeln!(out, "  {:<22} {}", bench.name, bench.about);
     }
-    let names = |keep: fn(&Bench) -> bool| {
-        BENCHES
-            .iter()
-            .filter(|b| keep(b))
-            .map(|b| b.name)
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
+    let fixed_shape = BENCHES
+        .iter()
+        .filter(|b| b.fixed_shape)
+        .map(|b| b.name)
+        .collect::<Vec<_>>()
+        .join(" ");
     let _ = write!(
         out,
         "--scale S divides every size by S, 1 to {} (default 8); --minutes M sets the\n\
          simulated duration, one second to one day (default 8); --paper is scale 1 for\n\
          20 minutes; --audit runs the conservation audit.\n\
-         fixed shape (no --scale, --minutes, --paper or --audit): {}\n\
-         --json prints the measured record of: {}",
+         fixed shape (no --scale, --minutes, --paper or --audit): {fixed_shape}",
         ExperimentConfig::MAX_SCALE,
-        names(|b| b.fixed_shape),
-        names(|b| b.record.is_some()),
     );
     out
 }
@@ -279,8 +232,6 @@ pub struct RunOpts {
     pub minutes: f64,
     /// Run the cross-layer conservation audit during each experiment.
     pub audit: bool,
-    /// Print the name's measured JSON record instead of its text.
-    pub json: bool,
 }
 
 impl RunOpts {
@@ -290,7 +241,6 @@ impl RunOpts {
             scale: 8.0,
             minutes: 8.0,
             audit: false,
-            json: false,
         }
     }
 
@@ -319,18 +269,17 @@ impl RunOpts {
     }
 
     /// Parses a `bench` command line after the program name: `<name>`,
-    /// then any of `--scale S`, `--minutes M`, `--paper`, `--audit` and
-    /// `--json`. Flags apply in order, so `--paper` resets an earlier
-    /// `--scale` or `--minutes`.
+    /// then any of `--scale S`, `--minutes M`, `--paper` and `--audit`.
+    /// Flags apply in order, so `--paper` resets an earlier `--scale` or
+    /// `--minutes`.
     ///
     /// # Errors
     ///
     /// A one-line message for a missing or unknown name, an unknown
     /// flag, a flag without its value, `--scale` outside 1 to
     /// [`ExperimentConfig::MAX_SCALE`], `--minutes`
-    /// under one simulated second or over one simulated day, `--json`
-    /// on a name without a record,
-    /// or a sizing flag on a fixed-shape name.
+    /// under one simulated second or over one simulated day, or a
+    /// sizing flag on a fixed-shape name.
     pub fn parse(
         args: impl IntoIterator<Item = String>,
     ) -> Result<(&'static Bench, RunOpts), String> {
@@ -346,9 +295,6 @@ impl RunOpts {
             match flag.as_str() {
                 "--scale" | "--minutes" | "--paper" | "--audit" if bench.fixed_shape => {
                     return Err(format!("{name} has a fixed shape: {flag} does not apply"));
-                }
-                "--json" if bench.record.is_none() => {
-                    return Err(format!("{name} has no --json record"));
                 }
                 "--scale" => {
                     let scale = value()?.parse().map_err(|_| "--scale needs a number")?;
@@ -372,7 +318,6 @@ impl RunOpts {
                     opts.minutes = paper.minutes;
                 }
                 "--audit" => opts.audit = true,
-                "--json" => opts.json = true,
                 _ => return Err(format!("unknown flag {flag}")),
             }
         }
@@ -440,12 +385,6 @@ impl RunOpts {
         );
         timed.into_iter().map(|(report, _)| report).collect()
     }
-}
-
-/// The upper median of a set of timings.
-fn median(mut v: Vec<u128>) -> u128 {
-    v.sort_unstable();
-    v[v.len() / 2]
 }
 
 /// Renders the standard figure header.
@@ -609,10 +548,9 @@ mod tests {
         let (bench, opts) = parse("fig2 --scale 64 --minutes 0.5 --audit").unwrap();
         assert_eq!(bench.name, "fig2");
         assert_eq!((opts.scale, opts.minutes), (64.0, 0.5));
-        assert!(opts.audit && !opts.json);
+        assert!(opts.audit);
         assert_eq!(parse("fig7 --scale 4 --paper").unwrap().1.scale, 1.0);
         assert_eq!(parse("fig7 --paper --scale 4").unwrap().1.scale, 4.0);
-        assert!(parse("fleet --json").unwrap().1.json);
         assert!(parse("tables").is_ok());
         assert_eq!(parse("fig2 --minutes 1440").unwrap().1.minutes, 1440.0);
         let max = ExperimentConfig::MAX_SCALE;
@@ -643,8 +581,9 @@ mod tests {
             ("fig2 --minutes inf", "--minutes needs at least"),
             ("fig2 --threads 2", "unknown flag --threads"),
             ("fleet --threads 2", "unknown flag --threads"),
-            ("fig2 --json", "fig2 has no --json record"),
-            ("phases --json", "phases has no --json record"),
+            ("fleet --json", "unknown flag --json"),
+            ("fig2 --json", "unknown flag --json"),
+            ("phases", "unknown benchmark phases"),
             ("tables --paper", "tables has a fixed shape: --paper"),
             ("thp --scale 8", "thp has a fixed shape: --scale"),
             ("fleet --audit", "fleet has a fixed shape: --audit"),
@@ -666,7 +605,7 @@ mod tests {
         ))
         .unwrap();
         for bench in BENCHES.iter().filter(|b| !b.fixed_shape) {
-            assert!(!bench.render(&opts).is_empty(), "{}", bench.name);
+            assert!(!(bench.text)(&opts).is_empty(), "{}", bench.name);
         }
     }
 
@@ -702,5 +641,6 @@ mod tests {
             );
             assert!(text.contains(&format!("  {:<22} ", bench.name)));
         }
+        assert!(!text.contains("--json"), "{text}");
     }
 }

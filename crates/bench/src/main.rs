@@ -1,8 +1,8 @@
-//! `bench` — regenerates a figure, table, ablation or measurement
-//! record by name; `bench` with no arguments lists them.
+//! `bench` — regenerates a figure, table, ablation or extension report
+//! by name; `bench` with no arguments lists them.
 //!
 //! ```text
-//! cargo run --release -p bench -- <name> [--scale S] [--minutes M] [--paper] [--audit] [--json]
+//! cargo run --release -p bench -- <name> [--scale S] [--minutes M] [--paper] [--audit]
 //! ```
 
 use std::io::{self, Write};
@@ -10,7 +10,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     match bench::RunOpts::parse(std::env::args().skip(1)) {
-        Ok((bench, opts)) => match emit(io::stdout().lock(), &bench.render(&opts)) {
+        Ok((bench, opts)) => match emit(io::stdout().lock(), &(bench.text)(&opts)) {
             Ok(()) => ExitCode::SUCCESS,
             Err(_) => ExitCode::FAILURE,
         },

@@ -1,4 +1,4 @@
-//! THP × KSM ablation (`results/BENCH_thp.json`, `tests/golden/thp.txt`).
+//! THP × KSM ablation (`tests/golden/thp.txt`).
 //!
 //! The sharing-versus-TLB-reach frontier: transparent huge pages widen
 //! TLB reach (the [`hypervisor::PagingModel::tlb_boost`] throughput
@@ -10,20 +10,14 @@
 //! see [`BUDGETS`]) on the same miniature quiesced fleet, with the
 //! cross-layer conservation audit enabled on every cell.
 //!
-//! Two entry points, both reached through the `thp` binary:
-//!
-//! * [`golden_text`] — the deterministic sweep table pinned at
-//!   `tests/golden/thp.txt`.
-//! * [`bench_json`] — the same sweep with wall-clock timings, printed as
-//!   the record committed as `results/BENCH_thp.json`.
-//!
-//! Both verify the frontier is non-degenerate ([`frontier_check`]):
-//! `always` with KSM off maximises reach and minimises sharing, `never`
-//! with a saturating budget does the reverse, and at least one
-//! intermediate cell is dominated by neither endpoint.
+//! `bench thp` prints [`golden_text`], the deterministic sweep table
+//! pinned at `tests/golden/thp.txt`, after verifying the frontier is
+//! non-degenerate ([`frontier_check`]): `always` with KSM off maximises
+//! reach and minimises sharing, `never` with a saturating budget does
+//! the reverse, and at least one intermediate cell is dominated by
+//! neither endpoint.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use tpslab::ksm::KsmParams;
 use tpslab::paging::ThpPolicy;
@@ -217,78 +211,6 @@ pub fn golden_text() -> String {
     let mut out =
         format!("thp x ksm ablation | {SWEEP_GUESTS} guests | {SWEEP_SECONDS} s | audit on\n");
     out.push_str(&render_rows(&cells));
-    out
-}
-
-/// Runs the sweep with wall-clock timings and prints the record
-/// committed as `results/BENCH_thp.json`.
-///
-/// # Panics
-///
-/// Panics if any cell fails its audit or the frontier degenerates.
-#[must_use]
-pub fn bench_json() -> String {
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut cells = Vec::new();
-    let mut walls = Vec::new();
-    for policy in POLICIES {
-        for budget in BUDGETS {
-            let started = Instant::now();
-            let report =
-                Experiment::run(&cell_config(policy, budget)).expect("sweep config is valid");
-            walls.push(started.elapsed().as_secs_f64() * 1e3);
-            cells.push(Cell {
-                policy,
-                budget,
-                report,
-            });
-        }
-    }
-    frontier_check(&cells).expect("frontier must be non-degenerate");
-
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"benchmark\": \"THP x KSM ablation: sharing vs TLB-reach frontier over thp policy and scan budget\","
-    );
-    let _ = writeln!(out, "  \"source\": \"crates/bench/src/thp.rs\",");
-    let _ = writeln!(
-        out,
-        "  \"command\": \"cargo run --release -p bench -- thp --json\","
-    );
-    let _ = writeln!(
-        out,
-        "  \"workload\": \"{SWEEP_GUESTS} preloaded tiny-profile guests with steady-state churn quiesced, {SWEEP_SECONDS} s simulated per cell; host+guest THP policy swept together; conservation audit on in every cell\","
-    );
-    let _ = writeln!(out, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(
-        out,
-        "  \"measurement_note\": \"sharing/huge/boost/splits are deterministic simulation outputs (bit-identical across hosts); wall_ms is wall-clock on this host. budget is KSM pages-to-scan per 100 ms wake; boost is the TLB-reach throughput credit from the final huge fraction; the frontier assertions (always@0 = max reach/min sharing, never@full = max sharing/unit reach, an undominated intermediate) are checked before printing\","
-    );
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, (c, wall)) in cells.iter().zip(&walls).enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"thp\": \"{}\",", c.policy.name());
-        let _ = writeln!(out, "      \"budget_pages_per_wake\": {},", c.budget);
-        let _ = writeln!(
-            out,
-            "      \"pages_sharing\": {},",
-            c.report.ksm.pages_sharing
-        );
-        let _ = writeln!(out, "      \"huge_mib\": {:.1},", c.report.huge_mib);
-        let _ = writeln!(out, "      \"tlb_boost\": {:.4},", c.report.tlb_boost);
-        let _ = writeln!(out, "      \"thp_splits\": {},", c.report.ksm.thp_splits);
-        let _ = writeln!(
-            out,
-            "      \"throughput_rps\": {:.1},",
-            c.report.total_throughput()
-        );
-        let _ = writeln!(out, "      \"wall_ms\": {wall:.1}");
-        let _ = writeln!(out, "    }}{}", if i + 1 < cells.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"frontier\": \"non-degenerate\"");
-    out.push_str("}\n");
     out
 }
 

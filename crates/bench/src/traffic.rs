@@ -1,25 +1,12 @@
-//! Traffic-scenario reports and benchmark (`results/BENCH_traffic.json`).
+//! Traffic-scenario reports (`tests/golden/traffic.txt`).
 //!
-//! Two entry points, both reached through `bench traffic`:
-//!
-//! * [`golden_text`] — the deterministic three-scenario report pinned at
-//!   `tests/golden/traffic.txt` (diurnal, flash-crowd, rolling-deploy on
-//!   a fixed miniature fleet; byte-identical on every run).
-//! * [`bench_json`] — wall-clock measurements: sustained requests/sec
-//!   through the engine + event sink, per-scenario sharing stability,
-//!   and the idle-path speedup of the event queue over the tick loop.
+//! `bench traffic` prints [`golden_text`], the deterministic
+//! three-scenario report (diurnal, flash-crowd, rolling-deploy on a
+//! fixed miniature fleet; byte-identical on every run). `perfbench`'s
+//! `flash-1024` workload times the traffic engine at fleet width.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use tpslab::ksm::KsmParams;
-use tpslab::traffic::{ArrivalCurve, Scenario};
-use tpslab::{Experiment, ExperimentConfig, KsmSchedule, TrafficReport};
-
-/// The fixed fleet the golden report and the benchmark run on.
-fn golden_config(seconds: u64) -> ExperimentConfig {
-    ExperimentConfig::tiny_test(3, true).with_duration_seconds(seconds)
-}
+use tpslab::traffic::Scenario;
+use tpslab::{Experiment, ExperimentConfig};
 
 /// Seconds of simulated time in the golden report's scenarios.
 const GOLDEN_SECONDS: u64 = 120;
@@ -43,138 +30,13 @@ fn golden_scenarios() -> [Scenario; 3] {
 /// does; the panic is the test harness's failure mode).
 #[must_use]
 pub fn golden_text() -> String {
-    let cfg = golden_config(GOLDEN_SECONDS);
+    let cfg = ExperimentConfig::tiny_test(3, true).with_duration_seconds(GOLDEN_SECONDS);
     let mut out = String::new();
     for scenario in golden_scenarios() {
         let report = Experiment::run_traffic(&cfg, &scenario).expect("golden config is valid");
         out.push_str(&report.render());
         out.push('\n');
     }
-    out
-}
-
-/// One timed scenario run.
-struct Measured {
-    report: TrafficReport,
-    wall_ms: f64,
-}
-
-fn measure(cfg: &ExperimentConfig, scenario: &Scenario) -> Measured {
-    let started = Instant::now();
-    let report = Experiment::run_traffic(cfg, scenario).expect("bench config is valid");
-    Measured {
-        report,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-    }
-}
-
-/// Measures the traffic engine and prints the record committed as
-/// `results/BENCH_traffic.json`.
-///
-/// # Panics
-///
-/// Panics if the fixed benchmark configuration fails validation.
-#[must_use]
-pub fn bench_json() -> String {
-    let seconds = 240u64;
-    let cfg = golden_config(seconds);
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"benchmark\": \"request-driven traffic engine: sustained request rate, sharing stability, idle-path cost vs tick loop\","
-    );
-    let _ = writeln!(out, "  \"source\": \"crates/bench/src/traffic.rs\",");
-    let _ = writeln!(
-        out,
-        "  \"command\": \"cargo run --release -p bench -- traffic --json\","
-    );
-    let _ = writeln!(
-        out,
-        "  \"workload\": \"3 preloaded tiny-profile guests, {seconds} s simulated; scenarios from tpslab::traffic\","
-    );
-    let _ = writeln!(out, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(
-        out,
-        "  \"measurement_note\": \"wall-clock on this host; requests_per_wall_s is served requests divided by host seconds (engine + event sink + KSM scan, whole run); idle_speedup compares the scripted tick loop against the event queue on a zero-load fleet with the KSM scan budget minimized, isolating the workload-driving side the O(pending events) claim is about — the scanner itself costs the same either way\","
-    );
-    let _ = writeln!(out, "  \"scenarios\": [");
-    let scenarios = [
-        Scenario::constant(),
-        Scenario::diurnal(seconds),
-        Scenario::flash_crowd(seconds),
-        Scenario::rolling_deploy(seconds, 3),
-        Scenario::autoscale(seconds, 3),
-    ];
-    for (i, scenario) in scenarios.iter().enumerate() {
-        let m = measure(&cfg, scenario);
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"scenario\": \"{}\",", m.report.scenario);
-        let _ = writeln!(out, "      \"offered\": {},", m.report.offered);
-        let _ = writeln!(out, "      \"served\": {},", m.report.served);
-        let _ = writeln!(
-            out,
-            "      \"simulated_throughput_rps\": {:.2},",
-            m.report.throughput_rps
-        );
-        let _ = writeln!(
-            out,
-            "      \"sharing_stability\": {:.4},",
-            m.report.sharing_stability
-        );
-        let _ = writeln!(out, "      \"restarts\": {},", m.report.restarts);
-        let _ = writeln!(
-            out,
-            "      \"guest_churn\": {},",
-            m.report.scale_ups + m.report.scale_downs
-        );
-        let _ = writeln!(out, "      \"wall_ms\": {:.1},", m.wall_ms);
-        let _ = writeln!(
-            out,
-            "      \"requests_per_wall_s\": {:.0}",
-            m.report.served as f64 / (m.wall_ms / 1e3)
-        );
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if i + 1 < scenarios.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ],");
-
-    // Idle path: the same fleet offered zero load. The tick loop still
-    // walks every guest and JVM every tick; the event queue drains after
-    // start-up and schedules nothing. The KSM scan budget is minimized
-    // for both runs because the scanner's per-tick cost is identical on
-    // either path and would otherwise drown the workload-side delta
-    // this comparison exists to measure.
-    let idle_cfg = cfg.with_ksm(KsmSchedule {
-        warmup: KsmParams::new(64, 100),
-        steady: KsmParams::new(64, 100),
-        warmup_seconds: 1,
-    });
-    let idle = Scenario {
-        name: "idle",
-        curve: ArrivalCurve::Constant { factor: 0.0 },
-        deploy: None,
-        noisy_factor: None,
-        autoscale: None,
-    };
-    let tick_started = Instant::now();
-    let _ = Experiment::run(&idle_cfg).expect("bench config is valid");
-    let tick_ms = tick_started.elapsed().as_secs_f64() * 1e3;
-    let m = measure(&idle_cfg, &idle);
-    let _ = writeln!(out, "  \"idle\": {{");
-    let _ = writeln!(out, "    \"tick_loop_wall_ms\": {tick_ms:.1},");
-    let _ = writeln!(out, "    \"event_queue_wall_ms\": {:.1},", m.wall_ms);
-    let _ = writeln!(
-        out,
-        "    \"idle_speedup\": {:.2}",
-        tick_ms / m.wall_ms.max(1e-9)
-    );
-    let _ = writeln!(out, "  }}");
-    out.push_str("}\n");
     out
 }
 

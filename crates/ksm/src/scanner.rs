@@ -304,12 +304,6 @@ impl KsmScanner {
         }
     }
 
-    /// Phase timing of the most recent wake that did any scanning.
-    #[must_use]
-    pub fn last_wake_phases(&self) -> WakePhases {
-        self.last_wake
-    }
-
     /// Running sum of every wake's [`WakePhases`]: the deterministic
     /// work counters are exact simulated-state totals, the nanos are
     /// cumulative wall-clock time per phase.

@@ -58,29 +58,6 @@ impl PhaseReport {
         }
         out
     }
-
-    /// Serializes the profile as one JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"wall_nanos\":{},\"ticks\":{},\"pages\":{},\
-                 \"invocations\":{}}}",
-                p.name,
-                p.wall.as_nanos(),
-                p.ticks,
-                p.pages,
-                p.invocations
-            );
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// Accumulates [`PhaseStat`]s. Disabled by default: [`Profiler::begin`]
@@ -188,8 +165,5 @@ mod tests {
         let text = report.render();
         assert!(text.contains("phase"));
         assert!(text.lines().nth(1).unwrap().starts_with("b "));
-        let json = report.to_json();
-        assert!(json.starts_with("{\"phases\":["));
-        assert!(json.contains("\"name\":\"a\""));
     }
 }

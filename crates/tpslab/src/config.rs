@@ -229,8 +229,8 @@ impl ExperimentConfig {
     /// paper's 8-VM maximum). With class sharing and timeline
     /// attribution enabled this is the worst case for the per-sample
     /// walk — tens of address spaces, millions of PTEs — and the
-    /// benchmark scenario for [`analysis::SnapshotEngine`]
-    /// (`results/BENCH_attribution.json`).
+    /// scenario `bench attribution` pins [`analysis::SnapshotEngine`]
+    /// on (`tests/golden/attribution.txt`).
     #[must_use]
     pub fn scale32(scale: f64) -> ExperimentConfig {
         ExperimentConfig::paper_overcommit_specj(32, scale).with_class_sharing()
@@ -257,8 +257,8 @@ impl ExperimentConfig {
     }
 
     /// The fleet stress preset: 256 over-committed SPECjEnterprise
-    /// guests — the smaller of the two fleet presets the traffic
-    /// benchmarks run (`results/BENCH_fleet_traffic.json`). See
+    /// guests — the smaller of the two fleet presets, and the fleet
+    /// `perfbench`'s `tpsd-256` workload watches. See
     /// [`fleet`](Self::fleet).
     #[must_use]
     pub fn scale256(scale: f64) -> ExperimentConfig {

@@ -251,8 +251,8 @@ impl Daemon {
 
     /// Answers `path` directly from the published state, exactly as the
     /// socket handler would — the cached-query path without the
-    /// transport. `None` for unknown paths. Used by `bench telemetry`
-    /// to time the query path in isolation.
+    /// transport. `None` for unknown paths. `perfbench` times the query
+    /// path through it in isolation (`daemon.answer_ns`).
     #[must_use]
     pub fn state_answer(&self, path: &str) -> Option<String> {
         let state = Arc::clone(&self.shared.state.read().expect("state lock"));
@@ -470,7 +470,7 @@ fn publish(
 }
 
 /// Per-guest attribution JSON ("what does guest 17's Java heap cost
-/// right now?") for every guest, in guest order: what [`render_guest`]
+/// right now?") for every guest, in guest order: what `render_guest`
 /// gives each. Exported so oracle tests can rebuild the daemon's exact
 /// `/guest/<i>` text from an unmonitored world (e.g. via
 /// `MemorySnapshot::collect_naive`) and compare bytes.

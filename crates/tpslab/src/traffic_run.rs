@@ -99,7 +99,8 @@ pub struct TrafficReport {
     /// omitted from [`render`](Self::render), keeping the non-THP golden
     /// byte-identical.
     pub huge_mib: f64,
-    /// Per-interval samples, every [`SAMPLE_SECONDS`].
+    /// Per-interval samples, one every `SAMPLE_SECONDS` of simulated
+    /// time.
     pub samples: Vec<TrafficSample>,
     /// Per-guest request tallies over the whole run, indexed by guest
     /// slot. Sums across guests equal the fleet-wide
