@@ -35,8 +35,9 @@
 //! with a longer run (what EXPERIMENTS.md records). The
 //! fixed-shape names (`tables`, `fleet`, `fleet_traffic`, `thp`,
 //! `traffic`) reject those sizing flags and `--audit`. Text goes to
-//! stdout and is a pure function of the flags; sweep timings go to
-//! stderr, and the repository's timed measurements are `perfbench`'s.
+//! stdout and is a pure function of the flags; a successful run writes
+//! nothing to stderr, and the repository's timed measurements are
+//! `perfbench`'s.
 //! A sweep runs its independent experiments side by side on
 //! [`par::default_threads`] workers, the machine's available
 //! parallelism, which honours the process's CPU affinity and quota
@@ -53,8 +54,6 @@ pub mod thp;
 pub mod traffic;
 
 use std::fmt::Write as _;
-use std::io::Write as _;
-use std::time::Instant;
 
 use tpslab::{Experiment, ExperimentConfig, KsmSchedule};
 
@@ -348,42 +347,13 @@ impl RunOpts {
     /// returns the reports in input order (bit-identical to serial
     /// runs).
     ///
-    /// Per-run wall-clock timings go to **stderr** so the figure rows on
-    /// stdout stay byte-identical from run to run.
-    ///
     /// # Panics
     ///
     /// Panics if a config fails validation.
     pub fn run_sweep(&self, configs: &[ExperimentConfig]) -> Vec<tpslab::ExperimentReport> {
-        let start = Instant::now();
-        let threads = par::default_threads();
-        let timed = par::map_parallel(configs, threads, |config| {
-            let run = Instant::now();
-            let report = Experiment::run(config).expect("bench sweep configs are valid");
-            (report, run.elapsed())
-        });
-        // The timing is a side note: a closed stderr (`2>&1 | head`)
-        // loses it, not the run.
-        let mut err = std::io::stderr().lock();
-        for (i, (_, wall)) in timed.iter().enumerate() {
-            let _ = writeln!(
-                err,
-                "[sweep] run {}/{}: {:.2} s",
-                i + 1,
-                timed.len(),
-                wall.as_secs_f64()
-            );
-        }
-        let serial: f64 = timed.iter().map(|(_, wall)| wall.as_secs_f64()).sum();
-        let _ = writeln!(
-            err,
-            "[sweep] {} runs on {} thread(s): {:.2} s wall ({:.2} s of single-thread work)",
-            timed.len(),
-            threads,
-            start.elapsed().as_secs_f64(),
-            serial
-        );
-        timed.into_iter().map(|(report, _)| report).collect()
+        par::map_parallel(configs, par::default_threads(), |config| {
+            Experiment::run(config).expect("bench sweep configs are valid")
+        })
     }
 }
 

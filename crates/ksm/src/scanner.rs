@@ -2,10 +2,11 @@
 
 use crate::{KsmParams, KsmStats};
 use mem::{Fingerprint, FrameId, HolderFilter, IdMap, IdSet, PhysMemory, Tick, HUGE_PAGE_SPAN};
-use obs::EventKind;
+use obs::{EventKind, Profiler};
 use paging::{AsId, HostMm, Mapping, SplitReason, Vpn};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
 /// A model of the Linux Kernel Samepage Merging daemon (`ksmd`).
 ///
@@ -139,14 +140,15 @@ pub struct KsmScanner {
     spec_ref: IdMap<FrameId, u32>,
     /// The page walk's current batch, kept to reuse its allocation.
     batch: Vec<Gathered>,
-    /// Phase timing of the most recent wake (measurement only).
-    last_wake: WakePhases,
-    /// Running sum of every wake's [`WakePhases`] (measurement only).
-    wake_totals: WakePhases,
+    /// Every wake's work counters, summed; the nanos stay 0 here and
+    /// [`wake_totals`](Self::wake_totals) reads them from `prof`.
+    work: WakePhases,
+    /// Wall clock of the wake's `plan` and `commit` steps.
+    prof: Profiler,
 }
 
-/// Per-phase accounting of the most recent wake, split into two
-/// strictly separated halves (DESIGN.md §13):
+/// Per-phase accounting of the scanner's wakes, split into two strictly
+/// separated halves (DESIGN.md §13):
 ///
 /// * the `*_nanos` fields are **wall-clock** measurements. They vary
 ///   run to run and host to host, and nothing deterministic (goldens,
@@ -184,17 +186,6 @@ pub struct WakePhases {
     pub resolved_items: u64,
     /// Deterministic: mutations (merges, promotions, splits) committed.
     pub committed_ops: u64,
-}
-
-impl WakePhases {
-    fn accumulate(&mut self, wake: &WakePhases) {
-        self.plan_nanos += wake.plan_nanos;
-        self.commit_nanos += wake.commit_nanos;
-        self.planned_pages += wake.planned_pages;
-        self.classify_tasks += wake.classify_tasks;
-        self.resolved_items += wake.resolved_items;
-        self.committed_ops += wake.committed_ops;
-    }
 }
 
 /// One mergeable region snapshotted into the pass scan list.
@@ -299,17 +290,21 @@ impl KsmScanner {
             spec_shared: IdSet::default(),
             spec_ref: IdMap::default(),
             batch: Vec::with_capacity(BATCH),
-            last_wake: WakePhases::default(),
-            wake_totals: WakePhases::default(),
+            work: WakePhases::default(),
+            prof: Profiler::default(),
         }
     }
 
     /// Running sum of every wake's [`WakePhases`]: the deterministic
     /// work counters are exact simulated-state totals, the nanos are
-    /// cumulative wall-clock time per phase.
+    /// the scanner's profiled `plan` and `commit` wall time.
     #[must_use]
     pub fn wake_totals(&self) -> WakePhases {
-        self.wake_totals
+        WakePhases {
+            plan_nanos: self.prof.nanos("plan"),
+            commit_nanos: self.prof.nanos("commit"),
+            ..self.work
+        }
     }
 
     /// Exports the scanner's deterministic counters (sysfs-mirror stats
@@ -387,7 +382,7 @@ impl KsmScanner {
             &[],
             self.stable_nodes() as f64,
         );
-        let w = self.wake_totals;
+        let w = self.wake_totals();
         const WORK_HELP: &str = "Cumulative deterministic work items per KSM wake phase.";
         reg.counter(
             "ksm_wake_work_total",
@@ -500,8 +495,7 @@ impl KsmScanner {
         let budget = self.params.pages_to_scan();
         let mut scanned = 0;
         let mut pass_complete = false;
-        self.last_wake = WakePhases::default();
-        let judge_start = std::time::Instant::now();
+        let judge_start = Instant::now();
         while scanned < budget {
             match self.walk(mm, budget - scanned) {
                 Advance::Scanned(n) => scanned += n,
@@ -511,9 +505,9 @@ impl KsmScanner {
                 }
             }
         }
-        self.last_wake.plan_nanos = judge_start.elapsed().as_nanos() as u64;
-        self.last_wake.planned_pages = scanned as u64;
-        let commit_start = std::time::Instant::now();
+        self.prof.end("plan", judge_start, 0, scanned as u64);
+        self.work.planned_pages += scanned as u64;
+        let commit_start = Instant::now();
         self.commit(mm);
         if pass_complete {
             // At most one pass boundary per wake: real ksmd would
@@ -522,9 +516,8 @@ impl KsmScanner {
             // the same pages with a stale volatility horizon.
             self.finish_pass(mm, now);
         }
-        self.last_wake.commit_nanos = commit_start.elapsed().as_nanos() as u64;
+        self.prof.end("commit", commit_start, 0, 0);
         self.stats.pages_scanned += scanned as u64;
-        self.wake_totals.accumulate(&self.last_wake);
     }
 
     /// Recomputes `pages_shared` / `pages_sharing` from the ground truth,
@@ -703,7 +696,7 @@ impl KsmScanner {
         // recorded this wake.
         let whole = self.cursor_page == 0 && region.mapped_pages() <= budget_left;
         if whole {
-            self.last_wake.classify_tasks += 1;
+            self.work.classify_tasks += 1;
         }
         let phys = mm.phys();
         let holders = phys.holders();
@@ -826,7 +819,7 @@ impl KsmScanner {
         let phys = mm.phys();
         let tracing = mm.tracer().is_enabled();
         let (frame, fp) = (page.frame, page.fingerprint);
-        self.last_wake.resolved_items += 1;
+        self.work.resolved_items += 1;
         // The frame was merged away or became a stable node earlier this
         // wake: live, the page is already shared and is skipped without
         // touching the trees or counters. A frame with one PTE cannot
@@ -986,7 +979,7 @@ impl KsmScanner {
     /// only — the count is independent of how many of a block's
     /// subpages fell inside the scan window.
     fn commit(&mut self, mm: &mut HostMm) {
-        self.last_wake.committed_ops = self.ops.len() as u64;
+        self.work.committed_ops += self.ops.len() as u64;
         for op in self.ops.drain(..) {
             match op {
                 CommitOp::Merge { dup, canonical } => mm.merge_frames(dup, canonical),
@@ -1072,6 +1065,29 @@ mod tests {
         assert_eq!(scanner.stats().pages_sharing, 16);
         assert_eq!(mm.phys().allocated_frames(), 16);
         mm.assert_consistent();
+    }
+
+    /// The wake's wall clock is the scanner's profiler: after a few
+    /// wakes the totals carry the `plan` and `commit` nanos, the
+    /// retired classify and resolve steps read 0, and the metrics
+    /// export exactly those two values.
+    #[test]
+    fn wake_nanos_are_the_profiled_plan_and_commit() {
+        let (mut mm, ..) = two_vm_setup(16);
+        let mut scanner = KsmScanner::new(KsmParams::new(1000, 100));
+        converge(&mut scanner, &mut mm, Tick(0), 4);
+        let w = scanner.wake_totals();
+        assert!(w.plan_nanos > 0 && w.commit_nanos > 0, "{w:?}");
+        assert_eq!((w.classify_nanos, w.resolve_nanos), (0, 0));
+        assert_eq!(w.planned_pages, scanner.stats().pages_scanned);
+        assert!(w.resolved_items > 0 && w.committed_ops > 0, "{w:?}");
+        let mut reg = obs::MetricsRegistry::new();
+        scanner.record_metrics(&mut reg);
+        let nanos = |phase| reg.counter_value("ksm_wake_phase_nanos_total", &[("phase", phase)]);
+        assert_eq!(nanos("plan"), Some(w.plan_nanos));
+        assert_eq!(nanos("commit"), Some(w.commit_nanos));
+        assert_eq!(nanos("classify"), None);
+        assert_eq!(nanos("resolve"), None);
     }
 
     #[test]

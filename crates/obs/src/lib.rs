@@ -1,7 +1,6 @@
 //! Observability layer for the TPS-Java reproduction.
 //!
-//! Four facilities, all zero-cost when not requested (see DESIGN.md
-//! §8 and §13):
+//! Four facilities (see DESIGN.md §8 and §13):
 //!
 //! * [`Tracer`] — a ring-buffered structured-event recorder that the
 //!   core crates (`paging`, `ksm`, `oskernel`, `jvm`, `hypervisor`)
@@ -11,8 +10,9 @@
 //! * [`TraceLog`] — the drained trace, plus the summary set of
 //!   merged-then-broken mappings that feeds the merge-miss classifier
 //!   in `analysis`.
-//! * [`Profiler`] — per-phase wall-clock / simulated-tick / pages
-//!   accounting for `Experiment::run` and the KSM pass loop.
+//! * [`Profiler`] — the one wall clock: per-phase wall-clock /
+//!   simulated-tick / pages accounting, always on, for every phase of
+//!   a world's step and runs and for the KSM wake's two steps.
 //! * [`MetricsRegistry`] — a deterministic counter/gauge/histogram
 //!   registry with Prometheus-style text exposition, split into
 //!   byte-identical simulated-state series and clearly separated

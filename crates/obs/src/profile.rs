@@ -1,5 +1,7 @@
 //! Per-phase profiling: wall-clock, simulated ticks and pages touched,
-//! accumulated per named phase of an experiment run.
+//! accumulated per named phase. The one wall clock of a run: every
+//! world phase and KSM wake step is a section of a [`Profiler`], and
+//! the traffic and wake wall fields are views of its totals.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -60,53 +62,26 @@ impl PhaseReport {
     }
 }
 
-/// Accumulates [`PhaseStat`]s. Disabled by default: [`Profiler::begin`]
-/// returns `None` and [`Profiler::end`] is a no-op, so instrumented
-/// loops never call [`Instant::now`] unless profiling was requested.
+/// Accumulates [`PhaseStat`]s. Always on: a caller reads
+/// [`Instant::now`] when a section starts and hands it to
+/// [`Profiler::end`] when it stops, two clock reads per section.
 #[derive(Debug, Default)]
 pub struct Profiler {
-    enabled: bool,
     phases: Vec<PhaseStat>,
 }
 
 impl Profiler {
-    /// A profiler that records nothing.
-    #[must_use]
-    pub fn disabled() -> Profiler {
-        Profiler::default()
-    }
-
-    /// A recording profiler.
-    #[must_use]
-    pub fn enabled() -> Profiler {
-        Profiler {
-            enabled: true,
-            phases: Vec::new(),
-        }
-    }
-
-    /// Whether the profiler records.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Starts timing a phase section; `None` when disabled.
+    /// Finishes a section that began at `started`, folding its wall
+    /// time plus the given tick/page counts into `name`'s totals, and
+    /// returns the section's wall time.
     #[inline]
-    #[must_use]
-    pub fn begin(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Finishes a section started by [`Profiler::begin`], folding its
-    /// wall time plus the given tick/page counts into `name`'s totals.
-    #[inline]
-    pub fn end(&mut self, name: &'static str, started: Option<Instant>, ticks: u64, pages: u64) {
-        let Some(started) = started else { return };
+    pub fn end(
+        &mut self,
+        name: &'static str,
+        started: Instant,
+        ticks: u64,
+        pages: u64,
+    ) -> Duration {
         let wall = started.elapsed();
         if let Some(p) = self.phases.iter_mut().find(|p| p.name == name) {
             p.wall += wall;
@@ -122,6 +97,17 @@ impl Profiler {
                 invocations: 1,
             });
         }
+        wall
+    }
+
+    /// Total wall-clock nanoseconds recorded under `name`; 0 for a
+    /// phase that never ran.
+    #[must_use]
+    pub fn nanos(&self, name: &str) -> u64 {
+        self.phases
+            .iter()
+            .find(|p| p.name == name)
+            .map_or(0, |p| p.wall.as_nanos() as u64)
     }
 
     /// The accumulated profile.
@@ -138,23 +124,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_profiler_records_nothing() {
-        let mut p = Profiler::disabled();
-        let t = p.begin();
-        assert!(t.is_none());
-        p.end("phase", t, 10, 10);
-        assert!(p.report().phases.is_empty());
-    }
-
-    #[test]
     fn phases_accumulate_in_first_use_order() {
-        let mut p = Profiler::enabled();
-        let t = p.begin();
-        p.end("b", t, 1, 2);
-        let t = p.begin();
-        p.end("a", t, 1, 0);
-        let t = p.begin();
-        p.end("b", t, 3, 4);
+        let mut p = Profiler::default();
+        let first = p.end("b", Instant::now(), 1, 2);
+        p.end("a", Instant::now(), 1, 0);
+        let second = p.end("b", Instant::now(), 3, 4);
         let report = p.report();
         assert_eq!(report.phases.len(), 2);
         assert_eq!(report.phases[0].name, "b");
@@ -162,6 +136,10 @@ mod tests {
         assert_eq!(report.phases[0].pages, 6);
         assert_eq!(report.phases[0].invocations, 2);
         assert_eq!(report.phases[1].name, "a");
+        // `nanos` reads the same totals `end` returned piece by piece.
+        assert_eq!(report.phases[0].wall, first + second);
+        assert_eq!(p.nanos("b"), (first + second).as_nanos() as u64);
+        assert_eq!(p.nanos("never"), 0);
         let text = report.render();
         assert!(text.contains("phase"));
         assert!(text.lines().nth(1).unwrap().starts_with("b "));

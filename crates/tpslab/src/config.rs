@@ -104,9 +104,6 @@ pub struct ExperimentConfig {
     /// memslot change, in simulation order. Costs memory and a few
     /// percent of runtime; leaves the report bit-identical otherwise.
     pub trace: bool,
-    /// Profile `Experiment::run` per phase (wall-clock, simulated
-    /// ticks, pages touched) and attach the [`obs::PhaseReport`].
-    pub profile: bool,
     /// Run the merge-miss diagnostics
     /// ([`analysis::diagnose_misses`]) on the final state and attach
     /// the per-category missed-sharing report.
@@ -157,7 +154,6 @@ impl ExperimentConfig {
             seed: 0x0015_9a55,
             timeline: None,
             trace: false,
-            profile: false,
             diagnose: false,
             audit: false,
             threads: 1,
@@ -375,7 +371,6 @@ impl ExperimentConfig {
             seed: 7,
             timeline: None,
             trace: false,
-            profile: false,
             diagnose: false,
             audit: false,
             threads: 1,
@@ -451,13 +446,6 @@ impl ExperimentConfig {
     #[must_use]
     pub fn with_trace(mut self) -> ExperimentConfig {
         self.trace = true;
-        self
-    }
-
-    /// Profiles the run per phase.
-    #[must_use]
-    pub fn with_profile(mut self) -> ExperimentConfig {
-        self.profile = true;
         self
     }
 
@@ -714,7 +702,6 @@ mod tests {
             .with_timeline(5)
             .with_timeline_attribution()
             .with_trace()
-            .with_profile()
             .with_diagnose();
         assert_eq!(
             cfg.timeline,
@@ -725,7 +712,7 @@ mod tests {
         );
         // Re-tuning the cadence keeps the attribution flag.
         assert!(cfg.clone().with_timeline(7).timeline.unwrap().attribution);
-        assert!(cfg.trace && cfg.profile && cfg.diagnose);
+        assert!(cfg.trace && cfg.diagnose);
     }
 
     #[test]

@@ -79,10 +79,9 @@ pub struct ExperimentReport {
     /// [`ExperimentConfig::with_diagnose`](crate::ExperimentConfig::with_diagnose)
     /// was used).
     pub merge_miss: Option<analysis::MergeMissReport>,
-    /// Per-phase profile of the run (`None` unless
-    /// [`ExperimentConfig::with_profile`](crate::ExperimentConfig::with_profile)
-    /// was used).
-    pub phases: Option<obs::PhaseReport>,
+    /// Per-phase wall-clock profile of the run (DESIGN.md §8). Unlike
+    /// every other field it varies run to run.
+    pub phases: obs::PhaseReport,
     /// The page-lifecycle event trace (`None` unless
     /// [`ExperimentConfig::with_trace`](crate::ExperimentConfig::with_trace)
     /// was used).
@@ -199,7 +198,7 @@ mod tests {
             caches: vec![],
             timeline: vec![],
             merge_miss: None,
-            phases: None,
+            phases: obs::PhaseReport::default(),
             trace: None,
         }
     }

@@ -7,6 +7,7 @@ use hypervisor::{KvmHost, PagingModel};
 use jvm::JavaVm;
 use ksm::KsmStats;
 use mem::{Fingerprint, Tick};
+use std::time::Instant;
 use workloads::Workload;
 
 /// The JVM build used throughout the paper: IBM J9, Java 6 SR9.
@@ -19,8 +20,8 @@ pub struct Experiment;
 impl Experiment {
     /// Boots the configured guests and JVMs and advances the world
     /// through `config.duration_seconds` of simulated time (guest/JVM
-    /// ticks plus KSM scanning — no sampling, auditing or profiling),
-    /// returning the live host and JVMs.
+    /// ticks plus KSM scanning — no sampling or auditing), returning
+    /// the live host and JVMs.
     ///
     /// This is the bench harness: it hands out the same warmed-up world
     /// state [`run`](Self::run) measures, so analysis passes (e.g. the
@@ -78,7 +79,7 @@ impl Experiment {
             if sample_ticks.is_none_or(|every| t % every != 0) {
                 continue;
             }
-            let sample_started = world.prof.begin();
+            let sample_started = Instant::now();
             world.recount();
             let stats = world.scanner.stats();
             world.prof.end("timeline_sample", sample_started, 0, 0);
@@ -104,7 +105,7 @@ impl Experiment {
             });
             last_stats = stats;
         }
-        let final_started = world.prof.begin();
+        let final_started = Instant::now();
         world.recount();
         world.prof.end("final_recount", final_started, 0, 0);
 
@@ -126,7 +127,7 @@ impl Experiment {
             )
         });
         let trace = config.trace.then(|| host.mm_mut().tracer_mut().take_log());
-        let phases = config.profile.then(|| world.prof.report());
+        let phases = world.prof.report();
 
         // Over-commit throughput model (Figs. 7–8).
         let resident_mib = host.resident_mib();
@@ -191,7 +192,7 @@ impl Experiment {
 /// One warm attribution walk (§II) of `world` and its rollup, timed as
 /// the `attribution` phase.
 fn attribute(world: &mut World, engine: &mut SnapshotEngine) -> BreakdownReport {
-    let started = world.prof.begin();
+    let started = Instant::now();
     let breakdown = engine.snapshot(world.host.mm(), &world.views()).breakdown();
     let frames = world.host.mm().phys().allocated_frames() as u64;
     world.prof.end("attribution", started, 0, frames);

@@ -122,21 +122,24 @@ pub struct GuestTraffic {
 }
 
 /// Wall-clock nanoseconds a traffic run spent in each step phase,
-/// accumulated across every tick. Wall-clock only — never part of
-/// [`TrafficReport`] or any golden; exported as `Wall`-class metrics by
-/// the daemon and recorded by the `fleet_traffic` bench.
+/// accumulated across every tick: a view of the world's profiled
+/// phases. Wall-clock only — never part of [`TrafficReport`] or any
+/// golden; exported as `Wall`-class metrics by the daemon.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficWall {
-    /// Draining due events out of the engine's queue.
+    /// Draining due events out of the engine's queue
+    /// (`traffic_drain`).
     pub drain_ns: u64,
     /// The per-batch serving-capacity snapshot taken before a batch's
-    /// events apply. Named for the plan phase it once timed: the
-    /// daemon's `traffic_plan_wall_ns_total` series and `perfbench`
-    /// read it under that name.
+    /// events apply (`traffic_plan`). Named for the plan phase it once
+    /// timed: the daemon's `traffic_plan_wall_ns_total` series and
+    /// `perfbench` read it under that name.
     pub plan_ns: u64,
-    /// Applying the batch's events to guests, JVMs and host memory.
+    /// Applying the batch's events to guests, JVMs and host memory
+    /// (`traffic_commit`).
     pub commit_ns: u64,
-    /// khugepaged, the KSM scanner and sharing samples.
+    /// khugepaged, the KSM scanner and sharing samples (`thp_scan`,
+    /// `ksm_scan` and `timeline_sample`).
     pub scan_ns: u64,
     /// Always 0: the KSM wake no longer has a pool-parallel share of
     /// [`scan_ns`](Self::scan_ns). Kept only because `perfbench` reads
@@ -273,8 +276,7 @@ impl TrafficReport {
 }
 
 /// The traffic [`Drive`] of a [`World`]: the event engine, the inputs of
-/// the per-batch capacity snapshot, the running report and the step's
-/// wall clocks.
+/// the per-batch capacity snapshot and the running report.
 pub(crate) struct Traffic {
     engine: TrafficEngine,
     healthy_rps: f64,
@@ -285,7 +287,6 @@ pub(crate) struct Traffic {
     /// step; [`World::finish_traffic`] fills in the end-of-run fields,
     /// the sharing stability among them.
     pub(crate) report: TrafficReport,
-    pub(crate) wall: TrafficWall,
 }
 
 impl Traffic {
@@ -326,7 +327,6 @@ impl Traffic {
                 per_guest: vec![GuestTraffic::default(); guests],
                 ..TrafficReport::default()
             },
-            wall: TrafficWall::default(),
         }
     }
 
@@ -404,26 +404,27 @@ impl World {
         };
         let drain_started = Instant::now();
         let batch = traffic.engine.events_until(now);
-        traffic.wall.drain_ns += elapsed_ns(drain_started);
+        self.prof.end("traffic_drain", drain_started, 1, 0);
         if batch.is_empty() {
             return;
         }
-        let snapshot_started = Instant::now();
+        let plan_started = Instant::now();
         let caps = traffic.capacity(&self.host, &self.slots, &self.config, &batch);
-        traffic.wall.plan_ns += elapsed_ns(snapshot_started);
+        self.prof.end("traffic_plan", plan_started, 0, 0);
         let commit_started = Instant::now();
         for &(at, event) in &batch {
             self.apply(at, event, &caps);
         }
-        self.traffic_mut().wall.commit_ns += elapsed_ns(commit_started);
+        self.prof.end("traffic_commit", commit_started, 0, 0);
     }
 
     /// The traffic drive's end of tick, after the host daemons ran: a
-    /// recounted (and audited) sharing sample on the sample cadence and
-    /// at the last tick, and the daemons' wall time.
-    pub(crate) fn end_traffic_tick(&mut self, now: Tick, daemons_started: Instant) {
+    /// recounted (and audited) sharing sample, the `timeline_sample`
+    /// phase, on the sample cadence and at the last tick.
+    pub(crate) fn end_traffic_tick(&mut self, now: Tick) {
         let end = Tick::from_seconds(self.config.duration_seconds as f64);
         if now.0.is_multiple_of(SAMPLE_SECONDS * mem::TICKS_PER_SECOND) || now == end {
+            let sample_started = Instant::now();
             self.recount();
             let active_guests = self.slots.iter().filter(|s| s.java.is_some()).count();
             let pages_sharing = self.scanner.stats().pages_sharing;
@@ -435,8 +436,21 @@ impl World {
                 served: std::mem::take(&mut traffic.window_served),
                 pages_sharing,
             });
+            self.prof.end("timeline_sample", sample_started, 0, 0);
         }
-        self.traffic_mut().wall.scan_ns += elapsed_ns(daemons_started);
+    }
+
+    /// The step's wall time so far, as [`TrafficWall`]'s view of the
+    /// profiled phases.
+    pub(crate) fn traffic_wall(&self) -> TrafficWall {
+        let p = &self.prof;
+        TrafficWall {
+            drain_ns: p.nanos("traffic_drain"),
+            plan_ns: p.nanos("traffic_plan"),
+            commit_ns: p.nanos("traffic_commit"),
+            scan_ns: p.nanos("thp_scan") + p.nanos("ksm_scan") + p.nanos("timeline_sample"),
+            scan_parallel_ns: 0,
+        }
     }
 
     /// Ends a traffic run: settles every still-active guest's kernel
@@ -452,6 +466,7 @@ impl World {
             }
         }
         self.recount();
+        let wall = self.traffic_wall();
         let Drive::Traffic(traffic) = self.drive else {
             unreachable!("finish_traffic ends a traffic run");
         };
@@ -461,7 +476,7 @@ impl World {
         report.resident_mib = self.host.resident_mib();
         report.huge_mib = self.host.huge_mib();
         report.throughput_rps = report.served as f64 / self.config.duration_seconds as f64;
-        (report, traffic.wall)
+        (report, wall)
     }
 
     fn traffic_mut(&mut self) -> &mut Traffic {
@@ -613,10 +628,6 @@ fn catch_up(mm: &mut HostMm, os: &mut GuestOs, churned_to: &mut u64, at: Tick) {
     }
 }
 
-fn elapsed_ns(started: Instant) -> u64 {
-    started.elapsed().as_nanos() as u64
-}
-
 /// Sharing stability over the second half of the samples: how little
 /// `pages_sharing` moved between consecutive samples once the fleet
 /// warmed up, as `1 − mean |Δ| / mean level`, clamped to `[0, 1]`.
@@ -673,10 +684,21 @@ mod tests {
 
     #[test]
     fn wall_phases_are_recorded_and_stay_out_of_the_report() {
+        let started = Instant::now();
         let (report, wall) =
             Experiment::run_traffic_timed(&cfg(2, 30), &Scenario::constant()).unwrap();
-        assert!(wall.scan_ns > 0);
-        assert!(wall.drain_ns > 0);
+        let elapsed = started.elapsed().as_nanos() as u64;
+        for (phase, ns) in [
+            ("drain", wall.drain_ns),
+            ("plan", wall.plan_ns),
+            ("commit", wall.commit_ns),
+            ("scan", wall.scan_ns),
+        ] {
+            assert!(ns > 0, "{phase}: {wall:?}");
+        }
+        assert_eq!(wall.scan_parallel_ns, 0);
+        // The phases are sections of the call, so never more than it.
+        assert!(wall.total_ns() <= elapsed, "{wall:?} over {elapsed} ns");
         // Same config, fresh run: the deterministic report matches even
         // though the wall numbers will not.
         let again = Experiment::run_traffic(&cfg(2, 30), &Scenario::constant()).unwrap();

@@ -77,7 +77,7 @@ pub(crate) struct World {
     /// builds, so every test that runs an experiment audits it, and
     /// under `config.audit` (`--audit`) in release runs.
     audit: bool,
-    /// Per-phase wall clock, recording only under `config.profile`.
+    /// The world's one wall clock: every phase of its step and runs.
     pub(crate) prof: Profiler,
 }
 
@@ -86,12 +86,7 @@ impl World {
     /// yet), driven by `scenario`'s traffic or, without one, by the
     /// scripted workloads. Times the boot as the `setup` phase.
     pub(crate) fn new(config: &ExperimentConfig, scenario: Option<&Scenario>) -> World {
-        let prof = if config.profile {
-            Profiler::enabled()
-        } else {
-            Profiler::disabled()
-        };
-        let setup_started = prof.begin();
+        let setup_started = Instant::now();
         let mut host = KvmHost::new(config.host);
         host.set_thp_policies(config.thp_host, config.thp_guest);
         if config.trace {
@@ -133,7 +128,7 @@ impl World {
             warmup_end: Tick::from_seconds(config.ksm.warmup_seconds as f64),
             switched: false,
             audit: config.audit || cfg!(debug_assertions),
-            prof,
+            prof: Profiler::default(),
         };
         let noisy = scenario.and_then(|s| s.noisy_factor);
         for (i, spec) in config.guests.iter().enumerate() {
@@ -168,38 +163,41 @@ impl World {
     /// simulated second, the warm-up → steady switch, the KSM wake) —
     /// like the real kernel's independent kthreads, collapse and merge
     /// interleave with guest activity. Under traffic the tick ends
-    /// with a sharing sample on the sample cadence.
+    /// with a sharing sample on the sample cadence. Each part is a
+    /// phase of `prof`: `guest_jvm_tick` (or the traffic drive's own
+    /// three), `thp_scan`, `ksm_scan` and `timeline_sample`.
     pub(crate) fn step(&mut self, t: u64) {
         let now = Tick(t);
-        let tick_started = self.prof.begin();
-        let writes_before = self.host.mm().phys().total_writes();
         match self.drive {
             Drive::Scripted => {
+                let tick_started = Instant::now();
+                let writes_before = self.host.mm().phys().total_writes();
                 for (i, slot) in self.slots.iter_mut().enumerate() {
                     let java = slot.java.as_mut().expect("a scripted guest runs its JVM");
                     tick_guest(&mut self.host, i, java, now);
                 }
+                let writes = self.host.mm().phys().total_writes() - writes_before;
+                self.prof.end("guest_jvm_tick", tick_started, 1, writes);
             }
             Drive::Traffic(_) => self.apply_due(now),
         }
-        let writes = self.host.mm().phys().total_writes() - writes_before;
-        self.prof.end("guest_jvm_tick", tick_started, 1, writes);
 
-        let daemons_started = Instant::now();
         if t.is_multiple_of(mem::TICKS_PER_SECOND) {
+            let thp_started = Instant::now();
             self.host.thp_scan(now);
+            self.prof.end("thp_scan", thp_started, 0, 0);
         }
         if !self.switched && now >= self.warmup_end {
             self.scanner.set_params(self.config.ksm.steady);
             self.switched = true;
         }
-        let scan_started = self.prof.begin();
+        let scan_started = Instant::now();
         let scanned_before = self.scanner.stats().pages_scanned;
         self.scanner.run(self.host.mm_mut(), now);
         let scanned = self.scanner.stats().pages_scanned - scanned_before;
         self.prof.end("ksm_scan", scan_started, 1, scanned);
         if let Drive::Traffic(_) = self.drive {
-            self.end_traffic_tick(now, daemons_started);
+            self.end_traffic_tick(now);
         }
     }
 

@@ -14,13 +14,18 @@ usage:
                    [--csv] [--audit] [--trace FILE] [--profile] [--timeline S] [--thp POLICY]
   tps-java traffic [--scenario NAME] [--guests N] [--benchmark NAME] [--preset NAME] [--scale S]
                    [--minutes M] [--preload] [--audit] [--thp POLICY]
-  tps-java explain [--guests N] [--benchmark NAME] [--preset NAME] [--scale S] [--minutes M] [--preload] [--top N]
-  tps-java sweep   [--from N] [--to N] [--benchmark NAME] [--scale S] [--minutes M] [--audit]
+  tps-java explain [--guests N] [--benchmark NAME] [--preset NAME] [--scale S] [--minutes M] [--preload]
+                   [--top N] [--audit] [--thp POLICY]
+  tps-java sweep   [--from N] [--to N] [--benchmark NAME] [--preset NAME] [--scale S] [--minutes M]
+                   [--audit] [--thp POLICY]
   tps-java powervm [--scale S] [--minutes M]
   tps-java smaps   [--preload]
-  tps-java serve   [--port P] [--scenario NAME] [--throttle-ms MS] [run options]
-  tps-java top     [--addr HOST:PORT] [--once] [--interval-ms MS]
+  tps-java serve   [--port P] [--scenario NAME] [--throttle-ms MS] [--guests N] [--benchmark NAME]
+                   [--preset NAME] [--scale S] [--minutes M] [--preload] [--audit] [--thp POLICY]
+                   [--addr HOST:PORT]
+  tps-java top     [--addr HOST:PORT] [--port P] [--once] [--interval-ms MS]
   tps-java scenario list
+Each subcommand refuses a flag it does not read.
 benchmarks: daytrader | specjenterprise | tpcw | tuscany
 presets: scale32 | scale256 | scale1024 — fleet SPECjEnterprise
 configurations (preset fixes the benchmark and host). --guests sets the
@@ -33,7 +38,9 @@ each one.
 --audit runs the cross-layer conservation audit at the end of each
 experiment (always on in debug builds) and aborts on any violation.
 --trace FILE writes the page-lifecycle event trace as JSONL; --profile
-prints the per-phase cost table. `explain` reruns the experiment with
+prints the per-phase cost table. `run --csv` prints only the CSV: it
+refuses --profile and --timeline, and its trace summary goes to stderr.
+`explain` reruns the experiment with
 tracing on and reports why content-identical pages were not merged,
 plus the --top N busiest page lifecycles. --timeline S samples the
 sharing timeline with full attribution every S simulated seconds and
@@ -65,6 +72,37 @@ impl std::error::Error for CliError {}
 fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
+
+/// Every subcommand that takes options and the flags it reads, in
+/// [`USAGE`] order. A flag that only other subcommands read is refused
+/// rather than silently dropped.
+const FLAGS: [(&str, &str); 8] = [
+    (
+        "run",
+        "--guests --benchmark --preset --scale --minutes --preload --csv --audit --trace \
+         --profile --timeline --thp",
+    ),
+    (
+        "traffic",
+        "--scenario --guests --benchmark --preset --scale --minutes --preload --audit --thp",
+    ),
+    (
+        "explain",
+        "--guests --benchmark --preset --scale --minutes --preload --top --audit --thp",
+    ),
+    (
+        "sweep",
+        "--from --to --benchmark --preset --scale --minutes --audit --thp",
+    ),
+    ("powervm", "--scale --minutes"),
+    ("smaps", "--preload"),
+    (
+        "serve",
+        "--port --scenario --throttle-ms --guests --benchmark --preset --scale --minutes \
+         --preload --audit --thp --addr",
+    ),
+    ("top", "--addr --port --once --interval-ms"),
+];
 
 /// Parsed common options.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,10 +162,17 @@ impl Default for Opts {
     }
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
+/// Parses `cmd`'s options: a flag [`FLAGS`] does not list for `cmd` is
+/// refused.
+fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, CliError> {
+    let reads = |flags: &str, arg: &str| flags.split(' ').any(|f| f == arg);
+    let own = FLAGS.iter().find(|(c, _)| *c == cmd).map_or("", |(_, f)| f);
     let mut opts = Opts::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if !reads(own, arg) && FLAGS.iter().any(|(_, flags)| reads(flags, arg)) {
+            return Err(err(format!("{arg} does not apply to {cmd}")));
+        }
         let mut value = |name: &str| {
             it.next()
                 .ok_or_else(|| err(format!("{name} needs a value")))
@@ -252,7 +297,7 @@ fn benchmark_by_name(name: &str, scale: f64) -> Result<Benchmark, CliError> {
 /// from ad-hoc checks here: its typed error renders as the diagnostic.
 fn preset_config(opts: &Opts, name: &str, guests: usize) -> Result<ExperimentConfig, CliError> {
     let mut builder = ExperimentConfig::preset(name).scale(opts.scale);
-    if opts.guests_explicit || guests != opts.guests {
+    if opts.guests_explicit {
         builder = builder.guests(guests);
     }
     builder.build().map_err(|e| err(e.to_string()))
@@ -306,27 +351,34 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
     let (cmd, rest) = args
         .split_first()
         .ok_or_else(|| err("missing subcommand"))?;
+    let opts = || parse_opts(cmd, rest);
     match cmd.as_str() {
-        "run" => cmd_run(&parse_opts(rest)?),
-        "traffic" => cmd_traffic(&parse_opts(rest)?),
-        "explain" => cmd_explain(&parse_opts(rest)?),
-        "sweep" => cmd_sweep(&parse_opts(rest)?),
-        "powervm" => cmd_powervm(&parse_opts(rest)?),
-        "smaps" => cmd_smaps(&parse_opts(rest)?),
-        "serve" => cmd_serve(&parse_opts(rest)?),
-        "top" => cmd_top(&parse_opts(rest)?),
+        "run" => cmd_run(&opts()?),
+        "traffic" => cmd_traffic(&opts()?),
+        "explain" => cmd_explain(&opts()?),
+        "sweep" => cmd_sweep(&opts()?),
+        "powervm" => cmd_powervm(&opts()?),
+        "smaps" => cmd_smaps(&opts()?),
+        "serve" => cmd_serve(&opts()?),
+        "top" => cmd_top(&opts()?),
         "scenario" => cmd_scenario(rest),
         other => Err(err(format!("unknown subcommand {other}"))),
     }
 }
 
 fn cmd_run(opts: &Opts) -> Result<String, CliError> {
+    // The CSV is all `--csv` prints: no table or timeline rows.
+    for (flag, set) in [
+        ("--profile", opts.profile),
+        ("--timeline", opts.timeline.is_some()),
+    ] {
+        if opts.csv && set {
+            return Err(err(format!("{flag} does not apply to run --csv")));
+        }
+    }
     let mut cfg = config_for(opts, opts.guests)?;
     if opts.trace.is_some() {
         cfg = cfg.with_trace();
-    }
-    if opts.profile {
-        cfg = cfg.with_profile();
     }
     let n_guests = cfg.guests.len();
     let report = Experiment::run(&cfg).map_err(|e| err(e.to_string()))?;
@@ -335,13 +387,18 @@ fn cmd_run(opts: &Opts) -> Result<String, CliError> {
         let log = report.trace.as_ref().expect("tracing was enabled");
         std::fs::write(path, log.to_jsonl()).map_err(|e| err(format!("--trace {path}: {e}")))?;
         warn_dropped_events(log);
-        let _ = writeln!(
-            out,
-            "trace: {} events ({} dropped, {} merged-then-broken mappings) -> {path}",
+        let summary = format!(
+            "trace: {} events ({} dropped, {} merged-then-broken mappings) -> {path}\n",
             log.events.len(),
             log.dropped,
             log.broken_mappings.len(),
         );
+        // CSV stdout stays CSV from its first line.
+        if opts.csv {
+            let _ = std::io::stderr().write_all(summary.as_bytes());
+        } else {
+            out.push_str(&summary);
+        }
     }
     if opts.csv {
         out.push_str(&analysis::guest_csv(&report.breakdown));
@@ -392,9 +449,9 @@ fn cmd_run(opts: &Opts) -> Result<String, CliError> {
             );
         }
     }
-    if let Some(phases) = &report.phases {
+    if opts.profile {
         out.push('\n');
-        out.push_str(&phases.render());
+        out.push_str(&report.phases.render());
     }
     Ok(out)
 }
@@ -525,7 +582,12 @@ fn cmd_sweep(opts: &Opts) -> Result<String, CliError> {
         "{:>4} {:>18} {:>18}",
         "VMs", "default (thr)", "preloaded (thr)"
     );
-    // Every point is built (and budget-checked) before the first runs.
+    // Every point is built (and budget-checked) before the first runs,
+    // at its own guest count rather than a preset's.
+    let opts = &Opts {
+        guests_explicit: true,
+        ..opts.clone()
+    };
     let configs = (opts.from..=opts.to)
         .map(|n| config_for(opts, n))
         .collect::<Result<Vec<_>, _>>()?;
@@ -663,36 +725,35 @@ mod tests {
 
     #[test]
     fn parse_defaults_and_flags() {
-        let opts = parse_opts(&argv(
-            "--guests 3 --preload --csv --audit --scale 16 --minutes 2",
-        ))
+        let opts = parse_opts(
+            "run",
+            &argv("--guests 3 --preload --csv --audit --scale 16 --minutes 2"),
+        )
         .unwrap();
         assert_eq!(opts.guests, 3);
         assert!(opts.preload);
         assert!(opts.csv);
         assert!(opts.audit);
         assert_eq!(opts.scale, 16.0);
-        assert!(!parse_opts(&argv("--guests 3")).unwrap().audit);
+        assert!(!parse_opts("run", &argv("--guests 3")).unwrap().audit);
     }
 
     #[test]
     fn parse_rejects_bad_input() {
-        assert!(parse_opts(&argv("--guests")).is_err());
-        assert!(parse_opts(&argv("--guests zero")).is_err());
-        assert!(parse_opts(&argv("--wat 1")).is_err());
-        assert!(parse_opts(&argv("--scale 0.5")).is_err());
+        let run = |line: &str| parse_opts("run", &argv(line));
+        assert!(run("--guests").is_err());
+        assert!(run("--guests zero").is_err());
+        assert!(run("--wat 1").is_err());
+        assert!(run("--scale 0.5").is_err());
         // A divisor past the cap shrinks guests below a kernel and a JVM.
         let max = ExperimentConfig::MAX_SCALE;
-        assert_eq!(
-            parse_opts(&argv(&format!("--scale {max}"))).unwrap().scale,
-            max
-        );
+        assert_eq!(run(&format!("--scale {max}")).unwrap().scale, max);
         for line in ["--scale 30000", "--scale 100000", "--scale 1e300"] {
-            let e = parse_opts(&argv(line)).unwrap_err().to_string();
+            let e = run(line).unwrap_err().to_string();
             assert!(e.starts_with("--scale: the size divisor"), "{line}: {e}");
         }
-        assert!(parse_opts(&argv("--from 5 --to 3")).is_err());
-        assert!(parse_opts(&argv("--timeline 0")).is_err());
+        assert!(parse_opts("sweep", &argv("--from 5 --to 3")).is_err());
+        assert!(run("--timeline 0").is_err());
         // Non-finite sizes would panic deep in the run or never end.
         for line in [
             "--scale nan",
@@ -700,23 +761,76 @@ mod tests {
             "--minutes inf",
             "--minutes nan",
         ] {
-            assert!(parse_opts(&argv(line)).is_err(), "{line}");
+            assert!(run(line).is_err(), "{line}");
         }
         // So would a finite count past one simulated day.
-        assert!(parse_opts(&argv("--minutes 1440")).is_ok());
+        assert!(run("--minutes 1440").is_ok());
         for line in ["--minutes 1440.5", "--minutes 1e12"] {
-            let e = parse_opts(&argv(line)).unwrap_err();
+            let e = run(line).unwrap_err();
             assert!(e.to_string().contains("at most 1440"), "{line}: {e}");
         }
-        let e = parse_opts(&argv("--threads 2")).unwrap_err();
+        let e = run("--threads 2").unwrap_err();
         assert_eq!(e.to_string(), "unknown option --threads");
+        // A flag the subcommand would silently drop is refused, before
+        // anything runs.
+        for (line, want) in [
+            (
+                "traffic --profile --timeline 5 --csv",
+                "--profile does not apply to traffic",
+            ),
+            (
+                "traffic --timeline 5",
+                "--timeline does not apply to traffic",
+            ),
+            ("traffic --csv", "--csv does not apply to traffic"),
+            (
+                "powervm --guests 9 --preload",
+                "--guests does not apply to powervm",
+            ),
+            ("powervm --preload", "--preload does not apply to powervm"),
+            ("sweep --preload", "--preload does not apply to sweep"),
+            (
+                "run --csv --profile",
+                "--profile does not apply to run --csv",
+            ),
+            (
+                "run --csv --timeline 5",
+                "--timeline does not apply to run --csv",
+            ),
+            ("top --once --guests 2", "--guests does not apply to top"),
+        ] {
+            let e = dispatch(&argv(line)).unwrap_err();
+            assert_eq!(e.to_string(), want, "{line}");
+        }
+    }
+
+    /// USAGE lists exactly the flags each subcommand reads.
+    #[test]
+    fn usage_lists_the_flags_each_subcommand_reads() {
+        let mut listed: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in USAGE.lines().skip(1) {
+            if let Some(rest) = line.trim_start().strip_prefix("tps-java ") {
+                listed.push((rest.split(' ').next().unwrap(), Vec::new()));
+            } else if !line.starts_with("   ") {
+                break;
+            }
+            let flags = &mut listed.last_mut().unwrap().1;
+            flags.extend(line.split(['[', ']', ' ']).filter(|w| w.starts_with("--")));
+        }
+        let scenario = listed.pop().unwrap();
+        assert_eq!(scenario, ("scenario", Vec::new()));
+        let expected: Vec<(&str, Vec<&str>)> = FLAGS
+            .iter()
+            .map(|(cmd, flags)| (*cmd, flags.split(' ').collect()))
+            .collect();
+        assert_eq!(listed, expected);
     }
 
     #[test]
     fn parse_timeline() {
-        let opts = parse_opts(&argv("--timeline 15")).unwrap();
+        let opts = parse_opts("run", &argv("--timeline 15")).unwrap();
         assert_eq!(opts.timeline, Some(15));
-        let defaults = parse_opts(&argv("")).unwrap();
+        let defaults = parse_opts("run", &argv("")).unwrap();
         assert_eq!(defaults.timeline, None);
     }
 
@@ -737,15 +851,15 @@ mod tests {
     #[test]
     fn parse_thp_and_reject_unknown_policy() {
         use tpslab::paging::ThpPolicy;
-        let opts = parse_opts(&argv("--thp always")).unwrap();
+        let opts = parse_opts("run", &argv("--thp always")).unwrap();
         assert_eq!(opts.thp.as_deref(), Some("always"));
         let cfg = config_for(&opts, 2).unwrap();
         assert_eq!(cfg.thp_host, ThpPolicy::Always);
         assert_eq!(cfg.thp_guest, ThpPolicy::Always);
-        let defaults = parse_opts(&argv("")).unwrap();
+        let defaults = parse_opts("run", &argv("")).unwrap();
         let cfg = config_for(&defaults, 2).unwrap();
         assert_eq!(cfg.thp_host, ThpPolicy::Never);
-        let bad = parse_opts(&argv("--thp sometimes")).unwrap();
+        let bad = parse_opts("run", &argv("--thp sometimes")).unwrap();
         let e = config_for(&bad, 2).unwrap_err();
         assert!(e.to_string().contains("--thp"), "got: {e}");
     }
@@ -764,27 +878,28 @@ mod tests {
 
     #[test]
     fn preset_selects_fleet_config_and_guests_override_is_budgeted() {
-        let opts = parse_opts(&argv("--preset scale256 --scale 64")).unwrap();
+        let run = |line: &str| parse_opts("run", &argv(line)).unwrap();
+        let opts = run("--preset scale256 --scale 64");
         assert_eq!(opts.preset.as_deref(), Some("scale256"));
         assert!(!opts.guests_explicit);
         let cfg = config_for(&opts, opts.guests).unwrap();
         assert_eq!(cfg.guests.len(), 256, "preset keeps its native count");
 
-        let shrunk = parse_opts(&argv("--preset scale256 --scale 64 --guests 3")).unwrap();
+        let shrunk = run("--preset scale256 --scale 64 --guests 3");
         assert!(shrunk.guests_explicit);
         let cfg = config_for(&shrunk, shrunk.guests).unwrap();
         assert_eq!(cfg.guests.len(), 3, "--guests overrides the preset count");
 
-        let bloated = parse_opts(&argv("--preset scale256 --scale 64 --guests 99999")).unwrap();
+        let bloated = run("--preset scale256 --scale 64 --guests 99999");
         let e = config_for(&bloated, bloated.guests).unwrap_err();
         assert!(e.to_string().contains("caps the fleet"), "got: {e}");
 
-        let bad = parse_opts(&argv("--preset scale9000")).unwrap();
+        let bad = run("--preset scale9000");
         assert!(config_for(&bad, bad.guests).is_err());
 
         // The --benchmark path checks the same budget: 22 DayTrader
         // guests at any scale.
-        let huge = parse_opts(&argv("--guests 100000")).unwrap();
+        let huge = run("--guests 100000");
         let e = config_for(&huge, huge.guests).unwrap_err();
         assert!(e.to_string().contains("caps the fleet"), "got: {e}");
         assert!(config_for(&huge, 22).is_ok());
@@ -821,6 +936,24 @@ mod tests {
         assert!(csv.contains("Java heap"));
     }
 
+    /// With `--csv`, the trace summary goes to stderr: stdout is the
+    /// CSV from its first line.
+    #[test]
+    fn run_csv_with_trace_keeps_stdout_csv() {
+        let path = std::env::temp_dir().join("tps_java_cli_csv_trace_test.jsonl");
+        let arg = format!(
+            "run --guests 1 --scale 64 --minutes 0.5 --csv --trace {}",
+            path.display()
+        );
+        let csv = dispatch(&argv(&arg)).unwrap();
+        assert!(csv.starts_with("guest,"), "got: {csv}");
+        assert!(!csv.contains("trace:"), "got: {csv}");
+        assert!(std::fs::read_to_string(&path)
+            .unwrap()
+            .starts_with("{\"seq\":"));
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn run_writes_trace_file_and_prints_profile() {
         let path = std::env::temp_dir().join("tps_java_cli_trace_test.jsonl");
@@ -844,7 +977,7 @@ mod tests {
         assert!(text.contains("pending"));
         assert!(text.contains("top 2 page lifecycles"));
         assert!(text.contains("events recorded"));
-        assert!(parse_opts(&argv("--top 0")).is_err());
+        assert!(parse_opts("explain", &argv("--top 0")).is_err());
     }
 
     #[test]
@@ -858,27 +991,37 @@ mod tests {
     fn sweep_emits_one_row_per_point() {
         let text = dispatch(&argv("sweep --from 1 --to 2 --scale 64 --minutes 0.5")).unwrap();
         assert_eq!(text.lines().count(), 3);
+        // Every row runs its own guest count under a preset too, the
+        // row at the default `--guests` included.
+        let text = dispatch(&argv(
+            "sweep --preset scale32 --from 3 --to 5 --scale 512 --minutes 0.2",
+        ))
+        .unwrap();
+        let default: Vec<f64> = text
+            .lines()
+            .skip(1)
+            .map(|l| l.split_whitespace().nth(1).unwrap().parse().unwrap())
+            .collect();
+        assert!(default.windows(2).all(|w| w[0] < w[1]), "got:\n{text}");
     }
 
     #[test]
     fn parse_daemon_flags() {
-        let opts = parse_opts(&argv(
-            "--port 0 --addr 127.0.0.1:9999 --once --interval-ms 50 --throttle-ms 5",
-        ))
+        let opts = parse_opts(
+            "top",
+            &argv("--port 0 --addr 127.0.0.1:9999 --once --interval-ms 50"),
+        )
         .unwrap();
         assert_eq!(opts.port, 0);
         assert_eq!(opts.addr.as_deref(), Some("127.0.0.1:9999"));
         assert!(opts.once);
         assert_eq!(opts.interval_ms, 50);
-        assert_eq!(opts.throttle_ms, 5);
-        assert!(!parse_opts(&argv("")).unwrap().scenario_explicit);
-        assert!(
-            parse_opts(&argv("--scenario diurnal"))
-                .unwrap()
-                .scenario_explicit
-        );
-        assert!(parse_opts(&argv("--interval-ms 0")).is_err());
-        assert!(parse_opts(&argv("--port seventy")).is_err());
+        let serve = |line: &str| parse_opts("serve", &argv(line));
+        assert_eq!(serve("--throttle-ms 5").unwrap().throttle_ms, 5);
+        assert!(!serve("").unwrap().scenario_explicit);
+        assert!(serve("--scenario diurnal").unwrap().scenario_explicit);
+        assert!(parse_opts("top", &argv("--interval-ms 0")).is_err());
+        assert!(serve("--port seventy").is_err());
     }
 
     #[test]
@@ -922,7 +1065,7 @@ mod tests {
             dispatch(&argv(&line)).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
         // `serve` ticks the same world in a daemon, to its last epoch.
-        let opts = parse_opts(&argv(&format!("--guests 2 {sized}"))).unwrap();
+        let opts = parse_opts("serve", &argv(&format!("--guests 2 {sized}"))).unwrap();
         let config = config_for(&opts, opts.guests).unwrap();
         let last = config.duration_seconds;
         let mut daemon = tpslab::Daemon::spawn(tpslab::DaemonConfig::new(config)).unwrap();

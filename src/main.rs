@@ -1,11 +1,6 @@
-//! `tps-java` — command-line front end for the reproduction.
-//!
-//! ```text
-//! tps-java run   [--guests N] [--benchmark NAME] [--scale S] [--minutes M] [--preload] [--csv]
-//! tps-java sweep [--from N] [--to N] [--benchmark NAME] [--scale S] [--minutes M]
-//! tps-java powervm [--scale S] [--minutes M]
-//! tps-java smaps [--preload]
-//! ```
+//! `tps-java` — command-line front end for the reproduction. Its
+//! subcommands and the flags each one reads are listed in
+//! `tps_java_repro::cli::USAGE`, which a bad command line prints.
 
 use std::io::{self, Write};
 use std::process::ExitCode;

@@ -18,9 +18,13 @@ fn exit_code_into_closed_pipe(args: &[&str]) -> Option<i32> {
         .code()
 }
 
+/// An unknown flag, and a flag the subcommand does not read, which it
+/// used to drop silently.
 #[test]
 fn bad_command_line_exits_2_into_a_closed_pipe() {
-    assert_eq!(exit_code_into_closed_pipe(&["run", "--bogus"]), Some(2));
+    for args in [["run", "--bogus"], ["traffic", "--profile"]] {
+        assert_eq!(exit_code_into_closed_pipe(&args), Some(2), "{args:?}");
+    }
 }
 
 /// A scale past the cap used to reach a guest-OOM or kernel-fit panic

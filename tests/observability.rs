@@ -68,12 +68,14 @@ fn timeline_deltas_telescope_and_attribution_is_gated() {
 
 #[test]
 fn profiling_reports_every_phase() {
-    let report = Experiment::run(&small().with_profile().with_timeline(10)).unwrap();
-    let phases = report.phases.expect("profiling on");
+    // The profile is always on: no config flag asks for it.
+    let report = Experiment::run(&small().with_timeline(10)).unwrap();
+    let phases = report.phases;
     let names: Vec<_> = phases.phases.iter().map(|p| p.name).collect();
     for expect in [
         "setup",
         "guest_jvm_tick",
+        "thp_scan",
         "ksm_scan",
         "timeline_sample",
         "final_recount",
@@ -89,7 +91,9 @@ fn profiling_reports_every_phase() {
     // 40 simulated seconds at 10 ticks/s.
     assert_eq!(tick.ticks, 400);
     assert!(tick.pages > 0);
-    assert!(Experiment::run(&small()).unwrap().phases.is_none());
+    // khugepaged runs once per simulated second.
+    let thp = phases.phases.iter().find(|p| p.name == "thp_scan").unwrap();
+    assert_eq!(thp.invocations, 40);
 }
 
 #[test]
