@@ -1,28 +1,22 @@
-//! Frame-indexed, incremental attribution engine.
+//! Frame-indexed attribution engine.
 //!
 //! [`MemorySnapshot::collect_naive`] re-derives the whole three-layer
-//! walk from scratch through hash accumulators on every call. Timeline
-//! sampling calls it once per sample over a world that barely changed
-//! between samples, which made attribution the dominant phase of every
-//! timeline run (`run --profile` shows the `attribution` phase). The
-//! engine removes both costs:
+//! walk through hash accumulators on every call. The engine walks the
+//! same layers into dense storage instead:
 //!
 //! * **Frame-indexed storage** — per-frame users accumulate into dense
 //!   vectors indexed by [`FrameId::index`](mem::FrameId::index) (a CSR
 //!   table) instead of a `BTreeMap<FrameId, _>`, and guest-side claims
 //!   into a dense gpfn-indexed vector instead of a
 //!   `HashMap<(u32, Vpn), _>`.
-//! * **Incrementality** — each host address space is walked on its own
-//!   (its guest's page tables first, then its host PTEs) into a segment
-//!   cached keyed on the space's region-generation signature
-//!   ([`AddressSpace::generation_signature`]). A snapshot only re-walks
-//!   spaces whose signature moved; when [`HostMm::epoch`] itself is
-//!   unchanged even the signature scans are skipped. The segments are
-//!   merged in space-creation order, which reproduces the exact global
-//!   walk order of the naive reference. KSM stable flags are *never*
-//!   cached — `mark_ksm_stable` bumps the epoch without touching any
-//!   region generation, so flags are re-read from the frame pool at
-//!   every assembly.
+//! * **One walk, reused only when nothing moved** — every host address
+//!   space is walked in creation order (its guest's page tables first,
+//!   then its host PTEs) into one buffer, which reproduces the exact
+//!   global walk order of the naive reference. The buffer is keyed on
+//!   [`HostMm::epoch`] and the space → guest assignment: a snapshot with
+//!   the same key reassembles from it, any other walks again. KSM
+//!   stable flags and frame liveness are *never* kept — they are
+//!   re-read from the frame pool at every assembly.
 #![allow(rustdoc::private_intra_doc_links)]
 
 use crate::snapshot::{FrameTable, GuestView, MemorySnapshot, PageUser, SegEntry};
@@ -30,37 +24,30 @@ use oskernel::{Pid, KERNEL_PID};
 use paging::{AddressSpace, HostMm, MemTag};
 use std::collections::HashSet;
 
-/// Cached state for one host address space.
-#[derive(Debug, Default)]
-struct SpaceCache {
-    /// Region-generation signature the segment was walked under. Empty
-    /// for a never-walked space (an empty signature only matches a space
-    /// with no regions, whose segment is trivially empty too).
-    sig: Vec<(u64, u64)>,
-    /// The walk segment: one `(frame index, user)` entry per host PTE,
-    /// in region-address / vpn order.
-    seg: Vec<SegEntry>,
-}
-
-/// Reusable attribution engine: holds per-space walk caches across
-/// snapshots of the *same* evolving world.
+/// Reusable attribution engine: holds the last walk of an evolving
+/// world and the key it was taken under. Hold one engine per world: the
+/// key does not tell two `HostMm`s at the same epoch apart.
 ///
 /// One-shot use is equivalent to [`MemorySnapshot::collect`] (which is
-/// implemented on top of it). Across calls the engine re-walks only the
-/// address spaces whose region generations moved and reassembles the
-/// frame table from the cached segments. The output is guaranteed
-/// field-identical to [`MemorySnapshot::collect_naive`] on the same
-/// world regardless of call history; the audit layer re-checks that
-/// guarantee differentially.
+/// implemented on top of it). A snapshot whose [`HostMm::epoch`] and
+/// space → guest assignment equal the previous walk's reassembles the
+/// frame table from that walk; any other snapshot walks every space
+/// again. The output is guaranteed field-identical to
+/// [`MemorySnapshot::collect_naive`] on the same world regardless of
+/// call history; the audit layer re-checks that guarantee
+/// differentially.
 #[derive(Debug, Default)]
 pub struct SnapshotEngine {
-    last_epoch: Option<u64>,
-    /// `assignment[space index] = guest index` for VM spaces.
-    assignment: Vec<Option<u32>>,
-    caches: Vec<SpaceCache>,
+    /// `(epoch, assignment)` of the walk in `walk`, where
+    /// `assignment[space index] = guest index` for VM spaces. `None`
+    /// before the first walk.
+    key: Option<(u64, Vec<Option<u32>>)>,
+    /// The walk: one `(frame index, user)` entry per host PTE, space
+    /// by space in creation order, each in region-address / vpn order.
+    walk: Vec<SegEntry>,
     rewalked: usize,
-    /// Cumulative cache accounting across the engine's lifetime
-    /// (deterministic: derived from region generations and epochs only).
+    /// Cumulative accounting across the engine's lifetime
+    /// (deterministic: derived from epochs and space counts only).
     snapshots_total: u64,
     rewalked_total: u64,
     cached_total: u64,
@@ -76,17 +63,18 @@ impl SnapshotEngine {
         SnapshotEngine::default()
     }
 
-    /// How many address spaces the most recent [`snapshot`](Self::snapshot)
-    /// actually re-walked (the rest were served from cache).
+    /// How many address spaces the most recent
+    /// [`snapshot`](Self::snapshot) walked: all of them, or none when it
+    /// reassembled the previous walk.
     #[must_use]
     pub fn rewalked_spaces(&self) -> usize {
         self.rewalked
     }
 
-    /// Exports the engine's deterministic cache-hit/miss counters into
-    /// `reg`: snapshots taken, spaces re-walked vs served from cache,
-    /// and whole-snapshot epoch short-circuits. Walk *latency* is
-    /// wall-clock and is recorded by the caller (the daemon / benches)
+    /// Exports the engine's deterministic counters into `reg`:
+    /// snapshots taken, spaces walked vs served from the previous walk,
+    /// and snapshots that reassembled the previous walk. Walk *latency*
+    /// is wall-clock and is recorded by the caller (the daemon / benches)
     /// into a separated [`obs::MetricClass::Wall`] histogram.
     pub fn record_metrics(&self, reg: &mut obs::MetricsRegistry) {
         reg.counter(
@@ -116,55 +104,43 @@ impl SnapshotEngine {
         );
     }
 
-    /// Attributes every mapped host frame, reusing cached per-space
-    /// segments where the world provably did not change.
+    /// Attributes every mapped host frame, reusing the previous walk
+    /// when the world provably did not change.
     ///
     /// `guests` must describe the same world as `mm`; guest order defines
-    /// the guest indices in the result. Passing a different guest list
-    /// (or a different `mm`) than the previous call is detected via the
-    /// space→guest assignment and resets the caches conservatively.
+    /// the guest indices in the result. A guest list that assigns the
+    /// spaces to other guest indices than the previous call's (a
+    /// reordered or different list) changes the key, so the world is
+    /// walked again.
     pub fn snapshot(&mut self, mm: &HostMm, guests: &[GuestView<'_>]) -> MemorySnapshot {
         let spaces = mm.spaces();
-
         let mut assignment: Vec<Option<u32>> = vec![None; spaces.len()];
         for (g, view) in guests.iter().enumerate() {
             if let Some(slot) = assignment.get_mut(view.os().vm_space().index()) {
                 *slot = Some(g as u32);
             }
         }
-        if assignment != self.assignment || spaces.len() < self.caches.len() {
-            self.caches.clear();
-            self.last_epoch = None;
-        }
-        self.assignment = assignment;
-        self.caches.resize_with(spaces.len(), SpaceCache::default);
-
-        let epoch = mm.epoch();
-        self.rewalked = 0;
-        if self.last_epoch == Some(epoch) {
+        let key = (mm.epoch(), assignment);
+        if self.key.as_ref() == Some(&key) {
+            self.rewalked = 0;
             self.epoch_short_circuits += 1;
         } else {
-            for ((space, cache), &guest) in
-                spaces.iter().zip(&mut self.caches).zip(&self.assignment)
-            {
-                if !sig_matches(space, &cache.sig) {
-                    walk_space(
-                        space,
-                        guest.map(|g| (g, &guests[g as usize])),
-                        &mut cache.seg,
-                    );
-                    cache.sig = space.generation_signature();
-                    self.rewalked += 1;
-                }
+            self.walk.clear();
+            for (space, &guest) in spaces.iter().zip(&key.1) {
+                walk_space(
+                    space,
+                    guest.map(|g| (g, &guests[g as usize])),
+                    &mut self.walk,
+                );
             }
+            self.rewalked = spaces.len();
+            self.key = Some(key);
         }
         self.snapshots_total += 1;
         self.rewalked_total += self.rewalked as u64;
         self.cached_total += (spaces.len() - self.rewalked) as u64;
-        self.last_epoch = Some(epoch);
 
-        let segs: Vec<&[SegEntry]> = self.caches.iter().map(|c| c.seg.as_slice()).collect();
-        let frames = FrameTable::assemble(&segs, mm.phys());
+        let frames = FrameTable::assemble(&self.walk, mm.phys());
 
         let mut java_set = HashSet::new();
         for (g, view) in guests.iter().enumerate() {
@@ -180,24 +156,15 @@ impl SnapshotEngine {
     }
 }
 
-/// Compares a space's current region generations against a cached
-/// signature without allocating.
-fn sig_matches(space: &AddressSpace, cached: &[(u64, u64)]) -> bool {
-    let mut it = cached.iter();
-    for region in space.regions() {
-        match it.next() {
-            Some(&(id, generation)) if id == region.id() && generation == region.generation() => {}
-            _ => return false,
-        }
-    }
-    it.next().is_none()
-}
-
 /// The per-space pass: the guest-side claims walk (layers 1+2, dense by
 /// gpfn) followed by the host-PTE walk (layer 3) of this space only,
-/// written over `seg` (the space's cache slot, whose allocation it
-/// reuses). Reads nothing but the space and the guest's own page tables.
-fn walk_space(space: &AddressSpace, guest: Option<(u32, &GuestView<'_>)>, seg: &mut Vec<SegEntry>) {
+/// appended to `walk`. Reads nothing but the space and the guest's own
+/// page tables.
+fn walk_space(
+    space: &AddressSpace,
+    guest: Option<(u32, &GuestView<'_>)>,
+    walk: &mut Vec<SegEntry>,
+) {
     let claims = guest.map(|(_, view)| {
         let os = view.os();
         let mut claims: Vec<Option<(Pid, MemTag)>> = vec![None; os.guest_pages()];
@@ -214,8 +181,7 @@ fn walk_space(space: &AddressSpace, guest: Option<(u32, &GuestView<'_>)>, seg: &
     });
     let guest_idx = guest.map(|(g, _)| g);
 
-    seg.clear();
-    seg.reserve(space.mapped_pages());
+    walk.reserve(space.mapped_pages());
     for region in space.regions() {
         match (region.tag(), &claims) {
             (MemTag::VmGuestMemory, Some((memslot_base, claims))) => {
@@ -240,12 +206,12 @@ fn walk_space(space: &AddressSpace, guest: Option<(u32, &GuestView<'_>)>, seg: &
                             tag: MemTag::GuestKernelData,
                         },
                     };
-                    seg.push((frame.index() as u32, user));
+                    walk.push((frame.index() as u32, user));
                 }
             }
             (tag, _) => {
                 for (_, frame) in region.iter_mapped() {
-                    seg.push((
+                    walk.push((
                         frame.index() as u32,
                         PageUser {
                             guest: guest_idx,
@@ -327,28 +293,22 @@ mod tests {
         assert_eq!(first, second);
     }
 
+    /// The previous walk is reused only under the same epoch *and* the
+    /// same space → guest assignment: reordering the guests at an
+    /// unchanged epoch renumbers every guest user, so it walks again.
     #[test]
-    fn only_mutated_guests_are_rewalked() {
+    fn a_reordered_guest_list_walks_again() {
         let mut mm = HostMm::new();
-        let mut guests = world(&mut mm, 3);
-        {
-            let v = views(&guests);
-            let mut engine = SnapshotEngine::default();
-            engine.snapshot(&mm, &v);
-        }
+        let guests = world(&mut mm, 3);
         let mut engine = SnapshotEngine::default();
-        {
-            let v = views(&guests);
-            engine.snapshot(&mm, &v);
-        }
-        // Touch one page in guest 1 only.
-        let (_, os, pid) = &mut guests[1];
-        let r = os.add_region(*pid, 1, MemTag::JavaHeap);
-        os.write_page(&mut mm, *pid, r, Fingerprint::of(&[0xAA]), Tick(2));
-        let v = views(&guests);
-        let incremental = engine.snapshot(&mm, &v);
-        assert_eq!(engine.rewalked_spaces(), 1);
-        assert_eq!(incremental, MemorySnapshot::collect_naive(&mm, &v));
+        engine.snapshot(&mm, &views(&guests));
+        let mut reversed = views(&guests);
+        reversed.reverse();
+        let epoch = mm.epoch();
+        let snap = engine.snapshot(&mm, &reversed);
+        assert_eq!(mm.epoch(), epoch);
+        assert_eq!(engine.rewalked_spaces(), mm.spaces().len());
+        assert_eq!(snap, MemorySnapshot::collect_naive(&mm, &reversed));
     }
 
     #[test]

@@ -51,5 +51,5 @@ mod snapshot;
 pub use breakdown::{BreakdownReport, CategoryUsage, GuestBreakdown, JavaBreakdown};
 pub use engine::SnapshotEngine;
 pub use missdiag::{diagnose_misses, MergeMissReport, MissGroup, MissReason};
-pub use render::{guest_csv, java_csv, render_guest_table, render_java_table, summarize_java};
-pub use snapshot::{huge_segments, GuestView, HugeSegment, MemorySnapshot, PageUser};
+pub use render::{guest_csv, java_csv, render_guest_table, summarize_java};
+pub use snapshot::{GuestView, MemorySnapshot, PageUser};

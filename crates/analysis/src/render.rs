@@ -56,40 +56,6 @@ pub fn render_guest_table(report: &BreakdownReport) -> String {
     out
 }
 
-/// Renders the per-Java-process category table behind Figs. 3/5: resident
-/// size and TPS-shared size per Table IV category.
-///
-/// # Example
-///
-/// ```
-/// use analysis::{render_java_table, BreakdownReport};
-///
-/// let report = BreakdownReport { guests: vec![], javas: vec![], total_owned_mib: 0.0 };
-/// assert!(render_java_table(&report).contains("Class metadata"));
-/// ```
-#[must_use]
-pub fn render_java_table(report: &BreakdownReport) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{:<18}", "JVM");
-    for cat in MemoryCategory::all() {
-        let _ = write!(out, " {:>22}", cat.to_string());
-    }
-    let _ = writeln!(out, " {:>22}", "TOTAL (res/shared)");
-    for j in &report.javas {
-        let _ = write!(out, "{:<18}", format!("{} {}", j.guest_name, j.pid));
-        let mut res_total = 0.0;
-        let mut shared_total = 0.0;
-        for &cat in MemoryCategory::all() {
-            let u = j.category(cat);
-            res_total += u.resident_mib;
-            shared_total += u.tps_shared_mib;
-            let _ = write!(out, " {:>13.1}/{:>8.1}", u.resident_mib, u.tps_shared_mib);
-        }
-        let _ = writeln!(out, " {:>13.1}/{:>8.1}", res_total, shared_total);
-    }
-    out
-}
-
 /// One-line summary of a Java process for logs and examples.
 #[must_use]
 pub fn summarize_java(j: &JavaBreakdown) -> String {
@@ -147,13 +113,6 @@ mod tests {
         assert!(table.contains("vm1"));
         assert!(table.contains("TOTAL"));
         assert!(table.contains("965.0"));
-    }
-
-    #[test]
-    fn java_table_lists_categories() {
-        let table = render_java_table(&sample_report());
-        assert!(table.contains("Class metadata"));
-        assert!(table.contains("110.0"));
     }
 
     #[test]

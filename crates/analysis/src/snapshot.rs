@@ -81,8 +81,8 @@ impl PageUser {
 }
 
 /// One attributed PTE before assembly: the raw frame index it references
-/// and the user behind it, in walk order. The per-space segments the
-/// [`SnapshotEngine`](crate::SnapshotEngine) caches are vectors of these.
+/// and the user behind it, in walk order. The walk the
+/// [`SnapshotEngine`](crate::SnapshotEngine) keeps is a vector of these.
 pub(crate) type SegEntry = (u32, PageUser);
 
 /// Frame-indexed attribution storage: a compressed-sparse-row table
@@ -130,29 +130,26 @@ impl FrameTable {
         })
     }
 
-    /// Builds the table from per-space walk segments, in segment order.
+    /// Builds the table from the walk's entries, in walk order.
     ///
     /// Reconstruction is routed through [`PhysMemory::is_live`]: an
-    /// entry whose frame has been freed since the segment was recorded
-    /// (possible only through out-of-band frame-pool mutation, which
-    /// bumps no region generation) is dropped instead of reviving a
-    /// stale id, and the KSM flag is read fresh only for live frames —
+    /// entry whose frame is no longer live (possible only through
+    /// out-of-band frame-pool mutation, which frees a frame that a host
+    /// PTE still names) is dropped instead of reviving a dead id, and
+    /// the KSM flag is read fresh only for live frames —
     /// [`PhysMemory::is_ksm_shared`] panics on freed ones. Both are read
     /// once per referenced frame, in index order: the entries are
     /// counted per raw index first, and one pass over the counted rows
     /// zeroes the dead ones before the users are scattered.
-    pub(crate) fn assemble(segments: &[&[SegEntry]], phys: &PhysMemory) -> FrameTable {
-        let rows = segments
+    pub(crate) fn assemble(walk: &[SegEntry], phys: &PhysMemory) -> FrameTable {
+        let rows = walk
             .iter()
-            .flat_map(|seg| seg.iter())
             .map(|&(raw, _)| raw as usize + 1)
             .max()
             .unwrap_or(0);
         let mut offsets = vec![0u32; rows + 1];
-        for seg in segments {
-            for &(raw, _) in *seg {
-                offsets[raw as usize + 1] += 1;
-            }
+        for &(raw, _) in walk {
+            offsets[raw as usize + 1] += 1;
         }
         let mut ksm = vec![false; rows];
         let mut slots = 0usize;
@@ -183,15 +180,13 @@ impl FrameTable {
         };
         let mut users = vec![filler; total];
         let mut cursor = offsets.clone();
-        for seg in segments {
-            for &(raw, user) in *seg {
-                let i = raw as usize;
-                // A row with no users is a dead frame (or past the last
-                // live one).
-                if i < slots && offsets[i] != offsets[i + 1] {
-                    users[cursor[i] as usize] = user;
-                    cursor[i] += 1;
-                }
+        for &(raw, user) in walk {
+            let i = raw as usize;
+            // A row with no users is a dead frame (or past the last live
+            // one).
+            if i < slots && offsets[i] != offsets[i + 1] {
+                users[cursor[i] as usize] = user;
+                cursor[i] += 1;
             }
         }
         FrameTable {
@@ -227,40 +222,6 @@ impl FrameTable {
             live: records.len(),
         }
     }
-}
-
-/// One 2 MiB huge mapping, attributed as a single segment: the frames
-/// under it belong to one owner by construction (collapse requires
-/// refcount-1, unshared subframes), so the huge view never splits a
-/// block across users the way the per-PTE walk can for 4 KiB pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HugeSegment {
-    /// Host address space holding the mapping.
-    pub space: paging::AsId,
-    /// First virtual page of the 2 MiB-aligned block.
-    pub base: Vpn,
-    /// Pages spanned — always [`mem::HUGE_PAGE_SPAN`].
-    pub pages: usize,
-}
-
-/// Every live huge mapping in the host, one segment per 2 MiB block, in
-/// deterministic walk order (space order, region base order, block
-/// order). Empty under `ThpPolicy::Never`.
-#[must_use]
-pub fn huge_segments(mm: &HostMm) -> Vec<HugeSegment> {
-    let mut out = Vec::new();
-    for space in mm.spaces() {
-        for region in space.regions() {
-            for block in region.huge_block_indices() {
-                out.push(HugeSegment {
-                    space: space.id(),
-                    base: region.base().offset((block * mem::HUGE_PAGE_SPAN) as u64),
-                    pages: mem::HUGE_PAGE_SPAN,
-                });
-            }
-        }
-    }
-    out
 }
 
 /// A full attribution of host physical memory at one instant.
@@ -521,7 +482,7 @@ mod tests {
     }
 
     #[test]
-    fn huge_blocks_attribute_as_single_segments() {
+    fn a_huge_collapse_leaves_per_frame_attribution_unchanged() {
         use mem::HUGE_PAGE_SPAN;
         let mut mm = HostMm::new();
         let s = mm.create_space("direct");
@@ -529,20 +490,11 @@ mod tests {
         for i in 0..(2 * HUGE_PAGE_SPAN) as u64 {
             mm.write_page(s, r.offset(i), Fingerprint::of(&[900 + i]), Tick(1));
         }
-        assert!(huge_segments(&mm).is_empty());
+        let before = MemorySnapshot::collect(&mm, &[]);
         assert!(mm.try_collapse(s, r, 1));
-        let segments = huge_segments(&mm);
-        assert_eq!(
-            segments,
-            vec![HugeSegment {
-                space: s,
-                base: r.offset(HUGE_PAGE_SPAN as u64),
-                pages: HUGE_PAGE_SPAN,
-            }]
-        );
-        // The per-frame attribution is unchanged: hugeness is a mapping
-        // property, not an ownership change.
+        // Hugeness is a mapping property, not an ownership change.
         let snap = MemorySnapshot::collect(&mm, &[]);
+        assert_eq!(snap, before);
         assert_eq!(snap.frame_count(), mm.phys().allocated_frames());
         assert_eq!(snap.pte_count(), snap.frame_count());
     }

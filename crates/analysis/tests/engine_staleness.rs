@@ -1,14 +1,15 @@
-//! Epoch-staleness property test for the incremental
-//! [`analysis::SnapshotEngine`]: arbitrary interleavings of guest heap
-//! writes, `madvise`-style releases, balloon inflations and KSM-style
-//! merges are applied to one world, and after every operation the
-//! persistent engine's incremental snapshot must be field-identical to
-//! both a from-scratch rebuild and the naive reference walk.
+//! Epoch-staleness property test for [`analysis::SnapshotEngine`]:
+//! arbitrary interleavings of guest heap writes, `madvise`-style
+//! releases, balloon inflations and KSM-style merges are applied to one
+//! world, and after every operation the persistent engine's snapshot
+//! must be field-identical to both a fresh engine's and the naive
+//! reference walk.
 //!
-//! This is the harness that guards the engine's invalidation rule
-//! (per-region write generations under an epoch short-circuit): any
-//! mutation path that fails to dirty the spaces it touched shows up as
-//! a stale cached segment diverging from the oracle.
+//! This is the harness that guards the engine's one reuse rule: a
+//! snapshot reassembles the previous walk only when the `HostMm` epoch
+//! and the space → guest assignment are unchanged. Any mutation path
+//! that fails to move the epoch shows up as a stale walk diverging from
+//! the oracle.
 
 use analysis::{GuestView, MemorySnapshot, SnapshotEngine};
 use hypervisor::BalloonDriver;
@@ -38,8 +39,8 @@ enum Op {
     /// the two identical frames KSM-style (generation bump on the
     /// touched regions plus a stable flag in the frame pool).
     Merge { page: u64, content: u64 },
-    /// Snapshot with no mutation: the epoch short-circuit must serve the
-    /// whole world from cache and still match the oracle.
+    /// Snapshot with no mutation: the engine must reassemble the
+    /// previous walk and still match the oracle.
     Quiet,
 }
 
@@ -164,6 +165,27 @@ impl WorldState {
     }
 }
 
+/// Applies `ops` one by one, checking the persistent engine against a
+/// fresh engine and the naive walk after each.
+fn check_against_oracle(ops: &[Op]) {
+    let mut world = WorldState::build();
+    let mut engine = SnapshotEngine::default();
+    engine.snapshot(&world.mm, &world.views());
+
+    for (t, &op) in (1u64..).zip(ops.iter()) {
+        world.apply(op, Tick(t));
+        let views = world.views();
+        let incremental = engine.snapshot(&world.mm, &views);
+        let rebuilt = SnapshotEngine::default().snapshot(&world.mm, &views);
+        assert_eq!(
+            incremental, rebuilt,
+            "incremental != full rebuild after {op:?}"
+        );
+        let naive = MemorySnapshot::collect_naive(&world.mm, &views);
+        assert_eq!(incremental, naive, "incremental != naive after {op:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -171,18 +193,20 @@ proptest! {
     fn incremental_snapshot_matches_full_rebuild_and_naive(
         ops in prop::collection::vec(op_strategy(), 0..32),
     ) {
-        let mut world = WorldState::build();
-        let mut engine = SnapshotEngine::default();
-        engine.snapshot(&world.mm, &world.views());
+        check_against_oracle(&ops);
+    }
+}
 
-        for (t, &op) in (1u64..).zip(ops.iter()) {
-            world.apply(op, Tick(t));
-            let views = world.views();
-            let incremental = engine.snapshot(&world.mm, &views);
-            let rebuilt = SnapshotEngine::default().snapshot(&world.mm, &views);
-            prop_assert_eq!(&incremental, &rebuilt, "incremental != full rebuild after {:?}", op);
-            let naive = MemorySnapshot::collect_naive(&world.mm, &views);
-            prop_assert_eq!(&incremental, &naive, "incremental != naive after {:?}", op);
-        }
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The same check over 4 096 cases, so `cargo test -- --ignored`
+    /// runs it (CI does, in a release build).
+    #[test]
+    #[ignore = "4096 cases; CI runs it with -- --ignored"]
+    fn incremental_snapshot_matches_full_rebuild_and_naive_4096_cases(
+        ops in prop::collection::vec(op_strategy(), 0..32),
+    ) {
+        check_against_oracle(&ops);
     }
 }

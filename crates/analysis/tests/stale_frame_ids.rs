@@ -1,12 +1,12 @@
-//! Regression test for stale frame ids in cached walk segments.
+//! Regression test for stale frame ids in the attribution walk.
 //!
 //! `HostMm::phys_mut` lets fault-injection code free a frame behind the
-//! page tables' back: the epoch moves but no region generation does, so
-//! an incremental [`analysis::SnapshotEngine`] keeps serving the cached
-//! segment that still names the dead frame. Snapshot assembly must route
-//! every cached entry through `PhysMemory::is_live` — reviving the stale
-//! id would resurrect a freed frame in the report, and reading its KSM
-//! flag would panic in the frame pool.
+//! page tables' back: the epoch moves, so [`analysis::SnapshotEngine`]
+//! walks the space again, but the host PTE still names the dead frame.
+//! Snapshot assembly must route every walked entry through
+//! `PhysMemory::is_live` — reviving the stale id would resurrect a freed
+//! frame in the report, and reading its KSM flag would panic in the
+//! frame pool.
 
 use analysis::{GuestView, SnapshotEngine};
 use mem::{Fingerprint, Tick};
@@ -40,17 +40,11 @@ fn out_of_band_freed_frames_are_dropped_not_revived() {
         assert_eq!(before.users_of(victim).len(), 1);
 
         // Free the frame out-of-band: refcounts drop to zero in the
-        // frame pool while the host PTE still names the frame. No
-        // region generation moves, so the cached segment goes stale.
+        // frame pool while the host PTE still names the frame.
         mm.phys_mut().dec_ref(victim);
         assert!(!mm.phys().is_live(victim));
 
         let after = engine.snapshot(&mm, &views);
-        assert_eq!(
-            engine.rewalked_spaces(),
-            0,
-            "an out-of-band free must not dirty any space"
-        );
         assert!(
             after.users_of(victim).is_empty(),
             "freed frame must be dropped from the report"

@@ -380,10 +380,7 @@ pub fn placement_text(opts: &RunOpts) -> String {
             Tick::ZERO,
         );
         let cache = &caches[i % 2];
-        let cfg = JvmConfig::new(6, 500 + i as u64).with_shared_cache(
-            SharedClassCache::from_bytes(&cache.to_bytes())
-                .expect("a freshly written cache image decodes"),
-        );
+        let cfg = JvmConfig::new(6, 500 + i as u64).with_shared_cache(cache.clone());
         let (mm, guest) = host.mm_and_guest_mut(g);
         javas.push(JavaVm::launch(
             mm,

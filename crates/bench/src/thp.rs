@@ -71,7 +71,7 @@ pub fn cell_config(policy: ThpPolicy, budget: usize) -> ExperimentConfig {
             steady: params,
             warmup_seconds: 0,
         })
-        .with_thp(policy, policy)
+        .with_thp(policy)
         .with_audit();
     // Quiesce the steady-state churn so the final sharing count is
     // determined by memory *content*, not by which CoW breaks the scan
@@ -224,8 +224,7 @@ mod tests {
             for budget in BUDGETS {
                 let cfg = cell_config(policy, budget);
                 assert!(cfg.audit);
-                assert_eq!(cfg.thp_host, policy);
-                assert_eq!(cfg.thp_guest, policy);
+                assert_eq!(cfg.thp, policy);
                 assert_eq!(cfg.ksm.warmup.pages_to_scan(), budget);
             }
         }

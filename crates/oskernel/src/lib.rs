@@ -45,9 +45,7 @@
 mod guestas;
 mod guestos;
 mod image;
-mod smaps;
 
 pub use guestas::{GuestAddressSpace, GuestRegion, Pid};
 pub use guestos::{GuestOs, KERNEL_PID};
 pub use image::OsImage;
-pub use smaps::{smaps_of, smaps_totals, SmapsEntry};

@@ -484,10 +484,9 @@ impl AddressSpace {
     ///
     /// Two equal observations mean no region was added, removed, remapped
     /// or written in between — every PTE mutation bumps its region's
-    /// generation, and region ids are never reused within a space — so a
-    /// cached per-space analysis (e.g. an attribution walk segment) keyed
-    /// on this signature can be reused verbatim. Frame-pool state (KSM
-    /// stable flags, out-of-band frees) is *not* covered: it changes the
+    /// generation, and region ids are never reused within a space — so
+    /// tests compare shadow worlds with it. Frame-pool state (KSM stable
+    /// flags, out-of-band frees) is *not* covered: it changes the
     /// [`HostMm`](crate::HostMm) epoch without touching any generation.
     #[must_use]
     pub fn generation_signature(&self) -> Vec<(u64, u64)> {

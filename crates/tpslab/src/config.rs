@@ -119,16 +119,14 @@ pub struct ExperimentConfig {
     /// `perfbench` package sets and prints it; it goes at the next
     /// change to the benchmark.
     pub threads: usize,
-    /// Host-side transparent-huge-page policy: what the khugepaged
-    /// collapse scan ([`hypervisor::KvmHost::thp_scan`]) is allowed to
-    /// promote to 2 MiB frames. `Never` (the default) reproduces the
-    /// paper's configuration exactly.
-    pub thp_host: paging::ThpPolicy,
-    /// Guest-side THP policy: whether guest kernels fault around heap
-    /// writes with 2 MiB-aligned fill ([`oskernel::GuestOs`]'s huge
-    /// fault path) and, under `Madvise`, advertise heap blocks as
-    /// collapse hints to the host.
-    pub thp_guest: paging::ThpPolicy,
+    /// Transparent-huge-page policy, on both sides: what the host's
+    /// khugepaged collapse scan ([`hypervisor::KvmHost::thp_scan`]) is
+    /// allowed to promote to 2 MiB frames, and whether guest kernels
+    /// fault around heap writes with 2 MiB-aligned fill
+    /// ([`oskernel::GuestOs`]'s huge fault path) and, under `Madvise`,
+    /// advertise heap blocks as collapse hints to the host. `Never`
+    /// (the default) reproduces the paper's configuration exactly.
+    pub thp: paging::ThpPolicy,
 }
 
 impl ExperimentConfig {
@@ -157,8 +155,7 @@ impl ExperimentConfig {
             diagnose: false,
             audit: false,
             threads: 1,
-            thp_host: paging::ThpPolicy::Never,
-            thp_guest: paging::ThpPolicy::Never,
+            thp: paging::ThpPolicy::Never,
         }
     }
 
@@ -374,8 +371,7 @@ impl ExperimentConfig {
             diagnose: false,
             audit: false,
             threads: 1,
-            thp_host: paging::ThpPolicy::Never,
-            thp_guest: paging::ThpPolicy::Never,
+            thp: paging::ThpPolicy::Never,
         }
     }
 
@@ -471,17 +467,12 @@ impl ExperimentConfig {
         self
     }
 
-    /// Sets the host (khugepaged) and guest (fault-around) transparent
-    /// huge page policies. `Never`/`Never` — the default — reproduces
-    /// the paper's configuration.
+    /// Sets the transparent huge page policy of the host (khugepaged)
+    /// and the guests (fault-around). `Never` — the default —
+    /// reproduces the paper's configuration.
     #[must_use]
-    pub fn with_thp(
-        mut self,
-        host: paging::ThpPolicy,
-        guest: paging::ThpPolicy,
-    ) -> ExperimentConfig {
-        self.thp_host = host;
-        self.thp_guest = guest;
+    pub fn with_thp(mut self, policy: paging::ThpPolicy) -> ExperimentConfig {
+        self.thp = policy;
         self
     }
 
@@ -734,11 +725,9 @@ mod tests {
     fn thp_defaults_to_never_and_builder_sets_both_sides() {
         use paging::ThpPolicy;
         let cfg = ExperimentConfig::tiny_test(1, false);
-        assert_eq!(cfg.thp_host, ThpPolicy::Never);
-        assert_eq!(cfg.thp_guest, ThpPolicy::Never);
-        let cfg = cfg.with_thp(ThpPolicy::Always, ThpPolicy::Madvise);
-        assert_eq!(cfg.thp_host, ThpPolicy::Always);
-        assert_eq!(cfg.thp_guest, ThpPolicy::Madvise);
+        assert_eq!(cfg.thp, ThpPolicy::Never);
+        let cfg = cfg.with_thp(ThpPolicy::Madvise);
+        assert_eq!(cfg.thp, ThpPolicy::Madvise);
     }
 
     #[test]

@@ -12,16 +12,14 @@
 //! from which each per-guest JSON body is rendered on its first
 //! request. Query threads (one per accepted connection on a local
 //! socket) answer from that published state, so queries are served
-//! **from cached segments while the world keeps mutating** and never
-//! block the ticker.
+//! **from the last published epoch while the world keeps mutating** and
+//! never block the ticker.
 //!
-//! Attribution stays warm across epochs: one [`SnapshotEngine`] lives
-//! for the daemon's lifetime, so each publish re-walks only the address
-//! spaces whose region generations moved since the previous second
-//! (and none at all on an idle world, via the epoch short-circuit).
-//! After the final epoch the world no longer changes: the daemon keeps
-//! serving that epoch's answers and refreshes only the wall-clock query
-//! count in `/metrics`.
+//! One [`SnapshotEngine`] lives for the daemon's lifetime: each publish
+//! walks the world once, and a publish at an unchanged epoch reassembles
+//! the previous walk instead. After the final epoch the world no longer
+//! changes: the daemon keeps serving that epoch's answers and refreshes
+//! only the wall-clock query count in `/metrics`.
 //!
 //! Determinism contract: watching a world never mutates it. The ticker
 //! owns one `World` and drives it with the same `World::step` loop as
@@ -357,10 +355,9 @@ fn publish(
     running: bool,
     prev_merges: &mut u64,
 ) -> (MetricsRegistry, ServedState) {
-    // The warm attribution walk: only spaces whose generations moved
-    // since the previous second are re-walked. Timed as the world's
-    // `attribution` phase, and each walk into the separated wall-clock
-    // histogram.
+    // The attribution walk, reused only when the epoch has not moved
+    // since the previous publish. Timed as the world's `attribution`
+    // phase, and each walk into the separated wall-clock histogram.
     let walk_started = Instant::now();
     let snapshot = engine.snapshot(world.host.mm(), &world.views());
     let frames = world.host.mm().phys().allocated_frames() as u64;

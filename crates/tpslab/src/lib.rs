@@ -24,7 +24,8 @@
 //!   monitoring service: a ticker thread advances the simulation while
 //!   concurrent queries over a local socket read Prometheus-style
 //!   metrics ([`telemetry`]), per-guest attribution JSON and a live
-//!   `top`-style fleet table — all from cached snapshot segments.
+//!   `top`-style fleet table — all from the state published at the
+//!   last simulated second.
 //! * [`PowerVmExperiment`] reproduces the Fig. 6 PowerVM/AIX comparison.
 //!
 //! Invalid configurations surface as a typed [`Error`], not a panic.

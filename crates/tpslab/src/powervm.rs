@@ -1,6 +1,6 @@
 //! The Fig. 6 PowerVM/AIX experiment.
 
-use cds::{CacheBuilder, SharedClassCache};
+use cds::CacheBuilder;
 use hypervisor::PowerVmHost;
 use jvm::{ClassSet, JavaVm, JvmConfig};
 use mem::{Fingerprint, Tick};
@@ -103,8 +103,7 @@ impl PowerVmExperiment {
             );
             let mut cfg = JvmConfig::new(0x0659, salt.rotate_left(13));
             if let Some(c) = &cache {
-                let copy = SharedClassCache::from_bytes(&c.to_bytes()).expect("cache copy");
-                cfg = cfg.with_shared_cache(copy);
+                cfg = cfg.with_shared_cache(c.clone());
             }
             let (mm, lpar) = host.mm_and_lpar_mut(idx);
             javas.push(JavaVm::launch(

@@ -66,11 +66,10 @@ impl Experiment {
             .timeline
             .map(|tl| tl.every_seconds * mem::TICKS_PER_SECOND);
         let attribution = config.timeline.is_some_and(|tl| tl.attribution);
-        // One engine for the whole run: per-sample walks reuse the
-        // cached segments of address spaces whose region generations did
-        // not move since the previous sample and re-walk only the dirty
-        // ones. The report stays bit-identical to a from-scratch walk at
-        // every sample.
+        // One engine for the whole run: it keeps one walk buffer, and
+        // the final breakdown reuses the last sample's walk when nothing
+        // moved since. The report stays bit-identical to a from-scratch
+        // walk at every sample.
         let mut engine = SnapshotEngine::default();
         let mut timeline = Vec::new();
         let mut last_stats = KsmStats::default();
@@ -85,8 +84,7 @@ impl Experiment {
             world.prof.end("timeline_sample", sample_started, 0, 0);
             // The full per-PTE attribution walk is far more expensive
             // than the recount, so it is gated behind its own timeline
-            // flag; the engine keeps it cheap by re-walking only mutated
-            // address spaces.
+            // flag.
             let tps_saving_mib = attribution.then(|| {
                 attribute(&mut world, &mut engine)
                     .guests
@@ -277,7 +275,7 @@ mod tests {
             warmup_seconds: 0,
         };
         let base = ExperimentConfig::tiny_test(2, false).with_ksm(no_ksm);
-        let thp = base.clone().with_thp(ThpPolicy::Always, ThpPolicy::Always);
+        let thp = base.clone().with_thp(ThpPolicy::Always);
         let plain = Experiment::run(&base).unwrap();
         let boosted = Experiment::run(&thp).unwrap();
         // The default config is THP-free and pays no reach credit.
@@ -302,8 +300,7 @@ mod tests {
         // The real THP×KSM tension: with both daemons on, KSM breaks the
         // huge mappings (split-before-merge) and the latch keeps
         // khugepaged from endlessly re-collapsing behind it.
-        let cfg =
-            ExperimentConfig::tiny_test(2, false).with_thp(ThpPolicy::Always, ThpPolicy::Always);
+        let cfg = ExperimentConfig::tiny_test(2, false).with_thp(ThpPolicy::Always);
         let report = Experiment::run(&cfg).unwrap();
         assert!(report.ksm.thp_splits > 0, "no splits recorded");
         assert!(report.ksm.pages_sharing > 0);

@@ -716,9 +716,7 @@ mod tests {
             steady: KsmParams::new(0, 100),
             warmup_seconds: 0,
         };
-        let config = cfg(2, 60)
-            .with_ksm(no_ksm)
-            .with_thp(ThpPolicy::Always, ThpPolicy::Always);
+        let config = cfg(2, 60).with_ksm(no_ksm).with_thp(ThpPolicy::Always);
         let a = Experiment::run_traffic(&config, &Scenario::constant()).unwrap();
         let again = Experiment::run_traffic(&config, &Scenario::constant()).unwrap();
         assert_eq!(a, again);

@@ -67,10 +67,9 @@ pub(crate) struct World {
     pub(crate) scanner: KsmScanner,
     pub(crate) slots: Vec<GuestSlot>,
     pub(crate) drive: Drive,
-    /// The per-workload master caches, for the report.
+    /// The per-workload master caches: every launch maps its own copy,
+    /// and the report lists them.
     pub(crate) caches: HashMap<u64, SharedClassCache>,
-    /// Their serialized images: every launch decodes its own copy.
-    cache_images: HashMap<u64, Vec<u8>>,
     warmup_end: Tick,
     switched: bool,
     /// Whether [`recount`](Self::recount) also audits: always in debug
@@ -88,7 +87,7 @@ impl World {
     pub(crate) fn new(config: &ExperimentConfig, scenario: Option<&Scenario>) -> World {
         let setup_started = Instant::now();
         let mut host = KvmHost::new(config.host);
-        host.set_thp_policies(config.thp_host, config.thp_guest);
+        host.set_thp_policies(config.thp, config.thp);
         if config.trace {
             host.mm_mut().tracer_mut().enable(None);
         }
@@ -108,12 +107,6 @@ impl World {
                 });
             }
         }
-        // Serialize each master cache once up front; guests decode from
-        // the shared byte image instead of re-encoding per guest.
-        let cache_images = caches
-            .iter()
-            .map(|(&id, cache)| (id, cache.to_bytes()))
-            .collect();
         let mut world = World {
             config: config.clone(),
             host,
@@ -124,7 +117,6 @@ impl World {
                 None => Drive::Scripted,
             },
             caches,
-            cache_images,
             warmup_end: Tick::from_seconds(config.ksm.warmup_seconds as f64),
             switched: false,
             audit: config.audit || cfg!(debug_assertions),
@@ -241,10 +233,10 @@ impl World {
     }
 
     /// Launches guest `guest`'s JVM at `at`, salted by the slot's launch
-    /// generation. Under class sharing the process reads its own
-    /// byte-identical copy of the workload's cache file (§IV.C),
-    /// decoded from the master image — a relaunch re-creates the CDS
-    /// merge opportunity the paper measures.
+    /// generation. Under class sharing the process maps its own
+    /// byte-identical copy of the workload's cache file (§IV.C), a clone
+    /// of the master — a relaunch re-creates the CDS merge opportunity
+    /// the paper measures.
     pub(crate) fn launch(&mut self, guest: usize, at: Tick) {
         let slot = &mut self.slots[guest];
         let profile = &self.config.guests[guest].benchmark.profile;
@@ -254,9 +246,8 @@ impl World {
             guest as u64,
         );
         let mut cfg = JvmConfig::new(JVM_VERSION, salt);
-        if let Some(bytes) = self.cache_images.get(&profile.workload_id) {
-            let copy = SharedClassCache::from_bytes(bytes).expect("cache image decodes");
-            cfg = cfg.with_shared_cache(copy);
+        if let Some(cache) = self.caches.get(&profile.workload_id) {
+            cfg = cfg.with_shared_cache(cache.clone());
         }
         let (mm, g) = self.host.mm_and_guest_mut(guest);
         let java = JavaVm::launch(mm, &mut g.os, cfg, profile.clone(), at);

@@ -49,7 +49,8 @@ default never) sets both the host khugepaged and guest fault-around
 transparent-huge-page policies; the run reports 2 MiB-mapped memory and
 the TLB-reach throughput credit when nonzero.
 `serve` runs the experiment as the persistent tpsd monitoring daemon on
-a local socket (default port 7878, --port 0 for ephemeral): /metrics is
+a local socket (default 127.0.0.1:7878, --port 0 for ephemeral; --port and
+--addr both name that address, so they do not combine): /metrics is
 the Prometheus-style exposition, /guest/N and /fleet and /misses are
 attribution JSON, /top is the live fleet table, /shutdown stops it.
 With --scenario the daemon ticks the traffic engine instead of the
@@ -125,7 +126,7 @@ struct Opts {
     scenario: String,
     scenario_explicit: bool,
     thp: Option<String>,
-    port: u16,
+    port: Option<u16>,
     addr: Option<String>,
     once: bool,
     interval_ms: u64,
@@ -153,7 +154,7 @@ impl Default for Opts {
             scenario: "constant".into(),
             scenario_explicit: false,
             thp: None,
-            port: 7878,
+            port: None,
             addr: None,
             once: false,
             interval_ms: 1000,
@@ -229,9 +230,11 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, CliError> {
             }
             "--thp" => opts.thp = Some(value("--thp")?.clone()),
             "--port" => {
-                opts.port = value("--port")?
-                    .parse()
-                    .map_err(|_| err("--port: not a port number"))?
+                opts.port = Some(
+                    value("--port")?
+                        .parse()
+                        .map_err(|_| err("--port: not a port number"))?,
+                )
             }
             "--addr" => opts.addr = Some(value("--addr")?.clone()),
             "--once" => opts.once = true,
@@ -271,7 +274,20 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, CliError> {
     if opts.interval_ms == 0 {
         return Err(err("--interval-ms must be positive"));
     }
+    if opts.port.is_some() && opts.addr.is_some() {
+        return Err(err(
+            "--port and --addr both name the daemon's address; give one",
+        ));
+    }
     Ok(opts)
+}
+
+/// The daemon's address: `--addr`, or loopback at `--port` (default
+/// 7878).
+fn daemon_addr(opts: &Opts) -> String {
+    opts.addr
+        .clone()
+        .unwrap_or_else(|| format!("127.0.0.1:{}", opts.port.unwrap_or(7878)))
 }
 
 /// What the run header calls the workload: the preset name when one was
@@ -334,7 +350,7 @@ fn config_for(opts: &Opts, guests: usize) -> Result<ExperimentConfig, CliError> 
                 "--thp: unknown policy {name} (never | madvise | always)"
             ))
         })?;
-        cfg = cfg.with_thp(policy, policy);
+        cfg = cfg.with_thp(policy);
     }
     if let Some(seconds) = opts.timeline {
         cfg = cfg.with_timeline(seconds).with_timeline_attribution();
@@ -630,7 +646,8 @@ fn cmd_powervm(opts: &Opts) -> Result<String, CliError> {
 }
 
 fn cmd_smaps(opts: &Opts) -> Result<String, CliError> {
-    // A one-guest demo of the §II.A smaps/PSS view.
+    // A two-guest demo of the §II.A PSS view, read from the
+    // attribution breakdown.
     let mut cfg = ExperimentConfig::small_test(2, opts.preload);
     cfg.timeline = None;
     let report = Experiment::run(&cfg).map_err(|e| err(e.to_string()))?;
@@ -665,10 +682,7 @@ fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
     };
     let mut dcfg = tpslab::DaemonConfig::new(cfg);
     dcfg.scenario = scenario;
-    dcfg.addr = opts
-        .addr
-        .clone()
-        .unwrap_or_else(|| format!("127.0.0.1:{}", opts.port));
+    dcfg.addr = daemon_addr(opts);
     dcfg.throttle_ms = opts.throttle_ms;
     let mut daemon = tpslab::Daemon::spawn(dcfg).map_err(|e| err(e.to_string()))?;
     // Nobody may read the banner (`serve | head -1`); the daemon serves
@@ -687,10 +701,7 @@ fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
 /// single snapshot; otherwise the table is repainted in place every
 /// `--interval-ms` until the daemon goes away.
 fn cmd_top(opts: &Opts) -> Result<String, CliError> {
-    let addr = opts
-        .addr
-        .clone()
-        .unwrap_or_else(|| format!("127.0.0.1:{}", opts.port));
+    let addr = daemon_addr(opts);
     if opts.once {
         return tpslab::http_get(&addr, "/top").map_err(|e| err(e.to_string()));
     }
@@ -854,11 +865,10 @@ mod tests {
         let opts = parse_opts("run", &argv("--thp always")).unwrap();
         assert_eq!(opts.thp.as_deref(), Some("always"));
         let cfg = config_for(&opts, 2).unwrap();
-        assert_eq!(cfg.thp_host, ThpPolicy::Always);
-        assert_eq!(cfg.thp_guest, ThpPolicy::Always);
+        assert_eq!(cfg.thp, ThpPolicy::Always);
         let defaults = parse_opts("run", &argv("")).unwrap();
         let cfg = config_for(&defaults, 2).unwrap();
-        assert_eq!(cfg.thp_host, ThpPolicy::Never);
+        assert_eq!(cfg.thp, ThpPolicy::Never);
         let bad = parse_opts("run", &argv("--thp sometimes")).unwrap();
         let e = config_for(&bad, 2).unwrap_err();
         assert!(e.to_string().contains("--thp"), "got: {e}");
@@ -1009,13 +1019,24 @@ mod tests {
     fn parse_daemon_flags() {
         let opts = parse_opts(
             "top",
-            &argv("--port 0 --addr 127.0.0.1:9999 --once --interval-ms 50"),
+            &argv("--addr 127.0.0.1:9999 --once --interval-ms 50"),
         )
         .unwrap();
-        assert_eq!(opts.port, 0);
-        assert_eq!(opts.addr.as_deref(), Some("127.0.0.1:9999"));
+        assert_eq!(daemon_addr(&opts), "127.0.0.1:9999");
         assert!(opts.once);
         assert_eq!(opts.interval_ms, 50);
+        for cmd in ["serve", "top"] {
+            let addr = |line: &str| parse_opts(cmd, &argv(line)).map(|o| daemon_addr(&o));
+            assert_eq!(addr("").unwrap(), "127.0.0.1:7878");
+            assert_eq!(addr("--port 0").unwrap(), "127.0.0.1:0");
+            // Both flags name the address: neither silently wins.
+            let e = addr("--port 7000 --addr 127.0.0.1:8000").unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                "--port and --addr both name the daemon's address; give one",
+                "{cmd}"
+            );
+        }
         let serve = |line: &str| parse_opts("serve", &argv(line));
         assert_eq!(serve("--throttle-ms 5").unwrap().throttle_ms, 5);
         assert!(!serve("").unwrap().scenario_explicit);

@@ -18,12 +18,17 @@ fn exit_code_into_closed_pipe(args: &[&str]) -> Option<i32> {
         .code()
 }
 
-/// An unknown flag, and a flag the subcommand does not read, which it
-/// used to drop silently.
+/// An unknown flag, a flag the subcommand does not read, which it used
+/// to drop silently, and two flags that both name the daemon's address,
+/// of which it used to drop `--port`.
 #[test]
 fn bad_command_line_exits_2_into_a_closed_pipe() {
-    for args in [["run", "--bogus"], ["traffic", "--profile"]] {
-        assert_eq!(exit_code_into_closed_pipe(&args), Some(2), "{args:?}");
+    for args in [
+        &["run", "--bogus"][..],
+        &["traffic", "--profile"],
+        &["serve", "--port", "7000", "--addr", "127.0.0.1:8000"],
+    ] {
+        assert_eq!(exit_code_into_closed_pipe(args), Some(2), "{args:?}");
     }
 }
 

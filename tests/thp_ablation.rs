@@ -85,7 +85,7 @@ fn thp_frontier_is_non_degenerate() {
 fn scale256_thp_smoke() {
     let cfg = ExperimentConfig::scale256(256.0)
         .with_duration_seconds(20)
-        .with_thp(ThpPolicy::Always, ThpPolicy::Always);
+        .with_thp(ThpPolicy::Always);
     let report = Experiment::run(&cfg).unwrap();
     assert_eq!(report.throughput.len(), 256);
     assert!(report.ksm.pages_sharing > 0, "fleet never merged a page");
@@ -123,7 +123,7 @@ proptest! {
                 steady: params,
                 warmup_seconds: 0,
             })
-            .with_thp(policy, policy);
+            .with_thp(policy);
         let scenario = Scenario {
             name: "thp-proptest",
             curve: ArrivalCurve::Constant { factor: 1.0 },
