@@ -2,9 +2,8 @@
 //!
 //! [`NaiveScanner`] re-implements the scanning semantics of
 //! [`ksm::KsmScanner`] with none of its fast paths: no clean-region
-//! skip credits, no region write-generation reads, no memoized
-//! recounts — every wake walks pages one at a time and every recount
-//! recomputes from scratch. It exists so tests can drive the
+//! skip credits and no region write-generation reads — every wake
+//! walks pages one at a time. It exists so tests can drive the
 //! incremental scanner and the oracle over identical operation
 //! sequences and assert that the resulting frame tables, page tables
 //! and statistics are bit-identical: any divergence is a bug in the
@@ -139,7 +138,7 @@ impl NaiveScanner {
     }
 
     /// Recomputes `pages_shared` / `pages_sharing` from scratch,
-    /// dropping stale stable-tree nodes. Never memoized.
+    /// dropping stale stable-tree nodes.
     pub fn recount(&mut self, mm: &HostMm) {
         let phys = mm.phys();
         let mut shared = 0u64;

@@ -6,8 +6,8 @@
 //! bit-identical physical state and equivalent statistics.
 //!
 //! This is the harness that guards the incremental scanner's fast
-//! paths (clean-region skip credits, memoized recounts, generation
-//! counters, the sole-holder skip of the unstable tree): any divergence
+//! paths (clean-region skip credits, generation counters, the
+//! sole-holder skip of the unstable tree): any divergence
 //! they introduce shows up as a frame-table, PTE-table or stats
 //! mismatch against the oracle. The incrementally scanned world must
 //! additionally pass the full conservation audit.

@@ -7,12 +7,10 @@ use hypervisor::{
     share_page_caches, BalloonDriver, DiffEngine, DiffEngineReport, PageSummary, SharingPlanner,
 };
 use mem::Tick;
-use tpslab::cds::{CacheBuilder, SharedClassCache};
 use tpslab::hypervisor::{HostConfig, KvmHost};
-use tpslab::jvm::{ClassSet, JavaVm, JvmConfig};
+use tpslab::jvm::{master_cache, JavaVm, JvmConfig};
 use tpslab::oskernel::OsImage;
 use tpslab::{ExperimentConfig, KsmSchedule};
-use workloads::Benchmark;
 
 use crate::{banner_text, RunOpts};
 
@@ -338,15 +336,6 @@ pub fn related_work_text(opts: &RunOpts) -> String {
     out
 }
 
-fn build_cache(bench: &Benchmark) -> SharedClassCache {
-    let classes = ClassSet::for_profile(&bench.profile);
-    let mut builder = CacheBuilder::new(&bench.profile.name, bench.cache_mib);
-    for class in classes.cacheable() {
-        builder.add(class.token, class.ro_bytes);
-    }
-    builder.finish()
-}
-
 /// X5: Memory Buddies-style sharing-aware placement on top of class
 /// preloading. Four guests — two DayTrader, two Tuscany — must be split
 /// across two hosts. Bloom-filter page summaries predict which pairing
@@ -365,7 +354,7 @@ pub fn placement_text(opts: &RunOpts) -> String {
     let daytrader = workloads::daytrader().scaled(opts.scale);
     let tuscany = workloads::tuscany().scaled(opts.scale);
     let image = OsImage::rhel55().scaled(opts.scale);
-    let caches = [build_cache(&daytrader), build_cache(&tuscany)];
+    let caches = [&daytrader, &tuscany].map(|b| master_cache(&b.profile, b.cache_mib));
 
     // Boot all four guests on one staging host to collect summaries.
     let mut host = KvmHost::new(HostConfig::paper_power().scaled(opts.scale));

@@ -1,5 +1,6 @@
 //! The class population of a workload.
 
+use cds::{CacheBuilder, SharedClassCache};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -150,6 +151,19 @@ impl ClassSet {
     pub fn cacheable(&self) -> impl Iterator<Item = &ClassSpec> {
         self.classes.iter().filter(|c| c.cacheable)
     }
+}
+
+/// The master shared class cache of `profile`'s workload, named after
+/// the profile: populated by "running the middleware once" (§IV.C), the
+/// canonical class-load order stores each cacheable class until
+/// `capacity_mib` is full. Every JVM that preloads maps a copy of it.
+#[must_use]
+pub fn master_cache(profile: &crate::AppProfile, capacity_mib: f64) -> SharedClassCache {
+    let mut builder = CacheBuilder::new(profile.name.clone(), capacity_mib);
+    for class in ClassSet::for_profile(profile).cacheable() {
+        builder.add(class.token, class.ro_bytes);
+    }
+    builder.finish()
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ mod vm;
 mod workarea;
 
 pub use category::MemoryCategory;
-pub use classes::{ClassSet, ClassSpec};
+pub use classes::{master_cache, ClassSet, ClassSpec};
 pub use classloader::ClassLoader;
 pub use profile::{AppProfile, GcPolicy, HeapProfile};
 pub use request::RequestCost;

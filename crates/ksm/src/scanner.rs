@@ -116,11 +116,6 @@ pub struct KsmScanner {
     pass_start: Tick,
     prev_pass_start: Tick,
     first_pass_done: bool,
-    /// Bumped on every stable-tree insert/remove; together with
-    /// [`HostMm::epoch`] it keys the [`recount`](Self::recount) memo.
-    stable_version: u64,
-    /// `(mm epoch, stable_version)` at the last recount, if any.
-    last_recount: Option<(u64, u64)>,
     stats: KsmStats,
     /// The wake's page-table mutations, in scan order. Huge-page splits
     /// are idempotent per block, so the per-subpage split requests of
@@ -281,8 +276,6 @@ impl KsmScanner {
             pass_start: Tick::ZERO,
             prev_pass_start: Tick::ZERO,
             first_pass_done: false,
-            stable_version: 0,
-            last_recount: None,
             stats: KsmStats::default(),
             ops: Vec::new(),
             events: Vec::new(),
@@ -310,7 +303,9 @@ impl KsmScanner {
     /// Exports the scanner's deterministic counters (sysfs-mirror stats
     /// and cumulative wake work) plus the wall-clock per-phase nanos
     /// into `reg`. The nanos land in the separated
-    /// [`obs::MetricClass::Wall`] section.
+    /// [`obs::MetricClass::Wall`] section. The `pages_shared` and
+    /// `pages_sharing` stats are left out: they lag between recounts,
+    /// so a scrape exports a fresh [`count_sharing`](Self::count_sharing).
     pub fn record_metrics(&self, reg: &mut obs::MetricsRegistry) {
         let s = self.stats;
         reg.counter(
@@ -360,18 +355,6 @@ impl KsmScanner {
             "Huge pages split so their subpages could enter the unstable tree.",
             &[],
             s.thp_splits,
-        );
-        reg.gauge(
-            "ksm_pages_shared",
-            "Stable-tree frames: distinct shared pages kept in memory.",
-            &[],
-            s.pages_shared as f64,
-        );
-        reg.gauge(
-            "ksm_pages_sharing",
-            "PTEs pointing at stable frames beyond the first (copies elided).",
-            &[],
-            s.pages_sharing as f64,
         );
         // The help text predates the single stable tree. The telemetry
         // golden and perfbench's recorded scrape digest pin it, so it
@@ -521,21 +504,13 @@ impl KsmScanner {
     }
 
     /// Recomputes `pages_shared` / `pages_sharing` from the ground truth,
-    /// dropping stale stable-tree nodes.
-    ///
-    /// Memoized on `(mm.epoch(), stable-tree version)`: when neither the
-    /// host memory state nor the stable tree has changed since the last
-    /// recount, the previous counts are still exact and the walk is
-    /// skipped. This makes pass boundaries over converged idle memory
-    /// O(1) instead of O(stable nodes).
+    /// dropping stale stable-tree nodes: one walk over the stable tree.
+    /// A recount with nothing changed since the last drops no node and
+    /// sets the same counts.
     pub fn recount(&mut self, mm: &HostMm) {
-        if self.last_recount == Some((mm.epoch(), self.stable_version)) {
-            return;
-        }
         let phys = mm.phys();
         let mut shared = 0u64;
         let mut sharing = 0u64;
-        let before = self.stable.len();
         self.stable.retain(|&fp, &mut frame| {
             let valid =
                 phys.is_live(frame) && phys.is_ksm_shared(frame) && phys.fingerprint(frame) == fp;
@@ -545,12 +520,8 @@ impl KsmScanner {
             }
             valid
         });
-        if self.stable.len() != before {
-            self.stable_version += 1;
-        }
         self.stats.pages_shared = shared;
         self.stats.pages_sharing = sharing;
-        self.last_recount = Some((mm.epoch(), self.stable_version));
     }
 
     /// Read-only [`recount`](Self::recount): computes fresh
@@ -843,7 +814,6 @@ impl KsmScanner {
                 stable_hit = Some(node);
             } else {
                 self.stable.remove(&fp);
-                self.stable_version += 1;
                 self.stats.stale_stable_nodes += 1;
                 if tracing {
                     self.events.push(EventKind::StaleNodeDrop {
@@ -872,7 +842,6 @@ impl KsmScanner {
                 // Chain full: promote this page to a fresh stable node so
                 // later duplicates have somewhere to go.
                 self.stable.insert(fp, frame);
-                self.stable_version += 1;
                 self.spec_shared.insert(frame);
                 self.stats.chain_splits += 1;
                 self.ops.push(CommitOp::Promote { frame });
@@ -951,7 +920,6 @@ impl KsmScanner {
         }
         entry.remove();
         self.stable.insert(fp, other);
-        self.stable_version += 1;
         self.merge(page.refcount, frame, other);
         if tracing {
             self.events.push(EventKind::MergeUnstable {

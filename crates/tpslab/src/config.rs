@@ -482,15 +482,15 @@ impl ExperimentConfig {
     /// [`MAX_DURATION_SECONDS`](Self::MAX_DURATION_SECONDS).
     ///
     /// Every entry point ([`Experiment::run`](crate::Experiment::run),
-    /// [`Experiment::run_traffic`](crate::Experiment::run_traffic), the
-    /// [`preset`](Self::preset) builder) calls this, so invalid configs
+    /// [`Experiment::run_traffic`](crate::Experiment::run_traffic),
+    /// [`preset`](Self::preset)) calls this, so invalid configs
     /// surface as a typed [`Error`] instead of a panic mid-run.
     ///
     /// Deliberately *not* checked here: the memory budget. Over-commit
     /// far beyond [`MAX_OVERCOMMIT`](Self::MAX_OVERCOMMIT) is the
     /// paper's subject (the named presets themselves exceed it), so the
     /// budget cap only guards explicit guest-count overrides — see
-    /// [`ExperimentBuilder::guests`].
+    /// [`with_guest_count`](Self::with_guest_count).
     ///
     /// # Errors
     ///
@@ -521,77 +521,31 @@ impl ExperimentConfig {
         Ok(())
     }
 
-    /// Starts a validated builder from a named fleet preset — the
-    /// entry point the CLI routes `--preset`/`--guests` through:
+    /// The named fleet preset at size divisor `scale`, validated — the
+    /// entry point the CLI routes `--preset` through:
     ///
     /// ```
     /// use tpslab::ExperimentConfig;
     ///
-    /// let cfg = ExperimentConfig::preset("scale32")
-    ///     .scale(64.0)
-    ///     .guests(4)
-    ///     .build()
+    /// let cfg = ExperimentConfig::preset("scale32", 64.0)
+    ///     .and_then(|cfg| cfg.with_guest_count(4))
     ///     .unwrap();
     /// assert_eq!(cfg.guests.len(), 4);
-    /// assert!(ExperimentConfig::preset("scale9000").build().is_err());
+    /// assert!(ExperimentConfig::preset("scale9000", 8.0).is_err());
     /// ```
-    #[must_use]
-    pub fn preset(name: &str) -> ExperimentBuilder {
-        ExperimentBuilder {
-            preset: name.to_string(),
-            scale: 8.0,
-            guests: None,
-        }
-    }
-}
-
-/// Builds an [`ExperimentConfig`] from a named preset, centralising the
-/// guest-budget validation that used to live in CLI argument parsing.
-/// Construct with [`ExperimentConfig::preset`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentBuilder {
-    preset: String,
-    scale: f64,
-    guests: Option<usize>,
-}
-
-impl ExperimentBuilder {
-    /// Sets the size divisor (1 = paper scale).
-    #[must_use]
-    pub fn scale(mut self, scale: f64) -> ExperimentBuilder {
-        self.scale = scale;
-        self
-    }
-
-    /// Overrides the preset's native guest count. Unlike the preset's
-    /// own fleet size, an override is validated against the host's
-    /// [`MAX_OVERCOMMIT`](ExperimentConfig::MAX_OVERCOMMIT) budget at
-    /// [`build`](Self::build), so a typo'd `--guests 100000` fails fast
-    /// instead of producing a meaningless thrash-bound run.
-    #[must_use]
-    pub fn guests(mut self, n: usize) -> ExperimentBuilder {
-        self.guests = Some(n);
-        self
-    }
-
-    /// Resolves the preset and validates the result.
     ///
     /// # Errors
     ///
-    /// [`Error::UnknownPreset`] for an unrecognised name;
-    /// [`Error::BudgetExceeded`] when a [`guests`](Self::guests)
-    /// override pushes the fleet past the host's memory budget;
-    /// whatever [`ExperimentConfig::validate`] finds otherwise.
-    pub fn build(self) -> Result<ExperimentConfig, Error> {
-        let mut cfg = match self.preset.as_str() {
-            "scale32" => ExperimentConfig::scale32(self.scale),
-            "scale256" => ExperimentConfig::scale256(self.scale),
-            "scale1024" => ExperimentConfig::scale1024(self.scale),
+    /// [`Error::UnknownPreset`] for a name other than `scale32`,
+    /// `scale256` and `scale1024`; whatever
+    /// [`validate`](Self::validate) finds otherwise.
+    pub fn preset(name: &str, scale: f64) -> Result<ExperimentConfig, Error> {
+        let cfg = match name {
+            "scale32" => ExperimentConfig::scale32(scale),
+            "scale256" => ExperimentConfig::scale256(scale),
+            "scale1024" => ExperimentConfig::scale1024(scale),
             other => return Err(Error::UnknownPreset(other.to_string())),
         };
-        if let Some(n) = self.guests {
-            cfg = cfg.with_guest_count(n)?;
-        }
         cfg.validate()?;
         Ok(cfg)
     }

@@ -5,21 +5,22 @@
 //! continuously. [`Daemon`] turns the simulator into that monitoring
 //! service: a **ticker thread** owns the ticking world (the [`HostMm`]
 //! stack is deliberately not `Sync`, so all mutation stays on one
-//! thread) and, once per simulated second, publishes a [`ServedState`]
-//! behind an `Arc<RwLock>`. It holds the Prometheus-style metrics text,
-//! a `diagnose_misses` breakdown, the fleet rollup and a `top`-style
-//! fleet table, all rendered, plus the epoch's attribution breakdown,
-//! from which each per-guest JSON body is rendered on its first
-//! request. Query threads (one per accepted connection on a local
-//! socket) answer from that published state, so queries are served
-//! **from the last published epoch while the world keeps mutating** and
-//! never block the ticker.
+//! thread) and, once per simulated second, publishes an `Epoch` behind
+//! an `Arc<RwLock>`. The epoch captures what the answers read and the
+//! world does not keep: the metrics registry, the attribution breakdown,
+//! the `diagnose_misses` report, the host's MiB figures, the sharing
+//! counts and the merge rate. The ticker renders nothing. Query threads
+//! (one per accepted connection on a local socket) answer from the latest
+//! epoch and render each body on its first request into a write-once
+//! cell, so queries are served **from the last published epoch while the
+//! world keeps mutating** and never block the ticker.
 //!
 //! One [`SnapshotEngine`] lives for the daemon's lifetime: each publish
 //! walks the world once, and a publish at an unchanged epoch reassembles
-//! the previous walk instead. After the final epoch the world no longer
-//! changes: the daemon keeps serving that epoch's answers and refreshes
-//! only the wall-clock query count in `/metrics`.
+//! the previous walk instead. Once the final epoch is published the
+//! ticker returns and drops the world; the daemon keeps answering from
+//! that epoch until `/shutdown`. `/metrics` appends the wall-clock query
+//! count as it answers, so nothing else moves after the run.
 //!
 //! Determinism contract: watching a world never mutates it. The ticker
 //! owns one `World` and drives it with the same `World::step` loop as
@@ -51,7 +52,7 @@
 
 use crate::telemetry;
 use crate::world::World;
-use crate::{Error, ExperimentConfig};
+use crate::{Error, ExperimentConfig, GuestTraffic};
 use analysis::{BreakdownReport, MergeMissReport, SnapshotEngine};
 use hypervisor::KvmHost;
 use mem::Tick;
@@ -69,8 +70,8 @@ use traffic::Scenario;
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// The experiment to tick. `duration_seconds` bounds the simulated
-    /// run; after it the world idles but the daemon keeps serving the
-    /// final epoch until `/shutdown`.
+    /// run; the ticker stops at the final epoch, and the daemon keeps
+    /// serving that epoch until `/shutdown`.
     pub config: ExperimentConfig,
     /// Drive the fleet with this traffic scenario instead of the
     /// tick-scripted workload.
@@ -96,90 +97,74 @@ impl DaemonConfig {
     }
 }
 
-/// Everything a query can be answered from, published once per epoch by
-/// the ticker thread. The endpoints a client reads every epoch are
-/// rendered at publish; the per-guest bodies, of which a client reads a
-/// few, are rendered on first request from the epoch's breakdown.
+/// One published simulated second: what the ticker captured from the
+/// world, and each endpoint's body once something asked for it.
 /// Immutable after publication apart from those write-once bodies —
-/// query threads clone the `Arc`, never the strings.
-#[derive(Clone)]
-struct ServedState {
-    /// Simulated seconds this state describes.
-    epoch_seconds: u64,
+/// query threads clone the `Arc`, never the epoch.
+struct Epoch {
+    /// Simulated seconds this epoch describes.
+    second: u64,
     /// True while the world is still ticking toward its duration.
     running: bool,
-    /// Full Prometheus-style exposition (deterministic + wall).
-    metrics: String,
-    /// The deterministic section alone (golden-safe).
-    metrics_deterministic: String,
-    /// Per-guest attribution, shared by every state of the epoch.
-    guests: Arc<GuestAnswers>,
-    /// Fleet rollup JSON.
-    fleet: String,
-    /// Miss-class breakdown JSON.
-    misses: String,
-    /// Rendered fleet table.
-    top: String,
-}
-
-/// One epoch's per-guest attribution: what [`render_guest`] needs, and
-/// each guest's body once something asked for it.
-#[derive(Default)]
-struct GuestAnswers {
-    /// Simulated seconds of the epoch.
-    second: u64,
+    /// The deterministic series, plus the wall series as of the publish.
+    registry: MetricsRegistry,
     breakdown: BreakdownReport,
-    /// Each guest's huge-page MiB at this epoch.
-    huge_mib: Vec<f64>,
+    misses: MergeMissReport,
+    /// Host-wide MiB figures.
+    resident_mib: f64,
+    huge_mib: f64,
+    overcommit_mib: f64,
+    /// Each guest's huge-page MiB.
+    guest_huge_mib: Vec<f64>,
+    /// `(pages_shared, pages_sharing)` from `count_sharing`.
+    sharing: (u64, u64),
+    /// Fleet-wide merges over the published interval.
+    merge_rate: f64,
     /// Per-guest request tallies under a traffic scenario.
-    traffic: Option<Vec<crate::GuestTraffic>>,
-    /// One body per guest, rendered on its first request.
-    bodies: Vec<OnceLock<String>>,
+    traffic: Option<Vec<GuestTraffic>>,
+    bodies: Bodies,
 }
 
-impl GuestAnswers {
-    /// Guest `i`'s `/guest/<i>` body; `None` past the last guest.
-    fn body(&self, i: usize) -> Option<&str> {
-        let body = self.bodies.get(i)?.get_or_init(|| {
-            render_guest(
-                i,
-                &self.breakdown,
-                self.huge_mib[i],
-                self.second,
-                self.traffic.as_deref(),
-            )
-        });
-        Some(body)
+/// An epoch's answers, each rendered on its first request.
+#[derive(Default)]
+struct Bodies {
+    /// `/metrics` without the query count, which moves per answer.
+    metrics: OnceLock<String>,
+    deterministic: OnceLock<String>,
+    fleet: OnceLock<String>,
+    misses: OnceLock<String>,
+    top: OnceLock<String>,
+    /// One per guest.
+    guests: Vec<OnceLock<String>>,
+}
+
+impl Epoch {
+    /// The `/metrics` body: the epoch's exposition, then `queries`, the
+    /// daemon's query count as of this answer, as the last wall series.
+    fn metrics(&self, queries: u64) -> String {
+        let exposition = self.bodies.metrics.get_or_init(|| self.registry.render());
+        format!(
+            "{exposition}# HELP daemon_queries_total Queries answered by this daemon so far \
+             (non-deterministic).\n# TYPE daemon_queries_total counter\n\
+             daemon_queries_total {queries}\n"
+        )
     }
 }
 
 /// State shared between the ticker, the acceptor and query threads.
+#[derive(Default)]
 struct Shared {
-    state: RwLock<Arc<ServedState>>,
+    /// The latest published epoch; `None` while the world boots.
+    epoch: RwLock<Option<Arc<Epoch>>>,
     stop: AtomicBool,
-    /// Queries answered so far (wall-clock series in the exposition).
+    /// Queries answered so far (the last wall series of `/metrics`).
     queries: AtomicU64,
 }
 
 impl Shared {
-    /// A daemon's shared state before its first epoch: not stopped, no
-    /// queries answered, and the placeholder answers of a booting world.
-    fn booting() -> Shared {
-        let boot = ServedState {
-            epoch_seconds: 0,
-            running: true,
-            metrics: String::new(),
-            metrics_deterministic: String::new(),
-            guests: Arc::default(),
-            fleet: "{\"epoch_seconds\":0,\"booting\":true}\n".to_string(),
-            misses: "{\"epoch_seconds\":0,\"booting\":true}\n".to_string(),
-            top: "tpsd: booting\n".to_string(),
-        };
-        Shared {
-            state: RwLock::new(Arc::new(boot)),
-            stop: AtomicBool::new(false),
-            queries: AtomicU64::new(0),
-        }
+    /// The latest published epoch, if any.
+    fn latest(&self) -> Option<Arc<Epoch>> {
+        self.epoch.read().expect("epoch lock").clone()
     }
 }
 
@@ -209,7 +194,7 @@ impl Daemon {
             .local_addr()
             .map_err(|e| Error::Daemon(format!("local_addr: {e}")))?;
 
-        let shared = Arc::new(Shared::booting());
+        let shared = Arc::new(Shared::default());
 
         let ticker = {
             let shared = Arc::clone(&shared);
@@ -244,17 +229,17 @@ impl Daemon {
     /// Simulated seconds of the most recently published epoch.
     #[must_use]
     pub fn epoch_seconds(&self) -> u64 {
-        self.shared.state.read().expect("state lock").epoch_seconds
+        self.shared.latest().map_or(0, |epoch| epoch.second)
     }
 
-    /// Answers `path` directly from the published state, exactly as the
-    /// socket handler would — the cached-query path without the
-    /// transport. `None` for unknown paths. `perfbench` times the query
-    /// path through it in isolation (`daemon.answer_ns`).
+    /// Answers `path` directly from the published epoch, exactly as the
+    /// socket handler would — the query path without the transport.
+    /// `None` for unknown paths. `perfbench` times the query path
+    /// through it in isolation (`daemon.answer_ns`).
     #[must_use]
     pub fn state_answer(&self, path: &str) -> Option<String> {
-        let state = Arc::clone(&self.shared.state.read().expect("state lock"));
-        answer(&state, path).map(|(_, body)| body)
+        let queries = self.shared.queries.load(Ordering::Relaxed);
+        answer(self.shared.latest().as_deref(), path, queries).map(|(_, body)| body)
     }
 
     /// Signals the daemon to stop and wakes the acceptor.
@@ -276,85 +261,51 @@ impl Daemon {
     }
 }
 
-/// The ticker thread: owns the world, the warm engine and the wall-
-/// clock series; ticks simulated seconds and publishes rendered state.
+/// The ticker thread: owns the world and the warm engine, ticks
+/// simulated seconds and publishes each as an [`Epoch`]. Returns after
+/// the final epoch, or at the first second after a stop.
 fn run_ticker(cfg: &DaemonConfig, shared: &Shared) {
     let mut world = World::new(&cfg.config, cfg.scenario.as_ref());
     let mut engine = SnapshotEngine::default();
-    // Wall-clock series survive across publishes (the deterministic
-    // registry is rebuilt from layer counters each time).
-    let mut wall = MetricsRegistry::new();
+    // Each walk's latency, the one series that accumulates across
+    // publishes (every epoch's registry is built afresh).
+    let mut walks = MetricsRegistry::new();
     let mut prev_merges = 0u64;
     let duration = cfg.config.duration_seconds;
-
-    // The registry behind the latest published exposition.
-    let mut exposition = MetricsRegistry::new();
-    let mut second = 0u64;
-    while !shared.stop.load(Ordering::SeqCst) {
-        if second < duration {
-            second += 1;
-            for t in (second - 1) * mem::TICKS_PER_SECOND + 1..=second * mem::TICKS_PER_SECOND {
-                world.step(t);
-            }
-            let state;
-            (exposition, state) = publish(
-                &mut world,
-                &mut engine,
-                &mut wall,
-                shared,
-                second,
-                second < duration,
-                &mut prev_merges,
-            );
-            *shared.state.write().expect("state lock") = Arc::new(state);
-            if cfg.throttle_ms > 0 {
-                std::thread::sleep(Duration::from_millis(cfg.throttle_ms));
-            }
-        } else {
-            // The run is over and the world no longer changes, so the
-            // final epoch's answers stand; only the wall-clock query
-            // count still moves.
-            std::thread::sleep(Duration::from_millis(100));
-            if count_queries(&mut exposition, shared) > 0 {
-                let state = ServedState {
-                    metrics: exposition.render(),
-                    ..ServedState::clone(&shared.state.read().expect("state lock"))
-                };
-                *shared.state.write().expect("state lock") = Arc::new(state);
-            }
+    for second in 1..=duration {
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        for t in (second - 1) * mem::TICKS_PER_SECOND + 1..=second * mem::TICKS_PER_SECOND {
+            world.step(t);
+        }
+        let epoch = publish(
+            &mut world,
+            &mut engine,
+            &mut walks,
+            second,
+            second < duration,
+            &mut prev_merges,
+        );
+        *shared.epoch.write().expect("epoch lock") = Some(Arc::new(epoch));
+        if cfg.throttle_ms > 0 && second < duration {
+            std::thread::sleep(Duration::from_millis(cfg.throttle_ms));
         }
     }
 }
 
-/// Brings `reg`'s `daemon_queries_total` wall series up to the number
-/// of queries answered so far; returns how many it added.
-fn count_queries(reg: &mut MetricsRegistry, shared: &Shared) -> u64 {
-    let added = shared
-        .queries
-        .load(Ordering::Relaxed)
-        .saturating_sub(reg.counter_value("daemon_queries_total", &[]).unwrap_or(0));
-    reg.counter_class(
-        "daemon_queries_total",
-        "Queries answered by this daemon so far (non-deterministic).",
-        &[],
-        MetricClass::Wall,
-        added,
-    );
-    added
-}
-
-/// Publishes one epoch: snapshot, breakdown, misses, metrics, table;
-/// the per-guest bodies wait for their first request. Also returns the
-/// registry the exposition was rendered from.
+/// Captures the epoch at simulated second `second`: the attribution walk
+/// and its breakdown, the miss diagnosis, the sharing counts and the
+/// registry, computed here because the world moves on after the publish.
+/// Renders nothing.
 fn publish(
     world: &mut World,
     engine: &mut SnapshotEngine,
-    wall: &mut MetricsRegistry,
-    shared: &Shared,
+    walks: &mut MetricsRegistry,
     second: u64,
     running: bool,
     prev_merges: &mut u64,
-) -> (MetricsRegistry, ServedState) {
+) -> Epoch {
     // The attribution walk, reused only when the epoch has not moved
     // since the previous publish. Timed as the world's `attribution`
     // phase, and each walk into the separated wall-clock histogram.
@@ -362,7 +313,7 @@ fn publish(
     let snapshot = engine.snapshot(world.host.mm(), &world.views());
     let frames = world.host.mm().phys().allocated_frames() as u64;
     let walk = world.prof.end("attribution", walk_started, 0, frames);
-    wall.observe(
+    walks.observe(
         "engine_walk_latency_ns",
         "Wall-clock latency of the per-epoch attribution walk (non-deterministic).",
         &[],
@@ -374,8 +325,6 @@ fn publish(
     let host = &world.host;
     let scanner = &world.scanner;
     let traffic = world.traffic();
-    let now = Tick::from_seconds(second as f64);
-
     let misses = analysis::diagnose_misses(
         host.mm(),
         scanner.params().max_page_sharing(),
@@ -384,15 +333,14 @@ fn publish(
     );
 
     // Deterministic registry, rebuilt from layer counters; wall-clock
-    // series merged behind it.
+    // series behind it.
     let sharing = scanner.count_sharing(host.mm());
-    let mut reg = telemetry::world_registry(host, scanner, engine, now, sharing);
+    let now = Tick::from_seconds(second as f64);
+    let mut registry = telemetry::world_registry(host, scanner, engine, now, sharing);
     if let Some(traffic) = traffic {
-        traffic.report.record_metrics(&mut reg);
-        // Step-phase wall clocks (DESIGN.md §14): cumulative in the
-        // world's profiler, exported as per-publish increments on the
-        // persistent wall registry so the series survives epoch
-        // rebuilds.
+        traffic.report.record_metrics(&mut registry);
+        // Step-phase wall clocks (DESIGN.md §14): the world profiler's
+        // totals so far.
         const PHASE_HELP: &str = "Wall-clock nanoseconds the traffic step spent in this phase \
              (plan: the per-batch capacity snapshot; non-deterministic).";
         let w = world.traffic_wall();
@@ -402,72 +350,36 @@ fn publish(
             ("traffic_commit_wall_ns_total", w.commit_ns),
             ("traffic_scan_wall_ns_total", w.scan_ns),
         ] {
-            let prev = wall.counter_value(name, &[]).unwrap_or(0);
-            wall.counter_class(
-                name,
-                PHASE_HELP,
-                &[],
-                MetricClass::Wall,
-                total.saturating_sub(prev),
-            );
+            registry.counter_class(name, PHASE_HELP, &[], MetricClass::Wall, total);
         }
     }
-    count_queries(wall, shared);
-    reg.merge(wall);
-    let metrics = reg.render();
-    let metrics_deterministic = reg.render_deterministic();
+    registry.merge(walks);
 
     // Fleet-wide merge rate over the published interval.
     let merges = scanner.stats().merges;
     let merge_rate = merges.saturating_sub(*prev_merges) as f64;
     *prev_merges = merges;
 
-    let per_guest_traffic = traffic.map(|t| t.report.per_guest.as_slice());
-
-    let fleet = render_fleet(
-        host,
-        &breakdown,
-        &misses,
+    Epoch {
         second,
         running,
-        merge_rate,
-        sharing,
-        per_guest_traffic,
-    );
-    let top = render_top(
-        host,
-        &breakdown,
-        &misses,
-        second,
-        merge_rate,
-        per_guest_traffic,
-    );
-    let mut misses_json = format!("{{\"epoch_seconds\":{second},");
-    misses_json.push_str(misses.to_json().trim_start_matches('{'));
-    if !misses_json.ends_with('\n') {
-        misses_json.push('\n');
-    }
-
-    let guests = GuestAnswers {
-        second,
-        huge_mib: (0..breakdown.guests.len())
+        registry,
+        guest_huge_mib: (0..breakdown.guests.len())
             .map(|i| mem::pages_to_mib(host.guest_huge_pages(i)))
             .collect(),
-        traffic: per_guest_traffic.map(<[_]>::to_vec),
-        bodies: breakdown.guests.iter().map(|_| OnceLock::new()).collect(),
+        bodies: Bodies {
+            guests: breakdown.guests.iter().map(|_| OnceLock::new()).collect(),
+            ..Bodies::default()
+        },
         breakdown,
-    };
-    let state = ServedState {
-        epoch_seconds: second,
-        running,
-        metrics,
-        metrics_deterministic,
-        guests: Arc::new(guests),
-        fleet,
-        misses: misses_json,
-        top,
-    };
-    (reg, state)
+        misses,
+        resident_mib: host.resident_mib(),
+        huge_mib: host.huge_mib(),
+        overcommit_mib: host.overcommit_mib(),
+        sharing,
+        merge_rate,
+        traffic: traffic.map(|t| t.report.per_guest.clone()),
+    }
 }
 
 /// Per-guest attribution JSON ("what does guest 17's Java heap cost
@@ -480,7 +392,7 @@ pub fn render_guests(
     host: &KvmHost,
     breakdown: &BreakdownReport,
     second: u64,
-    traffic: Option<&[crate::GuestTraffic]>,
+    traffic: Option<&[GuestTraffic]>,
 ) -> Vec<String> {
     (0..breakdown.guests.len())
         .map(|i| {
@@ -498,7 +410,7 @@ fn render_guest(
     breakdown: &BreakdownReport,
     huge_mib: f64,
     second: u64,
-    traffic: Option<&[crate::GuestTraffic]>,
+    traffic: Option<&[GuestTraffic]>,
 ) -> String {
     let g = &breakdown.guests[i];
     let mut out = String::with_capacity(512);
@@ -561,34 +473,32 @@ fn render_guest(
 
 /// Fleet rollup JSON: host totals, sharing counters, miss classes and
 /// one row per guest.
-#[allow(clippy::too_many_arguments)]
-fn render_fleet(
-    host: &KvmHost,
-    breakdown: &BreakdownReport,
-    misses: &MergeMissReport,
-    second: u64,
-    running: bool,
-    merge_rate: f64,
-    (shared_pages, sharing_pages): (u64, u64),
-    traffic: Option<&[crate::GuestTraffic]>,
-) -> String {
+fn render_fleet(epoch: &Epoch) -> String {
+    let (shared_pages, sharing_pages) = epoch.sharing;
+    let mode = if epoch.traffic.is_some() {
+        "traffic"
+    } else {
+        "tick"
+    };
     let mut out = String::with_capacity(1024);
     let _ = write!(
         out,
-        "{{\"epoch_seconds\":{second},\"running\":{running},\
-         \"mode\":\"{}\",\"guests\":{},\"resident_mib\":{:.3},\"huge_mib\":{:.3},\
+        "{{\"epoch_seconds\":{},\"running\":{},\
+         \"mode\":\"{mode}\",\"guests\":{},\"resident_mib\":{:.3},\"huge_mib\":{:.3},\
          \"overcommit_mib\":{:.3},\"pages_shared\":{shared_pages},\
-         \"pages_sharing\":{sharing_pages},\"merge_rate_per_s\":{merge_rate},\
+         \"pages_sharing\":{sharing_pages},\"merge_rate_per_s\":{},\
          \"misses\":",
-        if traffic.is_some() { "traffic" } else { "tick" },
-        breakdown.guests.len(),
-        host.resident_mib(),
-        host.huge_mib(),
-        host.overcommit_mib(),
+        epoch.second,
+        epoch.running,
+        epoch.breakdown.guests.len(),
+        epoch.resident_mib,
+        epoch.huge_mib,
+        epoch.overcommit_mib,
+        epoch.merge_rate,
     );
-    out.push_str(misses.to_json().trim_end());
+    out.push_str(epoch.misses.to_json().trim_end());
     out.push_str(",\"fleet\":[");
-    for (i, g) in breakdown.guests.iter().enumerate() {
+    for (i, g) in epoch.breakdown.guests.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -599,9 +509,9 @@ fn render_fleet(
             g.name,
             g.resident_mib,
             g.tps_saving_mib(),
-            mem::pages_to_mib(host.guest_huge_pages(i)),
+            epoch.guest_huge_mib[i],
         );
-        if let Some(per_guest) = traffic {
+        if let Some(per_guest) = &epoch.traffic {
             let t = per_guest.get(i).copied().unwrap_or_default();
             let _ = write!(out, ",\"served\":{},\"shed\":{}", t.served, t.dropped);
         }
@@ -611,35 +521,41 @@ fn render_fleet(
     out
 }
 
+/// The miss-class breakdown JSON, stamped with the epoch.
+fn render_misses(epoch: &Epoch) -> String {
+    let mut out = format!("{{\"epoch_seconds\":{},", epoch.second);
+    out.push_str(epoch.misses.to_json().trim_start_matches('{'));
+    if !out.ends_with('\n') {
+        out.push('\n');
+    }
+    out
+}
+
 /// The `top`-style fleet table `tps top` polls and displays.
-fn render_top(
-    host: &KvmHost,
-    breakdown: &BreakdownReport,
-    misses: &MergeMissReport,
-    second: u64,
-    merge_rate: f64,
-    traffic: Option<&[crate::GuestTraffic]>,
-) -> String {
+fn render_top(epoch: &Epoch) -> String {
     let mut out = String::with_capacity(1024);
-    let total_shared: f64 = breakdown
-        .guests
+    let guests = &epoch.breakdown.guests;
+    let total_shared: f64 = guests
         .iter()
         .map(analysis::GuestBreakdown::tps_saving_mib)
         .sum();
     let _ = writeln!(
         out,
-        "tpsd | epoch {second} s | {} guests | resident {:.1} MiB | shared {:.1} MiB | huge {:.1} MiB | merges {merge_rate:.0}/s",
-        breakdown.guests.len(),
-        host.resident_mib(),
+        "tpsd | epoch {} s | {} guests | resident {:.1} MiB | shared {:.1} MiB | huge {:.1} MiB | merges {:.0}/s",
+        epoch.second,
+        guests.len(),
+        epoch.resident_mib,
         total_shared,
-        host.huge_mib(),
+        epoch.huge_mib,
+        epoch.merge_rate,
     );
+    let misses = &epoch.misses;
     let mut miss_line = String::from("misses:");
     for reason in analysis::MissReason::ALL {
         let _ = write!(miss_line, " {}={}", reason.label(), misses.missed(reason));
     }
     let _ = writeln!(out, "{miss_line}");
-    if traffic.is_some() {
+    if epoch.traffic.is_some() {
         let _ = writeln!(
             out,
             "{:>5} {:>8} {:>10} {:>9} {:>8} {:>10} {:>10} {:>8}",
@@ -652,9 +568,9 @@ fn render_top(
             "guest", "name", "resident", "shared", "huge"
         );
     }
-    for (i, g) in breakdown.guests.iter().enumerate() {
-        let huge = mem::pages_to_mib(host.guest_huge_pages(i));
-        match traffic.and_then(|t| t.get(i)) {
+    for (i, g) in guests.iter().enumerate() {
+        let huge = epoch.guest_huge_mib[i];
+        match epoch.traffic.as_ref().and_then(|t| t.get(i)) {
             Some(t) => {
                 let _ = writeln!(
                     out,
@@ -683,34 +599,57 @@ fn render_top(
     out
 }
 
-/// Routes a request path to `(content type, body)` against a published
-/// state. Shared by the socket handler and [`Daemon::state_answer`].
-fn answer(state: &ServedState, path: &str) -> Option<(&'static str, String)> {
-    match path {
-        "/metrics" => Some(("text/plain; version=0.0.4", state.metrics.clone())),
-        "/metrics/deterministic" => Some((
-            "text/plain; version=0.0.4",
-            state.metrics_deterministic.clone(),
-        )),
-        "/fleet" => Some(("application/json", state.fleet.clone())),
-        "/misses" => Some(("application/json", state.misses.clone())),
-        "/top" => Some(("text/plain", state.top.clone())),
-        // Readiness, not liveness: 404 until the first epoch publishes,
-        // so a wait-for-healthz loop guarantees every other endpoint
-        // answers from fully rendered state.
-        "/healthz" if state.epoch_seconds > 0 => Some((
-            "text/plain",
-            format!(
-                "ok epoch={} running={}\n",
-                state.epoch_seconds, state.running
-            ),
-        )),
-        _ => {
-            let idx: usize = path.strip_prefix("/guest/")?.parse().ok()?;
-            let body = state.guests.body(idx)?;
-            Some(("application/json", body.to_string()))
+const PROMETHEUS: &str = "text/plain; version=0.0.4";
+const JSON: &str = "application/json";
+const TEXT: &str = "text/plain";
+
+/// Routes a request path to `(content type, body)` against the latest
+/// epoch (`None` while the world boots), rendering a body on its first
+/// request; `queries` is the count `/metrics` reports. Shared by the
+/// socket handler and [`Daemon::state_answer`].
+fn answer(epoch: Option<&Epoch>, path: &str, queries: u64) -> Option<(&'static str, String)> {
+    let Some(epoch) = epoch else {
+        return match path {
+            "/metrics" | "/metrics/deterministic" => Some((PROMETHEUS, String::new())),
+            "/fleet" | "/misses" => Some((JSON, "{\"epoch_seconds\":0,\"booting\":true}\n".into())),
+            "/top" => Some((TEXT, "tpsd: booting\n".into())),
+            // Readiness, not liveness: `/healthz` answers 404 until the
+            // first epoch publishes, so a wait-for-healthz loop
+            // guarantees every other endpoint answers from a world.
+            _ => None,
+        };
+    };
+    let bodies = &epoch.bodies;
+    let (content_type, body) = match path {
+        "/metrics" => return Some((PROMETHEUS, epoch.metrics(queries))),
+        "/healthz" => {
+            let health = format!("ok epoch={} running={}\n", epoch.second, epoch.running);
+            return Some((TEXT, health));
         }
-    }
+        "/metrics/deterministic" => (
+            PROMETHEUS,
+            bodies
+                .deterministic
+                .get_or_init(|| epoch.registry.render_deterministic()),
+        ),
+        "/fleet" => (JSON, bodies.fleet.get_or_init(|| render_fleet(epoch))),
+        "/misses" => (JSON, bodies.misses.get_or_init(|| render_misses(epoch))),
+        "/top" => (TEXT, bodies.top.get_or_init(|| render_top(epoch))),
+        _ => {
+            let i: usize = path.strip_prefix("/guest/")?.parse().ok()?;
+            let body = bodies.guests.get(i)?.get_or_init(|| {
+                render_guest(
+                    i,
+                    &epoch.breakdown,
+                    epoch.guest_huge_mib[i],
+                    epoch.second,
+                    epoch.traffic.as_deref(),
+                )
+            });
+            (JSON, body)
+        }
+    };
+    Some((content_type, body.clone()))
 }
 
 /// The accept loop: one handler thread per connection; `/shutdown`
@@ -751,7 +690,7 @@ fn may_shut_down(peer: Option<SocketAddr>) -> bool {
     peer.is_some_and(|peer| peer.ip().to_canonical().is_loopback())
 }
 
-/// Answers one HTTP/1.0 request from the published state. A client
+/// Answers one HTTP/1.0 request from the latest published epoch. A client
 /// silent for [`READ_TIMEOUT`], or whose request head passes
 /// [`MAX_REQUEST_HEAD`] bytes, is disconnected without an answer, and
 /// so is an empty request line (the shutdown wake-up connection). A
@@ -785,7 +724,7 @@ fn handle(stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
             Some(_) => {}
         }
     }
-    shared.queries.fetch_add(1, Ordering::Relaxed);
+    let queries = shared.queries.fetch_add(1, Ordering::Relaxed) + 1;
 
     let mut stream = stream;
     let Some(path) = path else {
@@ -809,8 +748,7 @@ fn handle(stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
         }
         return;
     }
-    let state = Arc::clone(&shared.state.read().expect("state lock"));
-    match answer(&state, path) {
+    match answer(shared.latest().as_deref(), path, queries) {
         Some((content_type, body)) => {
             let _ = respond(&mut stream, 200, content_type, &body);
         }
@@ -885,7 +823,6 @@ pub fn http_get(addr: &str, path: &str) -> Result<String, Error> {
         .map_err(|e| Error::Daemon(format!("read body: {e}")))?;
     Ok(body)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -972,15 +909,24 @@ mod tests {
         daemon.join();
     }
 
-    /// Once the run is over, the deterministic scrape is a pure function
-    /// of the final world: it must not drift while the daemon idles, but
-    /// the wall-clock query count must keep moving.
+    /// Once the run is over the ticker has returned, yet the daemon keeps
+    /// answering: `/healthz` reports the final epoch as not running, the
+    /// deterministic scrape is a pure function of the final world and
+    /// must not drift, and the wall-clock query count keeps moving.
     #[test]
     fn idle_daemon_keeps_its_final_scrape() {
         let config = ExperimentConfig::tiny_test(2, true).with_duration_seconds(3);
         let mut daemon = Daemon::spawn(DaemonConfig::new(config)).unwrap();
         wait_for_epoch(&daemon, 3);
+        let ticker = daemon.ticker.as_ref().expect("a ticker handle");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ticker.is_finished() {
+            assert!(Instant::now() < deadline, "ticker still running");
+            std::thread::sleep(Duration::from_millis(5));
+        }
         let addr = daemon.addr().to_string();
+        let health = http_get(&addr, "/healthz").unwrap();
+        assert_eq!(health, "ok epoch=3 running=false\n");
         let queries = |metrics: &str| -> u64 {
             metrics
                 .lines()
@@ -990,7 +936,7 @@ mod tests {
         };
         let before = queries(&http_get(&addr, "/metrics").unwrap());
         let first = http_get(&addr, "/metrics/deterministic").unwrap();
-        // More than two 100 ms idle intervals.
+        // Give a world that still moved time to show it.
         std::thread::sleep(Duration::from_millis(350));
         let second = http_get(&addr, "/metrics/deterministic").unwrap();
         let after = queries(&http_get(&addr, "/metrics").unwrap());
@@ -1046,10 +992,12 @@ mod tests {
         daemon.join();
     }
 
-    /// Each `/guest/<i>` body is rendered on its first request from the
-    /// epoch the ticker published: it must equal `render_guests` over
-    /// the same world, read the same a second time, and stop at the
-    /// last guest.
+    /// Every body is rendered on its first request from the epoch the
+    /// ticker published: each `/guest/<i>` equals `render_guests` over
+    /// the same world and stops at the last guest, the deterministic
+    /// scrape equals the telemetry registry of the same world and engine,
+    /// every rendered endpoint reads the same a second time and carries
+    /// the epoch, and `/metrics` ends with the query count it was given.
     #[test]
     fn guest_bodies_render_on_request_from_the_published_epoch() {
         let config = ExperimentConfig::tiny_test(2, true).with_duration_seconds(15);
@@ -1058,30 +1006,73 @@ mod tests {
         for t in 1..=second * mem::TICKS_PER_SECOND {
             world.step(t);
         }
-        let (_, state) = publish(
+        let mut engine = SnapshotEngine::default();
+        let epoch = publish(
             &mut world,
-            &mut SnapshotEngine::default(),
+            &mut engine,
             &mut MetricsRegistry::new(),
-            &Shared::booting(),
             second,
             false,
             &mut 0,
         );
+        let epoch = Some(&epoch);
 
         let breakdown =
             analysis::MemorySnapshot::collect(world.host.mm(), &world.views()).breakdown();
-        let per_guest = &world.traffic().expect("a traffic world").report.per_guest;
-        let expected = render_guests(&world.host, &breakdown, second, Some(per_guest));
+        let report = &world.traffic().expect("a traffic world").report;
+        let expected = render_guests(&world.host, &breakdown, second, Some(&report.per_guest));
         assert_eq!(expected.len(), 2);
         assert!(expected.iter().any(|g| g.contains("\"java\":{")));
         for (i, want) in expected.iter().enumerate() {
             let path = format!("/guest/{i}");
-            let (content_type, first) = answer(&state, &path).expect("a guest body");
-            assert_eq!(content_type, "application/json");
+            let (content_type, first) = answer(epoch, &path, 0).expect("a guest body");
+            assert_eq!(content_type, JSON);
             assert_eq!(&first, want, "guest {i}");
-            assert_eq!(answer(&state, &path).map(|(_, body)| body), Some(first));
+            assert_eq!(answer(epoch, &path, 0).map(|(_, body)| body), Some(first));
         }
-        assert!(answer(&state, &format!("/guest/{}", expected.len())).is_none());
+        assert!(answer(epoch, &format!("/guest/{}", expected.len()), 0).is_none());
+
+        let sharing = world.scanner.count_sharing(world.host.mm());
+        let now = Tick::from_seconds(second as f64);
+        let mut registry =
+            telemetry::world_registry(&world.host, &world.scanner, &engine, now, sharing);
+        report.record_metrics(&mut registry);
+        let deterministic = answer(epoch, "/metrics/deterministic", 0).expect("a scrape");
+        assert_eq!(deterministic, (PROMETHEUS, registry.render_deterministic()));
+
+        for (path, content_type, stamp) in [
+            ("/fleet", JSON, "{\"epoch_seconds\":15,"),
+            ("/misses", JSON, "{\"epoch_seconds\":15,"),
+            ("/top", TEXT, "tpsd | epoch 15 s |"),
+        ] {
+            let first = answer(epoch, path, 0).expect("an answer");
+            assert_eq!(first.0, content_type, "{path}");
+            assert!(first.1.starts_with(stamp), "{path}: {}", first.1);
+            assert_eq!(answer(epoch, path, 0), Some(first), "{path}");
+        }
+
+        let (_, metrics) = answer(epoch, "/metrics", 7).expect("an exposition");
+        assert!(metrics.starts_with(&deterministic.1), "{metrics}");
+        assert!(metrics.ends_with("\ndaemon_queries_total 7\n"), "{metrics}");
+    }
+
+    /// Before the first epoch every endpoint but `/healthz` and
+    /// `/guest/<i>` answers with a placeholder.
+    #[test]
+    fn a_booting_daemon_gives_placeholder_answers() {
+        let booting = "{\"epoch_seconds\":0,\"booting\":true}\n";
+        for (path, want) in [
+            ("/metrics", Some((PROMETHEUS, ""))),
+            ("/metrics/deterministic", Some((PROMETHEUS, ""))),
+            ("/fleet", Some((JSON, booting))),
+            ("/misses", Some((JSON, booting))),
+            ("/top", Some((TEXT, "tpsd: booting\n"))),
+            ("/healthz", None),
+            ("/guest/0", None),
+        ] {
+            let want = want.map(|(content_type, body)| (content_type, body.to_string()));
+            assert_eq!(answer(None, path, 3), want, "{path}");
+        }
     }
 
     /// Sends `request` raw and returns the status line of the answer.

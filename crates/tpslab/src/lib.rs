@@ -61,7 +61,7 @@ pub mod telemetry;
 mod traffic_run;
 mod world;
 
-pub use config::{ExperimentBuilder, ExperimentConfig, GuestSpec, KsmSchedule, TimelineConfig};
+pub use config::{ExperimentConfig, GuestSpec, KsmSchedule, TimelineConfig};
 pub use daemon::{http_get, render_guests, Daemon, DaemonConfig};
 pub use error::Error;
 pub use powervm::{PowerVmExperiment, PowerVmFigure};

@@ -1,8 +1,7 @@
 //! The Fig. 6 PowerVM/AIX experiment.
 
-use cds::CacheBuilder;
 use hypervisor::PowerVmHost;
-use jvm::{ClassSet, JavaVm, JvmConfig};
+use jvm::{JavaVm, JvmConfig};
 use mem::{Fingerprint, Tick};
 use oskernel::OsImage;
 use workloads::Benchmark;
@@ -82,14 +81,7 @@ impl PowerVmExperiment {
     pub fn run(&self, preload: bool) -> PowerVmFigure {
         let mut host = PowerVmHost::new();
         let profile = &self.benchmark.profile;
-        let cache = preload.then(|| {
-            let classes = ClassSet::for_profile(profile);
-            let mut builder = CacheBuilder::new(profile.name.clone(), self.benchmark.cache_mib);
-            for class in classes.cacheable() {
-                builder.add(class.token, class.ro_bytes);
-            }
-            builder.finish()
-        });
+        let cache = preload.then(|| jvm::master_cache(profile, self.benchmark.cache_mib));
 
         let mut javas: Vec<JavaVm> = Vec::new();
         for i in 0..self.lpars {

@@ -8,7 +8,6 @@ use jvm::JavaVm;
 use ksm::KsmStats;
 use mem::{Fingerprint, Tick};
 use std::time::Instant;
-use workloads::Workload;
 
 /// The JVM build used throughout the paper: IBM J9, Java 6 SR9.
 pub(crate) const JVM_VERSION: u64 = 0x0659;

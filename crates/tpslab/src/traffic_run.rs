@@ -40,7 +40,7 @@ use paging::HostMm;
 use std::fmt::Write as _;
 use std::time::Instant;
 use traffic::{Scenario, TrafficEngine, TrafficSpec};
-use workloads::{Workload, WorkloadEvent};
+use workloads::WorkloadEvent;
 
 /// Seconds between sharing samples in a traffic run.
 const SAMPLE_SECONDS: u64 = 10;

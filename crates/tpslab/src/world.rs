@@ -21,9 +21,9 @@ use crate::run::{mix, JVM_VERSION};
 use crate::traffic_run::Traffic;
 use crate::ExperimentConfig;
 use analysis::GuestView;
-use cds::{CacheBuilder, SharedClassCache};
+use cds::SharedClassCache;
 use hypervisor::KvmHost;
-use jvm::{ClassSet, JavaVm, JvmConfig, RequestCost};
+use jvm::{JavaVm, JvmConfig, RequestCost};
 use ksm::KsmScanner;
 use mem::Tick;
 use obs::Profiler;
@@ -31,7 +31,6 @@ use oskernel::Pid;
 use std::collections::HashMap;
 use std::time::Instant;
 use traffic::Scenario;
-use workloads::Workload;
 
 /// One guest's JVM and the bookkeeping that outlives any one launch.
 pub(crate) struct GuestSlot {
@@ -91,20 +90,14 @@ impl World {
         if config.trace {
             host.mm_mut().tracer_mut().enable(None);
         }
-        // One master cache per distinct workload, populated by "running
-        // the middleware once" (§IV.C): the canonical class-load order
-        // fills it up to its configured capacity.
+        // One master cache per distinct workload.
         let mut caches = HashMap::new();
         if config.class_sharing {
             for spec in &config.guests {
                 let p = &spec.benchmark.profile;
-                caches.entry(p.workload_id).or_insert_with(|| {
-                    let mut builder = CacheBuilder::new(p.name.clone(), spec.benchmark.cache_mib);
-                    for class in ClassSet::for_profile(p).cacheable() {
-                        builder.add(class.token, class.ro_bytes);
-                    }
-                    builder.finish()
-                });
+                caches
+                    .entry(p.workload_id)
+                    .or_insert_with(|| jvm::master_cache(p, spec.benchmark.cache_mib));
             }
         }
         let mut world = World {

@@ -16,18 +16,18 @@
 //! with ≈110 MB of class metadata of which ≈100 MB is read-only and
 //! cache-eligible).
 //!
-//! The [`Workload`] trait turns the hypervisor's memory-pressure slowdown
-//! factor into the throughput numbers of Figs. 7–8 (its [`DriveModel`]
-//! implementation covers the paper's closed-loop and injection-rate
-//! drivers), derives the per-request memory cost the traffic engine
-//! charges a JVM, and applies the [`SlaModel`]. Typed [`WorkloadEvent`]s
-//! carry request batches and guest-churn operations from the traffic
-//! engine to the experiment's world.
+//! A benchmark's [`DriveModel`] — the paper's closed-loop or
+//! injection-rate driver — turns the hypervisor's memory-pressure
+//! slowdown factor into the throughput numbers of Figs. 7–8, derives the
+//! per-request memory cost the traffic engine charges a JVM, and applies
+//! the [`SlaModel`]. Typed [`WorkloadEvent`]s carry request batches and
+//! guest-churn operations from the traffic engine to the experiment's
+//! world.
 //!
 //! # Example
 //!
 //! ```
-//! use workloads::{daytrader, Benchmark, Workload};
+//! use workloads::daytrader;
 //!
 //! let b = daytrader();
 //! assert!((b.profile.heap.heap_mib - 530.0).abs() < 1.0);
@@ -46,4 +46,4 @@ pub use presets::{
     daytrader, daytrader_power, specjenterprise, specjenterprise_generational, tpcw, tuscany,
     Benchmark,
 };
-pub use workload::{DriveModel, SlaModel, SlaOutcome, Workload, WorkloadEvent};
+pub use workload::{DriveModel, SlaModel, SlaOutcome, WorkloadEvent};

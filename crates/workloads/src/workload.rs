@@ -1,5 +1,4 @@
-//! The redesigned workload API: a [`Workload`] trait plus typed
-//! [`WorkloadEvent`]s.
+//! The workload API: a [`DriveModel`] plus typed [`WorkloadEvent`]s.
 //!
 //! The old API was a `ClientDriver` enum the experiment loop matched on
 //! every tick. Under the request-driven traffic engine the workload side
@@ -10,48 +9,12 @@
 
 use jvm::{AppProfile, RequestCost};
 
-/// A workload as the traffic engine sees it: how fast its clients drive
-/// a healthy guest, how throughput degrades under memory pressure, what
-/// response-time SLA applies, and what one request costs the JVM.
-///
-/// [`DriveModel`] is the standard implementation; experiments that need
-/// exotic load shapes can implement the trait directly.
-pub trait Workload {
-    /// Healthy per-VM request (or operation) rate, requests/sec, at zero
-    /// memory pressure.
-    fn healthy_rps(&self) -> f64;
-
-    /// Per-VM throughput under a memory-pressure `slowdown` factor in
-    /// `(0, 1]` (1 = no pressure). In a closed loop, service-time
-    /// inflation divides throughput directly; in an open loop the score
-    /// saturates at the injected work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slowdown` is not in `(0, 1]`.
-    fn throughput(&self, slowdown: f64) -> f64 {
-        assert!(
-            slowdown > 0.0 && slowdown <= 1.0,
-            "slowdown must be in (0, 1]"
-        );
-        self.healthy_rps() * slowdown
-    }
-
-    /// The SLA outcome when memory pressure inflates service times by
-    /// `slowdown`.
-    fn sla(&self, slowdown: f64) -> SlaOutcome;
-
-    /// The memory side effects of one request against `profile`,
-    /// calibrated so this workload's healthy rate reproduces the
-    /// profile's per-second churn.
-    fn request_cost(&self, profile: &AppProfile) -> RequestCost {
-        RequestCost::for_profile(profile, self.healthy_rps())
-    }
-}
-
 /// How a benchmark's clients drive it: either a closed loop of client
 /// threads (DayTrader, TPC-W, Tuscany) or a fixed injection rate
-/// (SPECjEnterprise 2010).
+/// (SPECjEnterprise 2010). Its methods are the workload as the traffic
+/// engine sees it: how fast its clients drive a healthy guest, how
+/// throughput degrades under memory pressure, what response-time SLA
+/// applies, and what one request costs the JVM.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DriveModel {
     /// Closed-loop: `threads` clients, each issuing a request every
@@ -96,10 +59,11 @@ impl DriveModel {
             sla: SlaModel::specj(),
         }
     }
-}
 
-impl Workload for DriveModel {
-    fn healthy_rps(&self) -> f64 {
+    /// Healthy per-VM request (or operation) rate, requests/sec, at zero
+    /// memory pressure.
+    #[must_use]
+    pub fn healthy_rps(&self) -> f64 {
         match *self {
             DriveModel::ClosedLoop {
                 threads,
@@ -111,7 +75,27 @@ impl Workload for DriveModel {
         }
     }
 
-    fn sla(&self, slowdown: f64) -> SlaOutcome {
+    /// Per-VM throughput under a memory-pressure `slowdown` factor in
+    /// `(0, 1]` (1 = no pressure). In a closed loop, service-time
+    /// inflation divides throughput directly; in an open loop the score
+    /// saturates at the injected work.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slowdown` is not in `(0, 1]`.
+    #[must_use]
+    pub fn throughput(&self, slowdown: f64) -> f64 {
+        assert!(
+            slowdown > 0.0 && slowdown <= 1.0,
+            "slowdown must be in (0, 1]"
+        );
+        self.healthy_rps() * slowdown
+    }
+
+    /// The SLA outcome when memory pressure inflates service times by
+    /// `slowdown`.
+    #[must_use]
+    pub fn sla(&self, slowdown: f64) -> SlaOutcome {
         match *self {
             // A closed loop has no formal response-time limit; past a 2×
             // service-time inflation the run is considered degraded.
@@ -124,6 +108,14 @@ impl Workload for DriveModel {
             }
             DriveModel::OpenLoop { sla, .. } => sla.check(slowdown),
         }
+    }
+
+    /// The memory side effects of one request against `profile`,
+    /// calibrated so this workload's healthy rate reproduces the
+    /// profile's per-second churn.
+    #[must_use]
+    pub fn request_cost(&self, profile: &AppProfile) -> RequestCost {
+        RequestCost::for_profile(profile, self.healthy_rps())
     }
 }
 

@@ -307,16 +307,18 @@ fn benchmark_by_name(name: &str, scale: f64) -> Result<Benchmark, CliError> {
     Ok(bench.scaled(scale))
 }
 
-/// Builds the fleet preset named on the command line through the
-/// [`ExperimentConfig::preset`] builder, which owns the validation a
-/// typo'd `--preset` or an over-budget `--guests 100000` used to get
-/// from ad-hoc checks here: its typed error renders as the diagnostic.
+/// Builds the fleet preset named on the command line: a typo'd
+/// `--preset` fails in [`ExperimentConfig::preset`] and an over-budget
+/// `--guests 100000` in [`ExperimentConfig::with_guest_count`], and
+/// their typed errors render as the diagnostic.
 fn preset_config(opts: &Opts, name: &str, guests: usize) -> Result<ExperimentConfig, CliError> {
-    let mut builder = ExperimentConfig::preset(name).scale(opts.scale);
+    let mut cfg = ExperimentConfig::preset(name, opts.scale).map_err(|e| err(e.to_string()))?;
     if opts.guests_explicit {
-        builder = builder.guests(guests);
+        cfg = cfg
+            .with_guest_count(guests)
+            .map_err(|e| err(e.to_string()))?;
     }
-    builder.build().map_err(|e| err(e.to_string()))
+    Ok(cfg)
 }
 
 fn config_for(opts: &Opts, guests: usize) -> Result<ExperimentConfig, CliError> {

@@ -2,7 +2,7 @@
 //! populate once, copy everywhere, map identically.
 
 use tpslab::cds::{CacheBuilder, SharedClassCache};
-use tpslab::jvm::{AppProfile, ClassSet};
+use tpslab::jvm::{master_cache, AppProfile, ClassSet};
 
 fn populated_cache() -> SharedClassCache {
     let profile = AppProfile::tiny_test();
@@ -46,16 +46,8 @@ fn caches_for_different_apps_on_the_same_middleware_share_content() {
     let mut tpcw = AppProfile::tiny_test();
     tpcw.workload_id = 222;
 
-    let build = |p: &AppProfile| {
-        let classes = ClassSet::for_profile(p);
-        let mut b = CacheBuilder::new(&p.name, 4.0);
-        for class in classes.cacheable() {
-            b.add(class.token, class.ro_bytes);
-        }
-        b.finish()
-    };
-    let cache_day = build(&day);
-    let cache_tpcw = build(&tpcw);
+    let cache_day = master_cache(&day, 4.0);
+    let cache_tpcw = master_cache(&tpcw, 4.0);
     assert_eq!(
         cache_day.image().pages,
         cache_tpcw.image().pages,
