@@ -13,8 +13,9 @@
 //! * [`MissReason::Unregistered`] — no mapping of the frame lives in a
 //!   `madvise(MERGEABLE)` region, so KSM never scans it.
 //! * [`MissReason::CowBroken`] — the page *was* merged, then a write
-//!   COW-broke it (known from the tracer's broken-mapping set) and it
-//!   has been written inside the current volatility window.
+//!   COW-broke it (a mapper's region marks it,
+//!   [`paging::Region::was_cow_broken`]) and it has been written inside
+//!   the current volatility window.
 //! * [`MissReason::Volatile`] — written inside the volatility window,
 //!   so the checksum filter (rightly) refuses to merge it yet.
 //! * [`MissReason::Pending`] — mergeable, stable, merge-eligible; the
@@ -26,7 +27,6 @@
 
 use mem::{FrameId, Tick};
 use paging::HostMm;
-use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// How many fingerprint groups to keep as worked examples in the report.
@@ -197,16 +197,8 @@ impl MergeMissReport {
 /// * `horizon` — the scanner's current volatility horizon
 ///   (`KsmScanner::volatility_horizon`): frames written at or after it
 ///   are what the checksum filter would still call volatile.
-/// * `broken` — `(space, vpn)` mappings known to have COW-broken a KSM
-///   page (the tracer's broken-mapping set; pass an empty set when
-///   tracing was off — those misses then report as plain `Volatile`).
 #[must_use]
-pub fn diagnose_misses(
-    mm: &HostMm,
-    cap: u32,
-    horizon: Tick,
-    broken: &HashSet<(u32, u64)>,
-) -> MergeMissReport {
+pub fn diagnose_misses(mm: &HostMm, cap: u32, horizon: Tick) -> MergeMissReport {
     assert!(cap >= 2, "max_page_sharing cap must be at least 2");
     // Only contents held by two or more PTEs form a group, and they are
     // few among the live frames. A frame with one PTE whose bucket in
@@ -255,7 +247,7 @@ pub fn diagnose_misses(
             )
         });
         for &(_, frame) in group.iter().skip(needed.min(n) as usize) {
-            let reason = classify_frame(mm, frame, horizon, broken);
+            let reason = classify_frame(mm, frame, horizon);
             group_missed[reason.index()] += 1;
         }
 
@@ -285,12 +277,7 @@ pub fn diagnose_misses(
 }
 
 /// Why this individual duplicate frame was not merged away.
-fn classify_frame(
-    mm: &HostMm,
-    frame: FrameId,
-    horizon: Tick,
-    broken: &HashSet<(u32, u64)>,
-) -> MissReason {
+fn classify_frame(mm: &HostMm, frame: FrameId, horizon: Tick) -> MissReason {
     let mappers = mm.mappers_of(frame);
     let registered = mappers.iter().any(|m| {
         mm.space(m.space)
@@ -302,9 +289,11 @@ fn classify_frame(
     }
     let volatile = horizon > Tick::ZERO && mm.phys().last_write(frame) >= horizon;
     if volatile {
-        let was_broken = mappers
-            .iter()
-            .any(|m| broken.contains(&(m.space.index() as u32, m.vpn.0)));
+        let was_broken = mappers.iter().any(|m| {
+            mm.space(m.space)
+                .region_containing(m.vpn)
+                .is_some_and(|r| r.was_cow_broken(m.vpn))
+        });
         if was_broken {
             return MissReason::CowBroken;
         }
@@ -324,12 +313,7 @@ mod tests {
     /// The map-based grouping [`diagnose_misses`] used before it counted
     /// PTEs per fingerprint and sorted the duplicates' `(fingerprint,
     /// frame)` pairs, kept as its differential reference.
-    fn diagnose_misses_btree(
-        mm: &HostMm,
-        cap: u32,
-        horizon: Tick,
-        broken: &HashSet<(u32, u64)>,
-    ) -> MergeMissReport {
+    fn diagnose_misses_btree(mm: &HostMm, cap: u32, horizon: Tick) -> MergeMissReport {
         assert!(cap >= 2, "max_page_sharing cap must be at least 2");
         // Group live frames by content. BTreeMap + index-ordered frame lists
         // keep everything deterministic.
@@ -369,7 +353,7 @@ mod tests {
                 )
             });
             for &frame in frames.iter().skip(needed.min(n) as usize) {
-                let reason = classify_frame(mm, frame, horizon, broken);
+                let reason = classify_frame(mm, frame, horizon);
                 group_missed[reason.index()] += 1;
             }
 
@@ -404,9 +388,9 @@ mod tests {
         /// Small random worlds: 2–4 spaces, each with two regions of
         /// drawn mergeability, written from a six-value alphabet at
         /// ticks on both sides of the horizon, with some equal-content
-        /// frames merged and later COW-broken, and a random
-        /// broken-mapping set. The sorted grouping must reproduce the
-        /// map-based report exactly, `top_groups` included.
+        /// frames merged and later COW-broken (which marks their
+        /// mappings). The sorted grouping must reproduce the map-based
+        /// report exactly, `top_groups` included.
         #[test]
         fn sorted_grouping_matches_btree_reference(
             spaces in prop::collection::vec(
@@ -416,7 +400,6 @@ mod tests {
             writes in prop::collection::vec((0..4usize, 0..8usize, 0..6u64, 1..20u64), 4..40),
             merges in prop::collection::vec((0..64usize, 0..64usize), 0..16),
             rewrites in prop::collection::vec((0..4usize, 0..8usize, 0..6u64, 1..20u64), 0..8),
-            broken in prop::collection::vec((0..4usize, 0..8usize), 0..6),
             cap in 2..5u32,
             horizon in 0..20u64,
         ) {
@@ -453,18 +436,11 @@ mod tests {
                 }
             }
             write(&mut mm, &rewrites);
-            let broken: HashSet<(u32, u64)> = broken
-                .iter()
-                .map(|&(space, page)| {
-                    let (s, vpn) = at(space, page);
-                    (s.index() as u32, vpn.0)
-                })
-                .collect();
 
             let horizon = Tick(horizon);
             prop_assert_eq!(
-                diagnose_misses(&mm, cap, horizon, &broken),
-                diagnose_misses_btree(&mm, cap, horizon, &broken)
+                diagnose_misses(&mm, cap, horizon),
+                diagnose_misses_btree(&mm, cap, horizon)
             );
         }
     }
@@ -480,7 +456,7 @@ mod tests {
             let base = mm.map_region(s, 1, MemTag::JavaHeap, true);
             mm.write_page(s, base, dup, Tick(1));
         }
-        let report = diagnose_misses(&mm, 256, Tick(2), &HashSet::new());
+        let report = diagnose_misses(&mm, 256, Tick(2));
         assert_eq!(report.groups_considered, 1);
         assert_eq!(report.achieved_pages, 0);
         assert_eq!(report.potential_pages, 2);
@@ -501,7 +477,7 @@ mod tests {
             let base = mm.map_region(s, 1, MemTag::JavaHeap, true);
             mm.write_page(s, base, dup, Tick(10));
         }
-        let report = diagnose_misses(&mm, 256, Tick(5), &HashSet::new());
+        let report = diagnose_misses(&mm, 256, Tick(5));
         assert_eq!(report.missed(MissReason::Volatile), 1);
         assert_eq!(report.total_missed_pages(), 1);
     }
@@ -518,7 +494,7 @@ mod tests {
             let base = mm.map_region(s, 1, MemTag::JavaHeap, true);
             mm.write_page(s, base, dup, Tick(1));
         }
-        let report = diagnose_misses(&mm, 2, Tick(20), &HashSet::new());
+        let report = diagnose_misses(&mm, 2, Tick(20));
         assert_eq!(report.missed(MissReason::ChainCapped), 1);
         assert_eq!(report.missed(MissReason::Pending), 2);
         assert_eq!(report.potential_pages, 3);
@@ -539,33 +515,47 @@ mod tests {
             let base = mm.map_region(s, 1, MemTag::VmOverhead, mergeable);
             mm.write_page(s, base, dup, Tick(1));
         }
-        let report = diagnose_misses(&mm, 256, Tick(20), &HashSet::new());
+        let report = diagnose_misses(&mm, 256, Tick(20));
         assert_eq!(report.missed(MissReason::Unregistered), 1);
         assert_eq!(report.total_missed_pages(), 1);
     }
 
-    /// A volatile duplicate whose mapping is in the tracer's
-    /// merged-then-broken set is a `CowBroken` miss, not plain
+    /// A volatile duplicate whose mapping once COW-broke a merge is a
+    /// `CowBroken` miss; the same duplicate never merged is plain
     /// `Volatile`.
     #[test]
     fn broken_mapping_upgrades_volatile_to_cow_broken() {
-        let mut mm = HostMm::new();
-        let dup = Fingerprint::of(&[13]);
-        let mut second = None;
-        for name in ["a", "b"] {
-            let s = mm.create_space(name);
-            let base = mm.map_region(s, 1, MemTag::JavaHeap, true);
-            mm.write_page(s, base, dup, Tick(10));
-            second = Some((s, base));
-        }
-        // The survivor is the lowest-index frame (space "a"); mark the
-        // loser's mapping as having COW-broken a merge.
-        let (s, base) = second.unwrap();
-        let broken: HashSet<(u32, u64)> = [(s.index() as u32, base.0)].into_iter().collect();
-        let report = diagnose_misses(&mm, 256, Tick(5), &broken);
+        let build = |merge: bool| {
+            let mut mm = HostMm::new();
+            let dup = Fingerprint::of(&[13]);
+            let mut pages = Vec::new();
+            for name in ["a", "b"] {
+                let s = mm.create_space(name);
+                let base = mm.map_region(s, 1, MemTag::JavaHeap, true);
+                mm.write_page(s, base, dup, Tick(1));
+                pages.push((s, base));
+            }
+            let [(a, va), (b, vb)] = pages[..] else {
+                unreachable!("two spaces")
+            };
+            if merge {
+                let (fa, fb) = (mm.frame_at(a, va).unwrap(), mm.frame_at(b, vb).unwrap());
+                mm.merge_frames(fb, fa);
+            }
+            // Space "b" rewrites the shared content: with the merge this
+            // COW-breaks the stable frame, leaving a volatile private
+            // copy beside the survivor.
+            mm.write_page(b, vb, dup, Tick(10));
+            mm
+        };
+        let report = diagnose_misses(&build(true), 256, Tick(5));
         assert_eq!(report.missed(MissReason::CowBroken), 1);
         assert_eq!(report.missed(MissReason::Volatile), 0);
         assert_eq!(report.total_missed_pages(), 1);
+
+        let report = diagnose_misses(&build(false), 256, Tick(5));
+        assert_eq!(report.missed(MissReason::CowBroken), 0);
+        assert_eq!(report.missed(MissReason::Volatile), 1);
     }
 
     #[test]
@@ -584,7 +574,7 @@ mod tests {
                 mm.write_page(s, base.offset(p), fp, Tick(1));
             }
         }
-        let report = diagnose_misses(&mm, 4, Tick(5), &HashSet::new());
+        let report = diagnose_misses(&mm, 4, Tick(5));
         assert_eq!(
             report.achieved_pages + report.total_missed_pages(),
             report.potential_pages
@@ -599,7 +589,7 @@ mod tests {
         let base = mm.map_region(s, 2, MemTag::JavaHeap, true);
         mm.write_page(s, base, Fingerprint::of(&[9]), Tick(1));
         mm.write_page(s, base.offset(1), Fingerprint::of(&[9]), Tick(1));
-        let report = diagnose_misses(&mm, 256, Tick::ZERO, &HashSet::new());
+        let report = diagnose_misses(&mm, 256, Tick::ZERO);
         assert_eq!(
             report.to_json(),
             "{\"achieved_pages\":0,\"potential_pages\":1,\"groups\":1,\

@@ -112,10 +112,10 @@ impl CacheBuilder {
 /// mapping is byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedClassCache {
-    pub(crate) name: String,
-    pub(crate) capacity_bytes: usize,
-    pub(crate) image: LayoutImage,
-    pub(crate) entries: Vec<CacheEntry>,
+    name: String,
+    capacity_bytes: usize,
+    image: LayoutImage,
+    entries: Vec<CacheEntry>,
 }
 
 impl SharedClassCache {

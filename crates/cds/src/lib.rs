@@ -5,11 +5,12 @@
 //! (`-Xshareclasses`, with the `persistent` sub-option for a
 //! memory-mapped file). One JVM run **populates** the cache by storing the
 //! read-only part of every class it loads, in load order, into a
-//! fixed-capacity region; the resulting [`SharedClassCache`] can be
-//! serialised to a file, **copied to every guest VM**, and mapped by each
-//! JVM there. Because the mapping is a page-aligned memory-mapped file
-//! with identical bytes, every guest ends up with byte-identical class
-//! pages — which is what lets Transparent Page Sharing merge them.
+//! fixed-capacity region; the resulting [`SharedClassCache`] is
+//! **copied to every guest VM** (a `clone()` stands in for copying the
+//! file) and mapped by each JVM there. Because the mapping is a
+//! page-aligned memory-mapped file with identical bytes, every guest
+//! ends up with byte-identical class pages — which is what lets
+//! Transparent Page Sharing merge them.
 //!
 //! The cache stores only the read-only class half (bytecode, constant
 //! pools, string literals — "ROMClasses" in J9). Writable structures
@@ -28,7 +29,7 @@
 //! let cache = builder.finish();
 //!
 //! // The cache file is copied to another guest VM…
-//! let copied = cds::SharedClassCache::from_bytes(&cache.to_bytes()).unwrap();
+//! let copied = cache.clone();
 //! // …and maps to byte-identical pages there.
 //! assert_eq!(cache.image().pages, copied.image().pages);
 //! assert!(copied.contains(1001));
@@ -38,7 +39,5 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod file;
 
 pub use cache::{CacheBuilder, CacheEntry, SharedClassCache};
-pub use file::CacheFileError;

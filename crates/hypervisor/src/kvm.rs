@@ -87,8 +87,7 @@ pub struct KvmHost {
     mm: HostMm,
     config: HostConfig,
     guests: Vec<KvmGuest>,
-    thp_host: ThpPolicy,
-    thp_guest: ThpPolicy,
+    thp: ThpPolicy,
 }
 
 impl KvmHost {
@@ -99,22 +98,14 @@ impl KvmHost {
             mm: HostMm::new(),
             config,
             guests: Vec::new(),
-            thp_host: ThpPolicy::Never,
-            thp_guest: ThpPolicy::Never,
+            thp: ThpPolicy::Never,
         }
     }
 
-    /// Sets the host-side khugepaged policy and the THP policy handed
-    /// to every *subsequently created* guest kernel.
-    pub fn set_thp_policies(&mut self, host: ThpPolicy, guest: ThpPolicy) {
-        self.thp_host = host;
-        self.thp_guest = guest;
-    }
-
-    /// The host-side khugepaged policy.
-    #[must_use]
-    pub fn thp_host(&self) -> ThpPolicy {
-        self.thp_host
+    /// Sets the THP policy of both sides: the host's khugepaged and
+    /// every *subsequently created* guest kernel.
+    pub fn set_thp_policy(&mut self, policy: ThpPolicy) {
+        self.thp = policy;
     }
 
     /// Host configuration.
@@ -187,7 +178,7 @@ impl KvmHost {
             boot_salt,
             now,
         );
-        os.set_thp_policy(self.thp_guest);
+        os.set_thp_policy(self.thp);
         // VM-process overhead: private, outside guest memory, not
         // madvise(MERGEABLE) (QEMU only advises the guest RAM block).
         let overhead_pages = mem::mib_to_pages(VM_OVERHEAD_MIB_PER_GIB * mem_mib / 1024.0).max(1);
@@ -234,26 +225,19 @@ impl KvmHost {
         self.guests.len() - 1
     }
 
-    /// Advances background guest-kernel activity in every guest.
-    pub fn tick(&mut self, now: Tick) {
-        for guest in &mut self.guests {
-            guest.os.tick(&mut self.mm, now);
-        }
-    }
-
     /// One khugepaged pass: scans every guest memslot for collapsible
     /// 2 MiB blocks under the host THP policy — every block when
     /// `always`, only guest-hinted blocks when `madvise`, nothing when
     /// `never`. [`HostMm::try_collapse`] re-verifies eligibility
     /// (fully populated, exclusively owned, not KSM-latched) per block.
     pub fn thp_scan(&mut self, _now: Tick) {
-        if self.thp_host == ThpPolicy::Never {
+        if self.thp == ThpPolicy::Never {
             return;
         }
         for idx in 0..self.guests.len() {
             let space = self.guests[idx].os.vm_space();
             let base = self.guests[idx].os.host_vpn(0);
-            let candidates: Vec<usize> = match self.thp_host {
+            let candidates: Vec<usize> = match self.thp {
                 ThpPolicy::Never => unreachable!("early return above"),
                 ThpPolicy::Always => {
                     let Some(region) = self.mm.space(space).region_at(base) else {
@@ -424,7 +408,7 @@ mod tests {
     #[test]
     fn thp_scan_collapses_under_always_policy() {
         let mut host = KvmHost::new(HostConfig::paper_intel().scaled(16.0));
-        host.set_thp_policies(ThpPolicy::Always, ThpPolicy::Never);
+        host.set_thp_policy(ThpPolicy::Always);
         host.create_guest("vm1", 16.0, &OsImage::tiny_test(), 1, Tick(0));
         // Gpfns allocate densely from zero; filling past the boot
         // footprint completes the first memslot blocks even though the
@@ -446,18 +430,23 @@ mod tests {
     }
 
     #[test]
-    fn thp_scan_honors_policy_sides() {
-        // Host `never`: nothing collapses no matter what guests hint.
+    fn thp_scan_madvise_skips_unhinted_blocks() {
+        // The fill that collapses under `always` leaves no hint (only
+        // Java-heap faults hint under `madvise`), so nothing collapses.
         let mut host = KvmHost::new(HostConfig::paper_intel().scaled(16.0));
-        host.set_thp_policies(ThpPolicy::Never, ThpPolicy::Always);
+        host.set_thp_policy(ThpPolicy::Madvise);
         host.create_guest("vm1", 16.0, &OsImage::tiny_test(), 1, Tick(0));
-        host.thp_scan(Tick(1));
-        assert_eq!(host.huge_pages(), 0);
-
-        // Host `madvise` + guest `never`: no hints, so no collapses.
-        let mut host = KvmHost::new(HostConfig::paper_intel().scaled(16.0));
-        host.set_thp_policies(ThpPolicy::Madvise, ThpPolicy::Never);
-        host.create_guest("vm1", 16.0, &OsImage::tiny_test(), 1, Tick(0));
+        let (mm, guest) = host.mm_and_guest_mut(0);
+        let pid = guest.os.spawn("filler");
+        let r = guest
+            .os
+            .add_region(pid, 2 * HUGE_PAGE_SPAN, MemTag::OtherProcess);
+        for i in 0..(2 * HUGE_PAGE_SPAN) as u64 {
+            guest
+                .os
+                .write_page(mm, pid, r.offset(i), Fingerprint::of(&[0xf1, i]), Tick(1));
+        }
+        assert_eq!(guest.os.huge_hint_blocks().count(), 0);
         host.thp_scan(Tick(1));
         assert_eq!(host.huge_pages(), 0);
     }
@@ -465,7 +454,7 @@ mod tests {
     #[test]
     fn thp_scan_madvise_follows_guest_hints() {
         let mut host = KvmHost::new(HostConfig::paper_intel().scaled(16.0));
-        host.set_thp_policies(ThpPolicy::Madvise, ThpPolicy::Madvise);
+        host.set_thp_policy(ThpPolicy::Madvise);
         host.create_guest("vm1", 16.0, &OsImage::tiny_test(), 1, Tick(0));
         host.thp_scan(Tick(1));
         assert_eq!(host.huge_pages(), 0, "no heap faulted yet");
@@ -482,14 +471,5 @@ mod tests {
         host.thp_scan(Tick(3));
         assert_eq!(host.huge_pages(), HUGE_PAGE_SPAN);
         host.mm().assert_consistent();
-    }
-
-    #[test]
-    fn kernel_churn_ticks_run() {
-        let mut host = host_with_two_guests();
-        // tiny_test image has zero churn; this exercises the path.
-        let writes = host.mm().phys().total_writes();
-        host.tick(Tick(10));
-        assert!(host.mm().phys().total_writes() >= writes);
     }
 }

@@ -87,7 +87,6 @@ pub struct JavaVm {
     traffic_jit: f64,
     /// Request-driven NIO buffer-fill progress (0..=1).
     traffic_nio: f64,
-    requests_served: u64,
 }
 
 impl JavaVm {
@@ -127,7 +126,6 @@ impl JavaVm {
             stack,
             traffic_jit: 0.0,
             traffic_nio: 0.0,
-            requests_served: 0,
         }
     }
 
@@ -245,13 +243,6 @@ impl JavaVm {
             cost.stack_dirty_pages * n,
             now,
         );
-        self.requests_served += count;
-    }
-
-    /// Requests served via [`serve_requests`](Self::serve_requests).
-    #[must_use]
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served
     }
 
     /// `true` once all start-up phases are over.

@@ -2,15 +2,6 @@
 
 /// Counters exposed by the KSM scanner, mirroring the sysfs counters of
 /// real KSM (`pages_shared`, `pages_sharing`, `full_scans`, …).
-///
-/// # Example
-///
-/// ```
-/// use ksm::KsmStats;
-///
-/// let stats = KsmStats::default();
-/// assert_eq!(stats.saved_pages(), 0);
-/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KsmStats {
     /// Stable-tree frames: distinct shared pages kept in memory.
@@ -42,15 +33,6 @@ pub struct KsmStats {
 }
 
 impl KsmStats {
-    /// Pages of host physical memory currently saved by sharing.
-    ///
-    /// Equal to [`pages_sharing`](Self::pages_sharing): each sharer beyond
-    /// the canonical copy would otherwise need its own frame.
-    #[must_use]
-    pub fn saved_pages(&self) -> u64 {
-        self.pages_sharing
-    }
-
     /// The change in every counter since `earlier`, for pass-over-pass
     /// or sample-over-sample comparison. The cumulative counters
     /// (`full_scans`, `pages_scanned`, `merges`, …) become per-interval
@@ -81,16 +63,6 @@ impl KsmStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn saved_pages_equals_sharing() {
-        let stats = KsmStats {
-            pages_shared: 3,
-            pages_sharing: 17,
-            ..KsmStats::default()
-        };
-        assert_eq!(stats.saved_pages(), 17);
-    }
 
     #[test]
     fn delta_subtracts_and_saturates() {

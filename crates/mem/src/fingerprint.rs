@@ -63,8 +63,8 @@ impl Fingerprint {
         self.0
     }
 
-    /// Reconstructs a fingerprint from a raw digest, e.g. when
-    /// deserialising a shared class cache file.
+    /// Reconstructs a fingerprint from a raw digest: the inverse of
+    /// [`as_u128`](Self::as_u128).
     #[must_use]
     pub fn from_u128(raw: u128) -> Fingerprint {
         Fingerprint(raw)

@@ -28,9 +28,7 @@ const MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
 /// to collide; this one has none. That is sound only because none of
 /// these keys is decoded from outside input: fingerprints are digests the
 /// simulator computes and frame ids are indices its frame pool hands out.
-/// The one decoder of fingerprints, `cds::SharedClassCache::from_bytes`,
-/// only ever gets images this process serialized. Keep the default
-/// hasher for any key that can come from outside.
+/// Keep the default hasher for any key that can come from outside.
 ///
 /// # Example
 ///

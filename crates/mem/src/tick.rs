@@ -36,12 +36,6 @@ impl Tick {
         Tick((seconds * TICKS_PER_SECOND as f64).round() as u64)
     }
 
-    /// Converts a duration in simulated minutes to the equivalent tick.
-    #[must_use]
-    pub fn from_minutes(minutes: f64) -> Tick {
-        Tick::from_seconds(minutes * 60.0)
-    }
-
     /// Returns this tick as a number of simulated seconds since time zero.
     #[must_use]
     pub fn as_seconds(self) -> f64 {
@@ -108,7 +102,6 @@ mod tests {
         let t = Tick::from_seconds(12.3);
         assert_eq!(t, Tick(123));
         assert!((t.as_seconds() - 12.3).abs() < 1e-9);
-        assert_eq!(Tick::from_minutes(90.0), Tick(54_000));
     }
 
     #[test]

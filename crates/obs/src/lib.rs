@@ -7,9 +7,8 @@
 //!   emit typed [`TraceEvent`]s into. Disabled tracers cost one branch
 //!   per emission site; enabled ones record a seed-deterministic,
 //!   totally ordered event stream exportable as JSONL.
-//! * [`TraceLog`] — the drained trace, plus the summary set of
-//!   merged-then-broken mappings that feeds the merge-miss classifier
-//!   in `analysis`.
+//! * [`TraceLog`] — the drained trace: the events still in the ring
+//!   and how many it dropped.
 //! * [`Profiler`] — the one wall clock: per-phase wall-clock /
 //!   simulated-tick / pages accounting, always on, for every phase of
 //!   a world's step and runs and for the KSM wake's two steps.

@@ -2,25 +2,18 @@
 
 use crate::event::{EventKind, TraceEvent};
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
 
 /// Default ring capacity when [`Tracer::enable`] is given none.
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
 /// Everything a finished trace carries: the surviving ring contents (in
-/// seq order), how many older events the ring dropped, and the summary
-/// set of merged-then-broken host mappings, which is maintained across
-/// the whole run regardless of ring capacity.
+/// seq order) and how many older events the ring dropped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceLog {
     /// Events still in the ring, oldest first.
     pub events: Vec<TraceEvent>,
     /// Events evicted from the ring before export.
     pub dropped: u64,
-    /// `(space, vpn)` mappings that were KSM-merged and later broken by
-    /// a write (observed as a [`EventKind::CowBreak`] with
-    /// `was_ksm_shared`).
-    pub broken_mappings: HashSet<(u32, u64)>,
 }
 
 impl TraceLog {
@@ -44,7 +37,6 @@ struct Inner {
     capacity: usize,
     seq: u64,
     dropped: u64,
-    broken: HashSet<(u32, u64)>,
 }
 
 /// A lightweight structured-event recorder.
@@ -112,15 +104,6 @@ impl Tracer {
 
     fn record(&self, kind: EventKind) {
         let mut inner = self.inner.borrow_mut();
-        if let EventKind::CowBreak {
-            space,
-            vpn,
-            was_ksm_shared: true,
-            ..
-        } = kind
-        {
-            inner.broken.insert((space, vpn));
-        }
         if inner.events.len() == inner.capacity {
             inner.events.pop_front();
             inner.dropped += 1;
@@ -146,12 +129,6 @@ impl Tracer {
         self.inner.borrow().seq
     }
 
-    /// A snapshot of the merged-then-broken mapping set.
-    #[must_use]
-    pub fn broken_mappings(&self) -> HashSet<(u32, u64)> {
-        self.inner.borrow().broken.clone()
-    }
-
     /// Drains the tracer into a [`TraceLog`], leaving it enabled but
     /// empty.
     #[must_use]
@@ -160,7 +137,6 @@ impl Tracer {
         TraceLog {
             events: std::mem::take(&mut inner.events).into(),
             dropped: inner.dropped,
-            broken_mappings: std::mem::take(&mut inner.broken),
         }
     }
 }
@@ -197,24 +173,6 @@ mod tests {
         assert_eq!(log.events.len(), 2);
         assert_eq!(log.events[0].seq, 3);
         assert_eq!(log.events[1].seq, 4);
-    }
-
-    #[test]
-    fn broken_set_outlives_the_ring() {
-        let mut tracer = Tracer::new();
-        tracer.enable(Some(1));
-        tracer.emit_with(|| EventKind::CowBreak {
-            space: 4,
-            vpn: 99,
-            old_frame: 1,
-            new_frame: 2,
-            was_ksm_shared: true,
-        });
-        // Push the break out of the tiny ring.
-        tracer.emit_with(|| skip(0));
-        let log = tracer.take_log();
-        assert!(log.broken_mappings.contains(&(4, 99)));
-        assert_eq!(log.events.len(), 1);
     }
 
     #[test]

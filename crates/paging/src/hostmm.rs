@@ -109,6 +109,18 @@ impl HostMm {
         self.cow_breaks
     }
 
+    /// Pages, over every region, whose write once CoW-broke a KSM-shared
+    /// frame ([`Region::was_cow_broken`]): the merged-then-broken
+    /// mappings.
+    #[must_use]
+    pub fn cow_broken_mappings(&self) -> u64 {
+        self.spaces
+            .iter()
+            .flat_map(AddressSpace::regions)
+            .map(Region::cow_broken_pages)
+            .sum()
+    }
+
     /// Number of 2 MiB collapses performed so far.
     #[must_use]
     pub fn huge_collapses(&self) -> u64 {
@@ -572,9 +584,10 @@ impl HostMm {
 }
 
 /// The per-page core of every write: faults the page in, breaks
-/// copy-on-write sharing (emitting [`EventKind::CowBreak`]), or
-/// overwrites the exclusively owned frame in place. Returns whether it
-/// broke sharing.
+/// copy-on-write sharing (emitting [`EventKind::CowBreak`], and marking
+/// the page [`Region::was_cow_broken`] when the frame was KSM-shared),
+/// or overwrites the exclusively owned frame in place. Returns whether
+/// it broke sharing.
 fn write_in(
     region: &mut Region,
     phys: &mut PhysMemory,
@@ -598,12 +611,16 @@ fn write_in(
             region.set_frame(vpn, Some(fresh));
             rmap.remove(frame, mapping);
             rmap.add(fresh, mapping);
+            let was_ksm_shared = phys.is_ksm_shared(frame);
+            if was_ksm_shared {
+                region.mark_cow_broken(vpn);
+            }
             tracer.emit_with(|| EventKind::CowBreak {
                 space: space.0,
                 vpn: vpn.0,
                 old_frame: frame.index() as u64,
                 new_frame: fresh.index() as u64,
-                was_ksm_shared: phys.is_ksm_shared(frame),
+                was_ksm_shared,
             });
             phys.dec_ref(frame);
             true
@@ -677,6 +694,15 @@ mod tests {
         assert_eq!(mm.fingerprint_at(a, ra), Some(fp(7)));
         assert_eq!(mm.fingerprint_at(b, rb), Some(fp(8)));
         mm.assert_consistent();
+
+        // Only the writer's page is marked merged-then-broken, and the
+        // mark survives a later write.
+        mm.write_page(b, rb, fp(9), Tick(3));
+        let region_b = mm.space(b).region_at(rb).unwrap();
+        assert!(region_b.was_cow_broken(rb));
+        assert!(!region_b.was_cow_broken(rb.offset(1)));
+        assert!(!mm.space(a).region_at(ra).unwrap().was_cow_broken(ra));
+        assert_eq!(mm.cow_broken_mappings(), 1);
     }
 
     #[test]
@@ -814,6 +840,8 @@ mod tests {
         let region = mm.space(s).region_at(base).unwrap();
         assert!(!region.is_huge_block(0), "CoW write must demote the block");
         assert_eq!(mm.cow_breaks(), 1);
+        // The shared frame was never KSM-merged, so nothing is marked.
+        assert_eq!(mm.cow_broken_mappings(), 0);
         mm.phys_mut().dec_ref(victim);
     }
 

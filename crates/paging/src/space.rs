@@ -88,6 +88,11 @@ pub struct Region {
     // re-collapse a block KSM tore down to merge, or the two would
     // livelock. Splits for madvise/balloon/CoW reasons do not latch.
     ksm_latch: Vec<bool>,
+    // One bit per page, set when a write CoW-broke the KSM-shared frame
+    // mapped there: the page was merged, then broken (§III's
+    // `cow_broken` miss). Empty until the region's first such break; a
+    // boxed slice, because it never grows and every region carries one.
+    cow_broken: Box<[u64]>,
 }
 
 impl Region {
@@ -104,6 +109,7 @@ impl Region {
             huge: vec![false; blocks],
             huge_count: 0,
             ksm_latch: vec![false; blocks],
+            cow_broken: Box::default(),
         }
     }
 
@@ -310,6 +316,34 @@ impl Region {
 
     pub(crate) fn set_ksm_latch(&mut self, block: usize) {
         self.ksm_latch[block] = true;
+    }
+
+    /// `true` if a write to `vpn` once CoW-broke a KSM-shared frame: the
+    /// page was merged, then broken. The mark stays through later
+    /// writes, unmaps and refaults of the page.
+    #[must_use]
+    pub fn was_cow_broken(&self, vpn: Vpn) -> bool {
+        self.slot_index(vpn).is_some_and(|idx| {
+            self.cow_broken
+                .get(idx / 64)
+                .is_some_and(|word| word >> (idx % 64) & 1 == 1)
+        })
+    }
+
+    /// Pages of the region marked by [`was_cow_broken`](Self::was_cow_broken).
+    pub(crate) fn cow_broken_pages(&self) -> u64 {
+        self.cow_broken
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum()
+    }
+
+    pub(crate) fn mark_cow_broken(&mut self, vpn: Vpn) {
+        let idx = self.slot_index(vpn).expect("vpn outside region");
+        if self.cow_broken.is_empty() {
+            self.cow_broken = vec![0; self.pages.len().div_ceil(64)].into_boxed_slice();
+        }
+        self.cow_broken[idx / 64] |= 1 << (idx % 64);
     }
 }
 

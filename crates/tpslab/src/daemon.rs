@@ -329,7 +329,6 @@ fn publish(
         host.mm(),
         scanner.params().max_page_sharing(),
         scanner.volatility_horizon(),
-        &host.mm().tracer().broken_mappings(),
     );
 
     // Deterministic registry, rebuilt from layer counters; wall-clock

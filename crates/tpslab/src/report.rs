@@ -79,6 +79,10 @@ pub struct ExperimentReport {
     /// [`ExperimentConfig::with_diagnose`](crate::ExperimentConfig::with_diagnose)
     /// was used).
     pub merge_miss: Option<analysis::MergeMissReport>,
+    /// Mappings whose write once COW-broke a KSM-merged page by the end
+    /// of the run ([`paging::HostMm::cow_broken_mappings`]), traced or
+    /// not.
+    pub cow_broken_mappings: u64,
     /// Per-phase wall-clock profile of the run (DESIGN.md §8). Unlike
     /// every other field it varies run to run.
     pub phases: obs::PhaseReport,
@@ -198,6 +202,7 @@ mod tests {
             caches: vec![],
             timeline: vec![],
             merge_miss: None,
+            cow_broken_mappings: 0,
             phases: obs::PhaseReport::default(),
             trace: None,
         }

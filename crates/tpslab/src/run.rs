@@ -110,9 +110,7 @@ impl Experiment {
         let breakdown = attribute(&mut world, &mut engine);
 
         // Merge-miss diagnostics over the final state: classify the
-        // sharing an ideal merger would still find. Must run before the
-        // trace log is drained — the COW-broken class needs the
-        // tracer's broken-mapping set.
+        // sharing an ideal merger would still find.
         let host = &mut world.host;
         let scanner = &world.scanner;
         let merge_miss = config.diagnose.then(|| {
@@ -120,7 +118,6 @@ impl Experiment {
                 host.mm(),
                 scanner.params().max_page_sharing(),
                 scanner.volatility_horizon(),
-                &host.mm().tracer().broken_mappings(),
             )
         });
         let trace = config.trace.then(|| host.mm_mut().tracer_mut().take_log());
@@ -180,6 +177,7 @@ impl Experiment {
                 .collect(),
             timeline,
             merge_miss,
+            cow_broken_mappings: host.mm().cow_broken_mappings(),
             phases,
             trace,
         })

@@ -86,7 +86,7 @@ impl World {
     pub(crate) fn new(config: &ExperimentConfig, scenario: Option<&Scenario>) -> World {
         let setup_started = Instant::now();
         let mut host = KvmHost::new(config.host);
-        host.set_thp_policies(config.thp, config.thp);
+        host.set_thp_policy(config.thp);
         if config.trace {
             host.mm_mut().tracer_mut().enable(None);
         }

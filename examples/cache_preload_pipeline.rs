@@ -2,8 +2,8 @@
 //! the §IV.C deployment story, step by step:
 //!
 //! 1. run the middleware once to populate a shared class cache,
-//! 2. serialise the cache to a file and copy it to every guest VM
-//!    (here: bytes → decode, as a disk-image copy would),
+//! 2. copy the cache file to every guest VM (here: each guest maps its
+//!    own copy, a clone of the master),
 //! 3. map it in each guest's JVM,
 //! 4. let KSM merge the byte-identical cache pages across VMs.
 //!
@@ -12,7 +12,7 @@
 //! ```
 
 use mem::Tick;
-use tpslab::cds::{CacheBuilder, SharedClassCache};
+use tpslab::cds::CacheBuilder;
 use tpslab::hypervisor::{HostConfig, KvmHost};
 use tpslab::jvm::{AppProfile, ClassSet, JavaVm, JvmConfig};
 use tpslab::ksm::{KsmParams, KsmScanner};
@@ -37,12 +37,9 @@ fn main() {
         100.0 * cache.utilization(),
     );
 
-    // Step 2: the cache file travels into each guest's disk image.
-    let file_bytes = cache.to_bytes();
-    println!("cache file: {} bytes", file_bytes.len());
-
-    // Step 3: boot two guests and launch a JVM in each, both mapping
-    // their own copy of the cache file.
+    // Steps 2 and 3: boot two guests and launch a JVM in each. The
+    // cache file travels into each guest's disk image, so each guest
+    // maps its own copy, a clone of the master.
     let mut host = KvmHost::new(HostConfig::paper_intel().scaled(16.0));
     let mut javas = Vec::new();
     for i in 0..2u64 {
@@ -53,8 +50,7 @@ fn main() {
             i + 1,
             Tick::ZERO,
         );
-        let copy = SharedClassCache::from_bytes(&file_bytes).expect("cache copy decodes");
-        let cfg = JvmConfig::new(6, 1000 + i).with_shared_cache(copy);
+        let cfg = JvmConfig::new(6, 1000 + i).with_shared_cache(cache.clone());
         let (mm, guest) = host.mm_and_guest_mut(g);
         javas.push(JavaVm::launch(
             mm,

@@ -409,7 +409,7 @@ fn cmd_run(opts: &Opts) -> Result<String, CliError> {
             "trace: {} events ({} dropped, {} merged-then-broken mappings) -> {path}\n",
             log.events.len(),
             log.dropped,
-            log.broken_mappings.len(),
+            report.cow_broken_mappings,
         );
         // CSV stdout stays CSV from its first line.
         if opts.csv {
@@ -550,14 +550,13 @@ fn render_lifecycles(log: &tpslab::obs::TraceLog, top: usize) -> String {
 
 /// Warns on stderr when the tracer's bounded ring dropped events: the
 /// drop count itself is deterministic, but any analysis derived from
-/// the *surviving* events (lifecycles, broken-mapping sets) is partial.
+/// the *surviving* events (the page lifecycles) is partial.
 fn warn_dropped_events(log: &tpslab::obs::TraceLog) {
     if log.dropped > 0 {
         let _ = writeln!(
             std::io::stderr(),
-            "warning: trace ring buffer dropped {} events; lifecycle and \
-             broken-mapping views are incomplete (raise the tracer capacity \
-             or shorten the run)",
+            "warning: trace ring buffer dropped {} events; lifecycle views \
+             are incomplete (raise the tracer capacity or shorten the run)",
             log.dropped
         );
     }
@@ -588,7 +587,7 @@ fn cmd_explain(opts: &Opts) -> Result<String, CliError> {
         "\ntrace: {} events recorded, {} dropped, {} merged-then-broken mappings",
         log.events.len(),
         log.dropped,
-        log.broken_mappings.len(),
+        report.cow_broken_mappings,
     );
     Ok(out)
 }

@@ -119,7 +119,8 @@ fn merge_miss_report_conserves_and_covers_pages_sharing() {
 
 /// Drives a real scanner through merge → COW break → content restore
 /// and checks the diagnostics call the resulting miss `cow_broken`,
-/// using the tracer's broken-mapping set end to end.
+/// from the mark the break left on the page's region, with the tracer
+/// off.
 #[test]
 fn cow_broken_miss_is_classified_from_the_scanner_trace() {
     use analysis::MissReason;
@@ -128,7 +129,6 @@ fn cow_broken_miss_is_classified_from_the_scanner_trace() {
     use tpslab::paging::{HostMm, MemTag};
 
     let mut mm = HostMm::new();
-    mm.tracer_mut().enable(None);
     let content = Fingerprint::of(&[0x77]);
     let s1 = mm.create_space("a");
     let b1 = mm.map_region(s1, 1, MemTag::JavaHeap, true);
@@ -149,14 +149,14 @@ fn cow_broken_miss_is_classified_from_the_scanner_trace() {
     // copy — the classic merged-then-broken miss.
     mm.write_page(s2, b2, Fingerprint::of(&[0x88]), Tick(50));
     mm.write_page(s2, b2, content, Tick(51));
-    let broken = mm.tracer().broken_mappings();
-    assert!(broken.contains(&(s2.index() as u32, b2.0)));
+    assert!(!mm.tracer().is_enabled());
+    assert!(mm.space(s2).region_at(b2).unwrap().was_cow_broken(b2));
+    assert_eq!(mm.cow_broken_mappings(), 1);
 
     let report = analysis::diagnose_misses(
         &mm,
         scanner.params().max_page_sharing(),
         scanner.volatility_horizon(),
-        &broken,
     );
     assert_eq!(report.missed(MissReason::CowBroken), 1);
     assert_eq!(report.total_missed_pages(), 1);
@@ -195,4 +195,50 @@ fn explain_output_matches_golden_master() {
          regenerate with: UPDATE_GOLDEN=1 cargo test --test observability\n\
          --- golden ---\n{expected}\n--- actual ---\n{actual}"
     );
+}
+
+/// `serve` answers `/misses` with what `explain` explains: a daemon run
+/// to its final epoch on `explain --guests 2 --scale 64 --minutes 0.5`'s
+/// config reports the same miss classes as a diagnosed run, traced or
+/// not, `cow_broken` included.
+#[test]
+fn daemon_misses_match_the_diagnosed_run_cow_broken_included() {
+    use std::time::{Duration, Instant};
+    use tpslab::{Daemon, DaemonConfig, KsmSchedule};
+
+    let seconds = 30;
+    let cfg = ExperimentConfig::paper_daytrader_4vm(64.0)
+        .with_guest_count(2)
+        .expect("two guests fit")
+        .with_duration_seconds(seconds)
+        .with_ksm(KsmSchedule::compressed(64.0, seconds));
+    let mut daemon = Daemon::spawn(DaemonConfig::new(cfg.clone())).expect("spawn daemon");
+    let addr = daemon.addr().to_string();
+    let deadline = Instant::now() + Duration::from_secs(300);
+    let final_health = format!("ok epoch={seconds} running=false\n");
+    while tpslab::http_get(&addr, "/healthz").ok().as_deref() != Some(final_health.as_str()) {
+        assert!(Instant::now() < deadline, "daemon never finished its run");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let served = tpslab::http_get(&addr, "/misses").expect("misses");
+    daemon.shutdown();
+    daemon.join();
+
+    for cfg in [
+        cfg.clone().with_trace().with_diagnose(),
+        cfg.with_diagnose(),
+    ] {
+        let report = Experiment::run(&cfg).expect("diagnosed run");
+        let miss = report.merge_miss.expect("diagnosis was enabled");
+        assert!(miss.missed(analysis::MissReason::CowBroken) > 0);
+        let expected = format!(
+            "{{\"epoch_seconds\":{seconds},{}\n",
+            miss.to_json().trim_start_matches('{')
+        );
+        assert_eq!(
+            expected, served,
+            "daemon /misses diverged from the diagnosed run (traced: {})",
+            cfg.trace
+        );
+    }
 }
