@@ -1,13 +1,15 @@
 //! Differential property test: arbitrary interleavings of guest
-//! writes, `madvise`-style page releases and balloon inflations are
-//! applied identically to two worlds — one scanned by the real
-//! incremental [`ksm::KsmScanner`], one by the naive
-//! [`audit::NaiveScanner`] oracle — and the two must converge to
-//! bit-identical physical state and equivalent statistics.
+//! writes, rewrites of a page's own content, `madvise`-style page
+//! releases and balloon inflations are applied identically to two
+//! worlds — one scanned by the real incremental [`ksm::KsmScanner`],
+//! one by the naive [`audit::NaiveScanner`] oracle — and the two must
+//! converge to bit-identical physical state and equivalent statistics.
 //!
 //! This is the harness that guards the incremental scanner's fast
 //! paths (clean-region skip credits, generation counters, the
-//! sole-holder skip of the unstable tree): any divergence
+//! sole-holder skip of the unstable tree and the walk's own verdict
+//! on sole holders, with its fall-back to the full judge when a stale
+//! stable node names the page's content): any divergence
 //! they introduce shows up as a frame-table, PTE-table or stats
 //! mismatch against the oracle. The incrementally scanned world must
 //! additionally pass the full conservation audit.
@@ -42,6 +44,12 @@ enum Op {
         page: u64,
         content: u64,
     },
+    /// Write heap page `page` of guest `guest` back with the content it
+    /// already holds, if it is mapped. A frame with one PTE is written
+    /// in place, which clears its KSM mark: a merged page whose sharers
+    /// have all broken away leaves a stale stable node behind a sole
+    /// holder.
+    Rewrite { guest: usize, page: u64 },
     /// `madvise(DONTNEED)` heap page `page` of guest `guest`.
     Madvise { guest: usize, page: u64 },
     /// Inflate a balloon targeting `pages` pages in guest `guest`.
@@ -64,6 +72,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 content,
             }
         }),
+        (0..GUESTS, 0..HEAP_PAGES).prop_map(|(guest, page)| Op::Rewrite { guest, page }),
         (0..GUESTS, 0..HEAP_PAGES).prop_map(|(guest, page)| Op::Madvise { guest, page }),
         (0..GUESTS, 1..8u64).prop_map(|(guest, pages)| Op::Balloon { guest, pages }),
         Just(Op::Quiet),
@@ -149,6 +158,13 @@ impl WorldState {
                     Fingerprint::of(&[WIDE, content]),
                     now,
                 );
+            }
+            Op::Rewrite { guest, page } => {
+                let g = &mut self.guests[guest];
+                let vpn = g.heap.offset(page);
+                if let Some(fp) = g.os.fingerprint_at(&self.mm, g.pid, vpn) {
+                    g.os.write_page(&mut self.mm, g.pid, vpn, fp, now);
+                }
             }
             Op::Madvise { guest, page } => {
                 let g = &mut self.guests[guest];

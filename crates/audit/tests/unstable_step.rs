@@ -3,8 +3,9 @@
 //! slot is filled; a huge-collapsed, unmapped or changed candidate is
 //! replaced; the same page re-encountered is kept; equal content is
 //! merged and the entry removed), plus the overlay check that skips a
-//! frame merged away earlier in the same wake and the sole-holder skip
-//! of the unstable tree.
+//! frame merged away earlier in the same wake, the sole-holder skip of
+//! the unstable tree, and the stale stable node behind a sole holder
+//! that sends the walk from its own verdict back to the judge.
 //!
 //! Each test drives the real [`ksm::KsmScanner`] and the naive
 //! [`audit::NaiveScanner`] oracle through the same operations on two
@@ -244,4 +245,46 @@ fn sole_holder_skips_the_unstable_tree_and_a_later_copy_still_merges() {
     }
     assert_eq!(pair.wake().merges, 1);
     assert_eq!(pair.frame(1, 0), Some(first));
+}
+
+/// A stable node goes stale behind a sole holder. Mid-pass, the second
+/// sharer of a merged page breaks CoW away to other content, and the
+/// canonical's own page rewrites `X` in place, which clears its KSM
+/// mark: its frame is now the only live holder of `X` and has one PTE,
+/// while the stable tree still names it. The walk reaches that page
+/// before the pass ends, so the wake must drop the node there and count
+/// it in `stale_stable_nodes`, as the oracle does; a pass-end recount
+/// would drop it without counting.
+#[test]
+fn stale_node_behind_a_sole_holder_is_dropped_where_the_walk_meets_it() {
+    const W: u64 = 1_000;
+    let mut pair = Pair::new(1, &[&[W], &[X], &[X]]);
+    // Pass 1: wake 2 puts page 1 in the unstable tree, wake 3 merges
+    // page 2 into it, wake 4 ends the pass. Wake 5 scans space 0 only.
+    for wake in 1..=5 {
+        pair.wake();
+        assert_eq!(
+            pair.real.1.stats().merges,
+            u64::from(wake >= 3),
+            "wake {wake}"
+        );
+    }
+    let canonical = pair.frame(1, 0).expect("page 1 mapped");
+    assert_eq!(pair.frame(2, 0), Some(canonical));
+    pair.write(2, 0, X + 1);
+    pair.write(1, 0, X);
+    let phys = pair.real.0.phys();
+    assert_eq!(pair.frame(1, 0), Some(canonical), "written in place");
+    assert!(!phys.is_ksm_shared(canonical));
+    assert!(phys.sole_holder(canonical));
+    assert!(pair
+        .real
+        .1
+        .stable_frames()
+        .any(|node| node == (content(X), canonical)));
+    // Wake 6 reaches page 1 in the same pass.
+    let stats = pair.wake();
+    assert_eq!(stats.full_scans, 1);
+    assert_eq!(stats.stale_stable_nodes, 1);
+    assert!(pair.real.1.stable_frames().all(|(fp, _)| fp != content(X)));
 }

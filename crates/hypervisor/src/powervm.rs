@@ -87,13 +87,6 @@ impl PowerVmHost {
         self.lpars.len() - 1
     }
 
-    /// Advances background kernel activity in every LPAR.
-    pub fn tick(&mut self, now: Tick) {
-        for lpar in &mut self.lpars {
-            lpar.os.tick(&mut self.mm, now);
-        }
-    }
-
     /// Runs Active Memory Deduplication to convergence — the paper's
     /// "after finishing page sharing" measurement point.
     pub fn dedupe(&mut self, now: Tick) -> PowerVmReport {

@@ -1,7 +1,7 @@
 //! The KSM scanning loop.
 
 use crate::{KsmParams, KsmStats};
-use mem::{Fingerprint, FrameId, HolderFilter, IdMap, IdSet, PhysMemory, Tick, HUGE_PAGE_SPAN};
+use mem::{Fingerprint, FrameId, IdMap, IdSet, Tick, HUGE_PAGE_SPAN};
 use obs::{EventKind, Profiler};
 use paging::{AsId, HostMm, Mapping, SplitReason, Vpn};
 use std::collections::hash_map::Entry;
@@ -52,11 +52,15 @@ use std::time::Instant;
 /// pages stable is **credited in O(1)** instead of being walked — the
 /// same number of budget units is consumed (so pass boundaries, the
 /// volatility horizon, and all counters behave exactly as a page-by-page
-/// walk would), but no page is touched. Regions that do get walked are
-/// resolved once and iterated by direct frame-table indexing rather
-/// than a per-page `BTreeMap` address lookup, in batches of up to 16
-/// mapped pages whose frame state is read before any is judged, with
-/// holes skipped by a slice scan.
+/// walk would), but no page is touched. A region that does get walked
+/// is resolved once and read in one loop over its page slots from the
+/// cursor ([`paging::Region::slots`]), holes skipped, each mapped
+/// page's frame read once and the page decided on the spot: a
+/// KSM-shared page is passed over, and a sole holder (one PTE, the
+/// only live holder of its content, the volatility filter active) that
+/// has no stable-tree node is settled in the loop, counted as judged
+/// and, if written inside the horizon, as a volatile skip. Every other
+/// candidate goes through the full judge below.
 ///
 /// # Judge, then commit
 ///
@@ -133,8 +137,6 @@ pub struct KsmScanner {
     /// number of users repointed), so the `max_page_sharing` cap check
     /// sees the refcount a live scan would.
     spec_ref: IdMap<FrameId, u32>,
-    /// The page walk's current batch, kept to reuse its allocation.
-    batch: Vec<Gathered>,
     /// Every wake's work counters, summed; the nanos stay 0 here and
     /// [`wake_totals`](Self::wake_totals) reads them from `prof`.
     work: WakePhases,
@@ -219,38 +221,22 @@ enum CommitOp {
     },
 }
 
-/// Mapped pages the walk gathers before judging them.
-const BATCH: usize = 16;
-
-/// One mapped page of a walk batch and its frame's state, read before
-/// the batch is judged. Memory is frozen until the commit, so the read
-/// equals a live one at judging time.
+/// One unshared candidate page as the walk read it. Memory is frozen
+/// until the commit, so the read equals a live one at judging time.
 #[derive(Debug, Clone, Copy)]
-struct Gathered {
-    /// Page index within the region.
-    index: usize,
+struct Candidate {
+    mapping: Mapping,
     frame: FrameId,
     fingerprint: Fingerprint,
     last_write: Tick,
     refcount: u32,
-    ksm_shared: bool,
-    /// The frame's content-bucket count in the sole-holder filter.
-    holders: u8,
-}
-
-impl Gathered {
-    fn read(phys: &PhysMemory, holders: &HolderFilter, index: usize, frame: FrameId) -> Gathered {
-        let f = phys.frame(frame);
-        Gathered {
-            index,
-            frame,
-            fingerprint: f.fingerprint(),
-            last_write: f.last_write(),
-            refcount: f.refcount(),
-            ksm_shared: f.ksm_shared(),
-            holders: holders.count(f.fingerprint()),
-        }
-    }
+    /// The volatility filter is active and the frame was written at or
+    /// after its horizon: the checksum test fails.
+    volatile: bool,
+    /// The volatility filter is active, the page is its frame's one PTE
+    /// and the frame is the only live holder of its content (its bucket
+    /// in the sole-holder filter counts one frame).
+    sole: bool,
 }
 
 impl KsmScanner {
@@ -282,7 +268,6 @@ impl KsmScanner {
             alias: IdMap::default(),
             spec_shared: IdSet::default(),
             spec_ref: IdMap::default(),
-            batch: Vec::with_capacity(BATCH),
             work: WakePhases::default(),
             prof: Profiler::default(),
         }
@@ -669,55 +654,74 @@ impl KsmScanner {
         if whole {
             self.work.classify_tasks += 1;
         }
+        // The wake's inputs, fixed for the walk: memory is frozen until
+        // the commit, and only the pass boundary after it moves the
+        // horizon.
         let phys = mm.phys();
         let holders = phys.holders();
+        let tracing = mm.tracer().is_enabled();
+        let horizon = self.volatility_horizon();
+        let filtering = horizon > Tick::ZERO;
+        let huge = region.huge_blocks() > 0;
+        let limit = if whole { usize::MAX } else { budget_left };
         let mut scanned = 0usize;
-        let mut region_done = false;
-        let mut batch = std::mem::take(&mut self.batch);
-        while !region_done && (whole || scanned < budget_left) {
-            // Gather the next mapped pages, skipping holes, up to the
-            // batch size and the budget; reaching the region's end
-            // finishes the region once the batch is judged.
-            let want = if whole {
-                BATCH
-            } else {
-                BATCH.min(budget_left - scanned)
-            };
-            batch.clear();
-            while batch.len() < want {
-                let Some(index) = region.next_mapped(self.cursor_page as usize) else {
-                    region_done = true;
-                    break;
-                };
-                self.cursor_page = index as u64 + 1;
-                let frame = region
-                    .frame_at_index(index)
-                    .expect("next_mapped returns a populated page");
-                batch.push(Gathered::read(phys, holders, index, frame));
-            }
-            for page in &batch {
-                self.region_mapped_seen += 1;
-                scanned += 1;
-                let block = page.index / HUGE_PAGE_SPAN;
-                if region.is_huge_block(block) {
+        let mut all_stable = true;
+        let mut region_done = true;
+        let start = self.cursor_page as usize;
+        for (offset, slot) in region.slots()[start..].iter().enumerate() {
+            let Some(frame) = slot.frame() else { continue };
+            let index = start + offset;
+            scanned += 1;
+            'page: {
+                if huge && region.is_huge_block(index / HUGE_PAGE_SPAN) {
                     // Under a 2 MiB mapping: KSM breaks the huge page
                     // before its subpages can be considered
                     // (split-before-merge). The page itself becomes a
                     // candidate on a later pass.
-                    self.region_all_stable = false;
+                    all_stable = false;
+                    let block = index / HUGE_PAGE_SPAN;
                     self.ops.push(CommitOp::Split { space, base, block });
-                    continue;
+                    break 'page;
                 }
-                if page.ksm_shared {
+                let f = phys.frame(frame);
+                if f.ksm_shared() {
                     // Already a stable node (or a sharer of one).
-                    continue;
+                    break 'page;
                 }
-                self.region_all_stable = false;
-                let vpn = base.offset(page.index as u64);
-                self.judge(mm, Mapping { space, vpn }, page);
+                all_stable = false;
+                let fingerprint = f.fingerprint();
+                let page = Candidate {
+                    mapping: Mapping {
+                        space,
+                        vpn: base.offset(index as u64),
+                    },
+                    frame,
+                    fingerprint,
+                    last_write: f.last_write(),
+                    refcount: f.refcount(),
+                    volatile: filtering && f.last_write() >= horizon,
+                    sole: filtering && f.refcount() == 1 && holders.count(fingerprint) == 1,
+                };
+                if page.sole && !self.stable.contains_key(&fingerprint) {
+                    // The judge's verdict without the call: no overlay
+                    // entry (one PTE), no stable node to merge with or
+                    // drop, and the unstable tree left alone.
+                    self.work.resolved_items += 1;
+                    if page.volatile {
+                        self.skip_volatile(&page, tracing);
+                    }
+                    break 'page;
+                }
+                self.judge(mm, &page, tracing);
+            }
+            if scanned == limit {
+                self.cursor_page = index as u64 + 1;
+                region_done = false;
+                break;
             }
         }
-        self.batch = batch;
+        self.region_mapped_seen += scanned as u64;
+        self.region_all_stable &= all_stable;
         if region_done {
             self.finish_region(space, id, region.generation());
             self.next_region();
@@ -785,11 +789,12 @@ impl KsmScanner {
     /// A page whose frame is the only live holder of its content skips
     /// the unstable tree once the stable lookup and the volatility
     /// filter are done; DESIGN.md §10 gives the argument that no verdict
-    /// changes.
-    fn judge(&mut self, mm: &HostMm, mapping: Mapping, page: &Gathered) {
+    /// changes. The walk settles such a page itself when the stable tree
+    /// has no node for its content, so here it is one whose stable
+    /// lookup finds a node.
+    fn judge(&mut self, mm: &HostMm, page: &Candidate, tracing: bool) {
         let phys = mm.phys();
-        let tracing = mm.tracer().is_enabled();
-        let (frame, fp) = (page.frame, page.fingerprint);
+        let (mapping, frame, fp) = (page.mapping, page.frame, page.fingerprint);
         self.work.resolved_items += 1;
         // The frame was merged away or became a stable node earlier this
         // wake: live, the page is already shared and is skipped without
@@ -857,17 +862,8 @@ impl KsmScanner {
         }
 
         // 2. Volatility filter: content must be stable across a full pass.
-        let horizon = self.volatility_horizon();
-        if page.last_write >= horizon && horizon > Tick::ZERO {
-            self.stats.volatile_skips += 1;
-            if tracing {
-                self.events.push(EventKind::VolatileSkip {
-                    space: mapping.space.index() as u32,
-                    vpn: mapping.vpn.0,
-                    frame: frame.index() as u64,
-                    last_write: page.last_write.0,
-                });
-            }
+        if page.volatile {
+            self.skip_volatile(page, tracing);
             return;
         }
 
@@ -875,7 +871,7 @@ impl KsmScanner {
         // is its content's only live holder and has one PTE can neither
         // merge now nor be found by a later page this pass, so the
         // unstable tree is left alone.
-        if horizon > Tick::ZERO && page.refcount == 1 && page.holders == 1 {
+        if page.sole {
             return;
         }
 
@@ -927,6 +923,19 @@ impl KsmScanner {
                 vpn: mapping.vpn.0,
                 dup_frame: frame.index() as u64,
                 stable_frame: other.index() as u64,
+            });
+        }
+    }
+
+    /// Counts a candidate the volatility filter rejects.
+    fn skip_volatile(&mut self, page: &Candidate, tracing: bool) {
+        self.stats.volatile_skips += 1;
+        if tracing {
+            self.events.push(EventKind::VolatileSkip {
+                space: page.mapping.space.index() as u32,
+                vpn: page.mapping.vpn.0,
+                frame: page.frame.index() as u64,
+                last_write: page.last_write.0,
             });
         }
     }
@@ -1275,6 +1284,84 @@ mod tests {
         assert_eq!(scanner.stats().merges, 1);
         assert_eq!(mm.frame_at(b, rb), mm.frame_at(a, ra));
         mm.assert_consistent();
+    }
+
+    /// Walk boundaries: regions with leading, interior and trailing
+    /// holes (and one of holes only), under budgets that end one page
+    /// before, at and one page after the first region's last mapped
+    /// page. Each wake's pages scanned and full passes, the whole
+    /// regions walked to their end (`classify_tasks`, whose walks cover
+    /// trailing holes in the same wake) and the clean-region credits
+    /// are pinned.
+    #[test]
+    fn walk_boundaries_around_holes_are_pinned() {
+        // The first region maps 5 of its 12 pages, the third 5 of 10.
+        const LAYOUTS: [(usize, &[u64]); 3] =
+            [(12, &[2, 3, 5, 6, 8]), (4, &[]), (10, &[0, 1, 4, 6, 7])];
+        let run = |budget: usize| {
+            let mut mm = HostMm::new();
+            let mut regions = Vec::new();
+            for (i, &(len, mapped)) in LAYOUTS.iter().enumerate() {
+                let space = mm.create_space(format!("vm{i}"));
+                let base = mm.map_region(space, len, MemTag::VmGuestMemory, true);
+                for (k, &page) in mapped.iter().enumerate() {
+                    mm.write_page(space, base.offset(page), fp(k as u64), Tick(0));
+                }
+                regions.push((space, base));
+            }
+            let mut scanner = KsmScanner::new(KsmParams::new(budget, 100));
+            let (mut scanned, mut passes) = (Vec::new(), Vec::new());
+            for t in 1..=12 {
+                scanner.run(&mut mm, Tick(t));
+                scanned.push(scanner.stats().pages_scanned);
+                passes.push(scanner.stats().full_scans);
+                if t == 1 {
+                    // A page faults into the first region's trailing
+                    // holes: a walk that already finished the region
+                    // leaves it to the next pass.
+                    let (space, base) = regions[0];
+                    mm.write_page(space, base.offset(10), fp(99), Tick(t));
+                }
+            }
+            mm.assert_consistent();
+            let whole = scanner.wake_totals().classify_tasks;
+            (scanned, passes, whole, scanner.stats().clean_region_skips)
+        };
+        // Per budget: pages scanned and full passes after each wake,
+        // whole-region walks and clean-region credits. Budget 4 ends
+        // one page before the first region's last mapped page, 5 at it
+        // (a whole-region walk, so the page faulted in after wake 1
+        // waits for pass 2), 6 one page after it.
+        let expected = [
+            (
+                4,
+                [4, 8, 11, 15, 19, 22, 26, 30, 33, 37, 41, 44],
+                [0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4],
+                1,
+                5,
+            ),
+            (
+                5,
+                [5, 10, 10, 15, 20, 21, 26, 31, 32, 37, 42, 43],
+                [0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4],
+                3,
+                5,
+            ),
+            (
+                6,
+                [6, 10, 16, 21, 27, 32, 38, 43, 49, 54, 60, 65],
+                [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6],
+                8,
+                9,
+            ),
+        ];
+        for (budget, scanned, passes, whole, credits) in expected {
+            assert_eq!(
+                run(budget),
+                (scanned.to_vec(), passes.to_vec(), whole, credits),
+                "budget {budget}"
+            );
+        }
     }
 
     /// The stable view comes out fingerprint-sorted, one entry per node.

@@ -64,9 +64,11 @@ impl Fingerprint {
     }
 
     /// Reconstructs a fingerprint from a raw digest: the inverse of
-    /// [`as_u128`](Self::as_u128).
+    /// [`as_u128`](Self::as_u128). Only tests build fingerprints from
+    /// raw bits.
+    #[cfg(test)]
     #[must_use]
-    pub fn from_u128(raw: u128) -> Fingerprint {
+    pub(crate) fn from_u128(raw: u128) -> Fingerprint {
         Fingerprint(raw)
     }
 

@@ -14,6 +14,7 @@ pub struct FrameId(u32);
 
 impl FrameId {
     /// Returns the raw index of the frame.
+    #[inline]
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -27,6 +28,7 @@ impl FrameId {
     /// # Panics
     ///
     /// Panics if `index` exceeds the frame-number range.
+    #[inline]
     #[must_use]
     pub fn from_index(index: usize) -> FrameId {
         FrameId(u32::try_from(index).expect("frame index exceeds u32 range"))

@@ -47,6 +47,6 @@ mod thp;
 pub use hostmm::HostMm;
 pub use malloc::{Allocation, MallocArena, PageSink, MMAP_THRESHOLD};
 pub use rmap::Mapping;
-pub use space::{AddressSpace, AsId, Region, Vpn};
+pub use space::{AddressSpace, AsId, Region, Slot, Vpn};
 pub use tag::MemTag;
 pub use thp::{SplitReason, ThpPolicy};

@@ -51,7 +51,26 @@ impl fmt::Display for AsId {
     }
 }
 
-const UNMAPPED: u32 = u32::MAX;
+/// One page slot of a [`Region`]: the frame mapped at that page, or a
+/// hole. Four bytes, because at paper scale there are millions of
+/// slots; a hole is stored as the frame number `u32::MAX`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(u32);
+
+impl Slot {
+    const HOLE: Slot = Slot(u32::MAX);
+
+    fn of(frame: Option<FrameId>) -> Slot {
+        frame.map_or(Slot::HOLE, |f| Slot(f.index() as u32))
+    }
+
+    /// The frame mapped at this page, or `None` for a hole.
+    #[inline]
+    #[must_use]
+    pub fn frame(self) -> Option<FrameId> {
+        (self != Slot::HOLE).then(|| FrameId::from_index(self.0 as usize))
+    }
+}
 
 /// A contiguous page-aligned mapping within an address space.
 ///
@@ -64,9 +83,8 @@ pub struct Region {
     base: Vpn,
     tag: MemTag,
     mergeable: bool,
-    // Frame per page; u32::MAX is the unmapped sentinel (kept compact: at
-    // paper scale there are millions of page slots).
-    pages: Vec<u32>,
+    // One slot per page.
+    pages: Vec<Slot>,
     mapped: usize,
     // Identity within the owning address space: survives nothing — a
     // region removed and re-added at the same base gets a fresh id, so
@@ -102,7 +120,7 @@ impl Region {
             base,
             tag,
             mergeable,
-            pages: vec![UNMAPPED; pages],
+            pages: vec![Slot::HOLE; pages],
             mapped: 0,
             id,
             generation: 0,
@@ -180,8 +198,7 @@ impl Region {
 
     pub(crate) fn frame_at(&self, vpn: Vpn) -> Option<FrameId> {
         let idx = self.slot_index(vpn)?;
-        let raw = self.pages[idx];
-        (raw != UNMAPPED).then(|| FrameId::from_raw(raw))
+        self.pages[idx].frame()
     }
 
     /// Frame backing the `index`-th page of the region, if populated.
@@ -196,19 +213,15 @@ impl Region {
     /// Panics if `index >= len_pages()`.
     #[must_use]
     pub fn frame_at_index(&self, index: usize) -> Option<FrameId> {
-        let raw = self.pages[index];
-        (raw != UNMAPPED).then(|| FrameId::from_raw(raw))
+        self.pages[index].frame()
     }
 
-    /// Index of the first populated page at or after `index`, or `None`
-    /// if every page from there to the region's end is a hole: one
-    /// slice scan, for walks that skip holes.
+    /// The region's page slots in address order, one per page: the
+    /// view for walks that skip holes from a cursor, like the KSM
+    /// scanner's, reading each slot once.
     #[must_use]
-    pub fn next_mapped(&self, index: usize) -> Option<usize> {
-        let rest = self.pages.get(index..)?;
-        rest.iter()
-            .position(|&raw| raw != UNMAPPED)
-            .map(|i| index + i)
+    pub fn slots(&self) -> &[Slot] {
+        &self.pages
     }
 
     /// Page index of the `n`-th (0-based) populated page, or `None` if
@@ -217,8 +230,8 @@ impl Region {
     #[must_use]
     pub fn nth_mapped_index(&self, n: u64) -> Option<usize> {
         let mut seen = 0u64;
-        for (idx, &raw) in self.pages.iter().enumerate() {
-            if raw != UNMAPPED {
+        for (idx, slot) in self.pages.iter().enumerate() {
+            if slot.frame().is_some() {
                 if seen == n {
                     return Some(idx);
                 }
@@ -231,10 +244,10 @@ impl Region {
     pub(crate) fn set_frame(&mut self, vpn: Vpn, frame: Option<FrameId>) {
         let idx = self.slot_index(vpn).expect("vpn outside region");
         let old = self.pages[idx];
-        let new = frame.map_or(UNMAPPED, FrameId::into_raw);
-        if old == UNMAPPED && new != UNMAPPED {
+        let new = Slot::of(frame);
+        if old == Slot::HOLE && new != Slot::HOLE {
             self.mapped += 1;
-        } else if old != UNMAPPED && new == UNMAPPED {
+        } else if old != Slot::HOLE && new == Slot::HOLE {
             self.mapped -= 1;
         }
         self.pages[idx] = new;
@@ -246,8 +259,7 @@ impl Region {
         self.pages
             .iter()
             .enumerate()
-            .filter(|&(_i, &raw)| raw != UNMAPPED)
-            .map(|(i, &raw)| (self.base.offset(i as u64), FrameId::from_raw(raw)))
+            .filter_map(|(i, slot)| Some((self.base.offset(i as u64), slot.frame()?)))
     }
 
     /// Number of fully-contained 2 MiB blocks the region can hold
@@ -344,22 +356,6 @@ impl Region {
             self.cow_broken = vec![0; self.pages.len().div_ceil(64)].into_boxed_slice();
         }
         self.cow_broken[idx / 64] |= 1 << (idx % 64);
-    }
-}
-
-// Conversion helpers kept crate-internal so FrameId stays opaque outside the
-// mem crate's constructor discipline.
-trait FrameIdRaw {
-    fn from_raw(raw: u32) -> FrameId;
-    fn into_raw(self) -> u32;
-}
-
-impl FrameIdRaw for FrameId {
-    fn from_raw(raw: u32) -> FrameId {
-        FrameId::from_index(raw as usize)
-    }
-    fn into_raw(self) -> u32 {
-        self.index() as u32
     }
 }
 
@@ -575,18 +571,18 @@ mod tests {
     }
 
     #[test]
-    fn next_mapped_skips_holes() {
+    fn slots_read_each_page_frame_or_hole() {
         let mut space = AddressSpace::new_standalone("t");
         let base = space.add_region(8, MemTag::Other, true);
         let region = space.region_containing_mut(base).unwrap();
         region.set_frame(base.offset(2), Some(FrameId::from_index(7)));
         region.set_frame(base.offset(5), Some(FrameId::from_index(9)));
-        assert_eq!(region.next_mapped(0), Some(2));
-        assert_eq!(region.next_mapped(2), Some(2));
-        assert_eq!(region.next_mapped(3), Some(5));
-        assert_eq!(region.next_mapped(6), None);
-        assert_eq!(region.next_mapped(8), None);
-        assert_eq!(region.next_mapped(99), None);
+        let frames: Vec<_> = region.slots().iter().map(|slot| slot.frame()).collect();
+        let (seven, nine) = (Some(FrameId::from_index(7)), Some(FrameId::from_index(9)));
+        assert_eq!(frames, [None, None, seven, None, None, nine, None, None]);
+        region.set_frame(base.offset(2), None);
+        assert_eq!(region.slots()[2].frame(), None);
+        assert_eq!(region.mapped_pages(), 1);
     }
 
     #[test]
