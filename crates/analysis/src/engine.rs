@@ -330,9 +330,9 @@ mod tests {
             ];
             engine.snapshot(&mm, &v);
         }
-        // Merge the two identical pages: bumps the touched regions'
-        // generations AND sets the canonical frame's stable flag, which
-        // lives in the frame pool and must be re-read at assembly.
+        // Merge the two identical pages: repoints a PTE, moves the
+        // epoch AND sets the canonical frame's stable flag, which lives
+        // in the frame pool and must be re-read at assembly.
         let f0 = mm
             .frame_at(g0.vm_space(), g0.host_vpn(g0.translate(p0, r0).unwrap()))
             .unwrap();

@@ -1,17 +1,15 @@
 //! The differential oracle: a naive, obviously-correct KSM scanner.
 //!
 //! [`NaiveScanner`] re-implements the scanning semantics of
-//! [`ksm::KsmScanner`] with none of its fast paths: no clean-region
-//! skip credits and no region write-generation reads — every wake
-//! walks pages one at a time. It exists so tests can drive the
-//! incremental scanner and the oracle over identical operation
-//! sequences and assert that the resulting frame tables, page tables
-//! and statistics are bit-identical: any divergence is a bug in the
-//! incremental machinery.
-//!
-//! The one counter the two scanners legitimately disagree on is
-//! `clean_region_skips`, which counts fast-path activations and is
-//! always zero here; [`stats_equivalent`] compares everything else.
+//! [`ksm::KsmScanner`] with none of its machinery: no judge-then-commit
+//! overlay, no sole-holder filter and no slot loop. Every wake walks
+//! pages one at a time, re-resolves the region on every page and
+//! merges as it goes; only huge-page splits wait for the end of the
+//! wake, where the real scanner's commit applies them too. It exists
+//! so tests can drive the real scanner and the oracle over identical
+//! operation sequences and assert that the resulting frame tables,
+//! page tables and statistics are bit-identical: any divergence is a
+//! bug in the real scanner.
 
 use ksm::{KsmParams, KsmStats};
 use mem::{Fingerprint, FrameId, Tick, HUGE_PAGE_SPAN};
@@ -331,47 +329,4 @@ impl NaiveScanner {
             None
         }
     }
-}
-
-/// Compares incremental-scanner stats with oracle stats field by field,
-/// excluding `clean_region_skips` (a fast-path diagnostic the oracle
-/// never increments).
-///
-/// # Errors
-///
-/// Returns a message naming the first diverging counter.
-pub fn stats_equivalent(incremental: KsmStats, naive: KsmStats) -> Result<(), String> {
-    let fields = [
-        ("pages_shared", incremental.pages_shared, naive.pages_shared),
-        (
-            "pages_sharing",
-            incremental.pages_sharing,
-            naive.pages_sharing,
-        ),
-        ("full_scans", incremental.full_scans, naive.full_scans),
-        (
-            "pages_scanned",
-            incremental.pages_scanned,
-            naive.pages_scanned,
-        ),
-        ("merges", incremental.merges, naive.merges),
-        (
-            "volatile_skips",
-            incremental.volatile_skips,
-            naive.volatile_skips,
-        ),
-        (
-            "stale_stable_nodes",
-            incremental.stale_stable_nodes,
-            naive.stale_stable_nodes,
-        ),
-        ("chain_splits", incremental.chain_splits, naive.chain_splits),
-        ("thp_splits", incremental.thp_splits, naive.thp_splits),
-    ];
-    for (name, a, b) in fields {
-        if a != b {
-            return Err(format!("{name}: incremental {a} vs. oracle {b}"));
-        }
-    }
-    Ok(())
 }

@@ -7,19 +7,28 @@
 //! the unstable tree, and the stale stable node behind a sole holder
 //! that sends the walk from its own verdict back to the judge.
 //!
+//! A sweep then maps, unmaps and writes pages of a region while the
+//! cursor is in it or past it, before every wake of several passes at
+//! several budgets: a page faulted into a hole behind the cursor must
+//! wait for the next pass, and a page unmapped there must not shift
+//! where the walk resumes, in a converged region as in any other.
+//!
 //! Each test drives the real [`ksm::KsmScanner`] and the naive
 //! [`audit::NaiveScanner`] oracle through the same operations on two
 //! identical worlds and asserts identical frame tables, page tables and
-//! statistics, plus the outcome that tells the arm apart from its
-//! neighbours.
+//! statistics after every wake, plus the outcome that tells the arm
+//! apart from its neighbours.
 
-use audit::{frame_table, pte_table, stats_equivalent, NaiveScanner};
+use audit::{frame_table, pte_table, NaiveScanner};
 use ksm::{KsmParams, KsmScanner, KsmStats};
 use mem::{Fingerprint, FrameId, Tick, HUGE_PAGE_SPAN};
 use paging::{AsId, HostMm, MemTag, Vpn};
 
 /// Content `X`, the duplicated page every test is about.
 const X: u64 = 7;
+
+/// A page of [`Pair::new`]'s layout left unmapped.
+const HOLE: u64 = u64::MAX;
 
 fn content(c: u64) -> Fingerprint {
     Fingerprint::of(&[c])
@@ -36,7 +45,8 @@ struct Pair {
 
 impl Pair {
     /// One space per entry of `spaces`, its region holding those page
-    /// contents, written at tick 0; `budget` pages are scanned per wake.
+    /// contents, written at tick 0 ([`HOLE`] leaves a page unmapped);
+    /// `budget` pages are scanned per wake.
     fn new(budget: usize, spaces: &[&[u64]]) -> Pair {
         let build = || {
             let mut mm = HostMm::new();
@@ -45,7 +55,9 @@ impl Pair {
                 let space = mm.create_space(format!("vm{i}"));
                 let base = mm.map_region(space, pages.len(), MemTag::VmGuestMemory, true);
                 for (p, &c) in pages.iter().enumerate() {
-                    mm.write_page(space, base.offset(p as u64), content(c), Tick::ZERO);
+                    if c != HOLE {
+                        mm.write_page(space, base.offset(p as u64), content(c), Tick::ZERO);
+                    }
                 }
                 regions.push((space, base));
             }
@@ -76,16 +88,31 @@ impl Pair {
     /// One scanner wake on both worlds; returns the real scanner's stats
     /// after checking the two worlds still agree.
     fn wake(&mut self) -> KsmStats {
+        self.wake_in("")
+    }
+
+    /// [`wake`](Self::wake), naming `case` in a divergence's message.
+    fn wake_in(&mut self, case: &str) -> KsmStats {
         self.now = self.now.next();
         self.real.1.run(&mut self.real.0, self.now);
         self.oracle.1.run(&mut self.oracle.0, self.now);
         self.real.0.assert_consistent();
-        let stats = self.real.1.stats();
-        if let Err(diff) = stats_equivalent(stats, self.oracle.1.stats()) {
-            panic!("scanner stats diverged from the oracle: {diff}");
-        }
-        assert_eq!(frame_table(&self.real.0), frame_table(&self.oracle.0));
-        assert_eq!(pte_table(&self.real.0), pte_table(&self.oracle.0));
+        let (stats, wake) = (self.real.1.stats(), self.now.0);
+        assert_eq!(
+            stats,
+            self.oracle.1.stats(),
+            "{case}stats after wake {wake}"
+        );
+        assert_eq!(
+            frame_table(&self.real.0),
+            frame_table(&self.oracle.0),
+            "{case}frames after wake {wake}"
+        );
+        assert_eq!(
+            pte_table(&self.real.0),
+            pte_table(&self.oracle.0),
+            "{case}PTEs after wake {wake}"
+        );
         stats
     }
 
@@ -287,4 +314,80 @@ fn stale_node_behind_a_sole_holder_is_dropped_where_the_walk_meets_it() {
     assert_eq!(stats.full_scans, 1);
     assert_eq!(stats.stale_stable_nodes, 1);
     assert!(pair.real.1.stable_frames().all(|(fp, _)| fp != content(X)));
+}
+
+/// One operation on the first region of the sweep below.
+#[derive(Debug, Clone, Copy)]
+enum Touch {
+    /// A page faults into the leading hole just below the first mapped
+    /// page, with content that has a stable node once the pair merged.
+    Fault,
+    /// The first mapped page is unmapped.
+    Unmap,
+    /// A mapped page is written with new content: a CoW break once it
+    /// merged, an in-place write before.
+    WriteNew,
+    /// A mapped page is written back with the content it holds.
+    WriteSame,
+}
+
+/// Pages mapped, unmapped and written while the cursor is in a region
+/// or past it. The first region has two leading holes and six mapped
+/// pages, the second space holds the same six contents, so the pair
+/// merges in the first pass and every later pass walks two converged
+/// regions. A case is a budget from 1 to 5, one operation and the wake,
+/// from 1 to 79, before which it lands on the first region; each of the
+/// case's 119 wakes is checked against the oracle.
+#[test]
+fn pages_mapped_or_unmapped_behind_the_cursor_match_the_oracle() {
+    const FIRST: [u64; 8] = [HOLE, HOLE, 0, 1, 2, 3, 4, 5];
+    const SECOND: [u64; 6] = [0, 1, 2, 3, 4, 5];
+    const TOUCHES: [Touch; 4] = [
+        Touch::Fault,
+        Touch::Unmap,
+        Touch::WriteNew,
+        Touch::WriteSame,
+    ];
+    for budget in 1..=5 {
+        for before in 1..=79 {
+            for touch in TOUCHES {
+                let case = format!("budget {budget}, {touch:?} before wake {before}: ");
+                let mut pair = Pair::new(budget, &[&FIRST, &SECOND]);
+                for wake in 1..=119 {
+                    if wake == before {
+                        match touch {
+                            Touch::Fault => pair.write(0, 1, 0),
+                            Touch::Unmap => {
+                                pair.each(|mm, r| mm.unmap_page(r[0].0, r[0].1.offset(2)))
+                            }
+                            Touch::WriteNew => pair.write(0, 4, 100),
+                            Touch::WriteSame => pair.write(0, 7, 5),
+                        }
+                    }
+                    pair.wake_in(&case);
+                }
+            }
+        }
+    }
+}
+
+/// The smallest case of the sweep's unmaps, without holes: two spaces
+/// of two pages each, one page per wake. The pair merges in the first
+/// pass (wakes 1 to 5), and the second (wakes 6 to 10) finds both
+/// regions fully merged. Wake 11 walks the first page of the first
+/// region, and that page is then unmapped behind the cursor: wake 12
+/// must walk the second page rather than step over it, so the pass
+/// walks the second space on wakes 13 and 14 and ends on wake 15.
+#[test]
+fn page_unmapped_behind_the_cursor_of_a_converged_region_is_not_skipped_over() {
+    let mut pair = Pair::new(1, &[&[0, 1], &[0, 1]]);
+    for _ in 1..=11 {
+        pair.wake();
+    }
+    assert_eq!(pair.real.1.stats().full_scans, 2);
+    pair.each(|mm, r| mm.unmap_page(r[0].0, r[0].1));
+    for _ in 12..=14 {
+        assert_eq!(pair.wake().full_scans, 2);
+    }
+    assert_eq!(pair.wake().full_scans, 3);
 }

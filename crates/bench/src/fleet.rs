@@ -177,13 +177,13 @@ pub fn report_text(spec: &FleetSpec, passes: u64) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>4} {:>10} {:>8} {:>9} {:>8} {:>7} {:>9} {:>11}",
-        "pass", "scanned", "shared", "sharing", "merges", "splits", "volatile", "clean_skips"
+        "{:>4} {:>10} {:>8} {:>9} {:>8} {:>7} {:>9}",
+        "pass", "scanned", "shared", "sharing", "merges", "splits", "volatile"
     );
     for (i, s) in rows.iter().enumerate() {
         let _ = writeln!(
             out,
-            "{:>4} {:>10} {:>8} {:>9} {:>8} {:>7} {:>9} {:>11}",
+            "{:>4} {:>10} {:>8} {:>9} {:>8} {:>7} {:>9}",
             i + 1,
             s.pages_scanned,
             s.pages_shared,
@@ -191,7 +191,6 @@ pub fn report_text(spec: &FleetSpec, passes: u64) -> String {
             s.merges,
             s.chain_splits,
             s.volatile_skips,
-            s.clean_region_skips,
         );
     }
     let _ = writeln!(out, "\nstable tree: {} nodes", scanner.stable_nodes());

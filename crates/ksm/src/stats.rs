@@ -22,9 +22,6 @@ pub struct KsmStats {
     pub stale_stable_nodes: u64,
     /// Stable nodes re-seeded because a chain hit `max_page_sharing`.
     pub chain_splits: u64,
-    /// Regions credited in O(1) by the clean-region fast path instead of
-    /// being walked page by page.
-    pub clean_region_skips: u64,
     /// Transparent huge pages split so their subpages could enter the
     /// unstable tree (the `thp_collapse_alloc`-mirroring side of the real
     /// KSM/THP interaction: KSM never merges into a huge mapping, it
@@ -52,9 +49,6 @@ impl KsmStats {
                 .stale_stable_nodes
                 .saturating_sub(earlier.stale_stable_nodes),
             chain_splits: self.chain_splits.saturating_sub(earlier.chain_splits),
-            clean_region_skips: self
-                .clean_region_skips
-                .saturating_sub(earlier.clean_region_skips),
             thp_splits: self.thp_splits.saturating_sub(earlier.thp_splits),
         }
     }

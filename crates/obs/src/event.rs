@@ -118,16 +118,6 @@ pub enum EventKind {
         /// The frame promoted to a fresh chain head.
         frame: u64,
     },
-    /// An entire clean region was skipped via its write-generation
-    /// credit instead of being rescanned page by page.
-    CleanRegionCredit {
-        /// Address-space index of the region.
-        space: u32,
-        /// First virtual page of the region.
-        base: u64,
-        /// Pages credited as scanned without being touched.
-        pages: u64,
-    },
     /// A stable-tree node pointed at a dead or rewritten frame and was
     /// dropped.
     StaleNodeDrop {
@@ -271,7 +261,6 @@ impl EventKind {
             EventKind::MergeUnstable { .. } => "merge_unstable",
             EventKind::VolatileSkip { .. } => "volatile_skip",
             EventKind::ChainSplit { .. } => "chain_split",
-            EventKind::CleanRegionCredit { .. } => "clean_region_credit",
             EventKind::StaleNodeDrop { .. } => "stale_node_drop",
             EventKind::PassComplete { .. } => "pass_complete",
             EventKind::GuestRegionMap { .. } => "guest_region_map",
@@ -395,11 +384,6 @@ impl TraceEvent {
                 field("space", u64::from(space));
                 field("vpn", vpn);
                 field("frame", frame);
-            }
-            EventKind::CleanRegionCredit { space, base, pages } => {
-                field("space", u64::from(space));
-                field("base", base);
-                field("pages", pages);
             }
             EventKind::StaleNodeDrop { frame } => field("frame", frame),
             EventKind::PassComplete {

@@ -275,8 +275,7 @@ impl HostMm {
 
     /// Writes each `(vpn, fingerprint)` of `pages` in `space`, in order,
     /// with exactly the effects of one [`write_page`](Self::write_page)
-    /// per page: the same frames, events, counters, region generations
-    /// and epoch.
+    /// per page: the same frames, events, counters and epoch.
     ///
     /// The region is resolved once for each stretch of consecutive pages
     /// that falls inside it, so a run over one memslot pays one range
@@ -486,7 +485,6 @@ impl HostMm {
             .region_containing_mut(base)
             .expect("region vanished during collapse");
         region.set_huge(block, true);
-        region.touch();
         self.epoch += 1;
         self.huge_collapses += 1;
         self.tracer.emit_with(|| EventKind::HugeCollapse {
@@ -519,7 +517,6 @@ impl HostMm {
         if reason == SplitReason::Ksm {
             region.set_ksm_latch(block);
         }
-        region.touch();
         self.epoch += 1;
         self.huge_splits += 1;
         self.tracer.emit_with(|| EventKind::HugeSplit {
@@ -626,7 +623,6 @@ fn write_in(
             true
         }
         Some(frame) => {
-            region.touch();
             phys.write(frame, fingerprint, now);
             false
         }

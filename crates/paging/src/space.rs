@@ -88,13 +88,9 @@ pub struct Region {
     mapped: usize,
     // Identity within the owning address space: survives nothing — a
     // region removed and re-added at the same base gets a fresh id, so
-    // cached per-region state (the KSM clean-region records) can never
-    // alias across the replacement.
+    // a scan list entry (the KSM scanner's, the oracle's) can never
+    // name the replacement.
     id: u64,
-    // Monotonic write generation: bumped on every fault-in, overwrite,
-    // CoW break, PTE repoint, and unmap. An unchanged generation means
-    // no page of the region changed content or population.
-    generation: u64,
     // Huge-page overlay: one flag per fully-contained, region-relative
     // 2 MiB block (HUGE_PAGE_SPAN pages). A set flag means the block's
     // 512 subframes are mapped through a single PMD-sized translation.
@@ -123,7 +119,6 @@ impl Region {
             pages: vec![Slot::HOLE; pages],
             mapped: 0,
             id,
-            generation: 0,
             huge: vec![false; blocks],
             huge_count: 0,
             ksm_latch: vec![false; blocks],
@@ -170,18 +165,6 @@ impl Region {
         self.id
     }
 
-    /// Monotonic write-generation counter. Two equal observations mean
-    /// no page of the region was written, faulted in, repointed, or
-    /// unmapped in between.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    pub(crate) fn touch(&mut self) {
-        self.generation += 1;
-    }
-
     /// One past the last page of the region.
     #[must_use]
     pub fn end(&self) -> Vpn {
@@ -203,10 +186,11 @@ impl Region {
 
     /// Frame backing the `index`-th page of the region, if populated.
     ///
-    /// Direct indexing into the frame table — the page-iteration path
-    /// for callers (like the KSM scanner) that have already resolved
-    /// the region and walk it with a cursor, avoiding a per-page
-    /// region lookup.
+    /// Direct indexing for callers that have already resolved the
+    /// region and read it by page index, avoiding a per-page region
+    /// lookup: the audit's checks, the naive KSM oracle's cursor and
+    /// [`HostMm::try_collapse`](crate::HostMm::try_collapse)'s check of
+    /// a block. The KSM scanner reads [`slots`](Self::slots) instead.
     ///
     /// # Panics
     ///
@@ -224,23 +208,6 @@ impl Region {
         &self.pages
     }
 
-    /// Page index of the `n`-th (0-based) populated page, or `None` if
-    /// fewer than `n + 1` pages are populated. O(len); used only on the
-    /// rare fall-back when a clean-region skip is interrupted.
-    #[must_use]
-    pub fn nth_mapped_index(&self, n: u64) -> Option<usize> {
-        let mut seen = 0u64;
-        for (idx, slot) in self.pages.iter().enumerate() {
-            if slot.frame().is_some() {
-                if seen == n {
-                    return Some(idx);
-                }
-                seen += 1;
-            }
-        }
-        None
-    }
-
     pub(crate) fn set_frame(&mut self, vpn: Vpn, frame: Option<FrameId>) {
         let idx = self.slot_index(vpn).expect("vpn outside region");
         let old = self.pages[idx];
@@ -251,7 +218,6 @@ impl Region {
             self.mapped -= 1;
         }
         self.pages[idx] = new;
-        self.generation += 1;
     }
 
     /// Iterates over populated pages as `(vpn, frame)` pairs.
@@ -475,7 +441,7 @@ impl AddressSpace {
     /// Returns the region *based* exactly at `base`, if any — a single
     /// map lookup, cheaper than [`region_containing`](Self::region_containing)
     /// and sufficient when the caller already knows the base (the KSM
-    /// scanner resolves each region once per batch this way).
+    /// scanner resolves its region once per walk this way).
     #[must_use]
     pub fn region_at(&self, base: Vpn) -> Option<&Region> {
         self.regions.get(&base.0)
@@ -507,23 +473,6 @@ impl AddressSpace {
     #[must_use]
     pub fn mapped_pages(&self) -> usize {
         self.regions.values().map(Region::mapped_pages).sum()
-    }
-
-    /// The space's write-generation signature: every region's
-    /// `(id, generation)` pair in address order.
-    ///
-    /// Two equal observations mean no region was added, removed, remapped
-    /// or written in between — every PTE mutation bumps its region's
-    /// generation, and region ids are never reused within a space — so
-    /// tests compare shadow worlds with it. Frame-pool state (KSM stable
-    /// flags, out-of-band frees) is *not* covered: it changes the
-    /// [`HostMm`](crate::HostMm) epoch without touching any generation.
-    #[must_use]
-    pub fn generation_signature(&self) -> Vec<(u64, u64)> {
-        self.regions
-            .values()
-            .map(|r| (r.id(), r.generation()))
-            .collect()
     }
 }
 
