@@ -1,12 +1,64 @@
 //! Observability integration tests: trace determinism and neutrality,
-//! timeline deltas with gated attribution, per-phase profiling, the
-//! merge-miss diagnostics, and the `explain` golden master.
+//! the two pinned reference traces, timeline deltas with gated
+//! attribution, per-phase profiling, the merge-miss diagnostics, and the
+//! `explain` golden master.
 
 use tps_java_repro::cli;
 use tpslab::{Experiment, ExperimentConfig};
 
 fn small() -> ExperimentConfig {
     ExperimentConfig::small_test(2, true)
+}
+
+/// FNV-1a-64 of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The JSONL traces of two whole-pipeline runs, one with every guest on
+/// 4 KiB pages and one under `--thp always`, pinned by event count, byte
+/// count and FNV-1a-64 digest. They record every KSM merge, skip, chain
+/// split and huge-page split in emission order, so a change that moves
+/// a verdict or reorders the events moves a digest even where every
+/// report stays the same. A change that moves either trace on purpose
+/// re-records the three values here and says why.
+#[test]
+fn reference_traces_are_pinned() {
+    const TRACES: [(&str, usize, usize, u64); 2] = [
+        (
+            "run --guests 4 --scale 64 --minutes 2",
+            211_706,
+            21_863_468,
+            0xe122_73f5_084d_4b1a,
+        ),
+        (
+            "run --guests 3 --scale 64 --minutes 1 --thp always",
+            92_639,
+            9_422_139,
+            0x928d_2776_d5d0_e0b3,
+        ),
+    ];
+    for (i, (command, events, bytes, digest)) in TRACES.into_iter().enumerate() {
+        let path = std::env::temp_dir().join(format!(
+            "tps_java_reference_trace_{}_{i}.jsonl",
+            std::process::id()
+        ));
+        let mut args: Vec<String> = command.split_whitespace().map(String::from).collect();
+        args.extend(["--trace".to_string(), path.display().to_string()]);
+        cli::dispatch(&args).expect("traced run");
+        let trace = std::fs::read(&path).expect("trace file written");
+        std::fs::remove_file(&path).ok();
+        let lines = trace.iter().filter(|&&byte| byte == b'\n').count();
+        let actual = fnv1a64(&trace);
+        assert_eq!(
+            (lines, trace.len(), actual),
+            (events, bytes, digest),
+            "`{command} --trace` moved: {lines} events, {} bytes, digest {actual:#018x}",
+            trace.len()
+        );
+    }
 }
 
 #[test]
