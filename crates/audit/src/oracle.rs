@@ -1,11 +1,12 @@
 //! The differential oracle: a naive, obviously-correct KSM scanner.
 //!
 //! [`NaiveScanner`] re-implements the scanning semantics of
-//! [`ksm::KsmScanner`] with none of its machinery: no judge-then-commit
-//! overlay, no sole-holder filter and no slot loop. Every wake walks
-//! pages one at a time, re-resolves the region on every page and
-//! merges as it goes; only huge-page splits wait for the end of the
-//! wake, where the real scanner's commit applies them too. It exists
+//! [`ksm::KsmScanner`] with none of its speed machinery: no slot loop,
+//! no sole-holder filter or inline verdict, no id-hashed trees and no
+//! whole-region rule. Every wake walks pages one at a time,
+//! re-resolves the region on every page and merges as it goes, as the
+//! real scanner does; only huge-page splits wait for the end of the
+//! wake, where the real scanner applies them too. It exists
 //! so tests can drive the real scanner and the oracle over identical
 //! operation sequences and assert that the resulting frame tables,
 //! page tables and statistics are bit-identical: any divergence is a
@@ -125,8 +126,8 @@ impl NaiveScanner {
                 }
             }
         }
-        // Apply the wake's huge-page splits after the walk, exactly where
-        // the incremental scanner's commit phase applies its split ops.
+        // Apply the wake's huge-page splits after the walk, where the
+        // incremental scanner applies its queued split requests.
         for (space, base, block) in std::mem::take(&mut self.pending_splits) {
             if mm.split_block(space, base, block, SplitReason::Ksm) {
                 self.stats.thp_splits += 1;

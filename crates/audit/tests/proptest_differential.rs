@@ -6,12 +6,13 @@
 //! converge to bit-identical physical state and identical statistics.
 //!
 //! This is the harness that guards the incremental scanner's machinery
-//! (the judge-then-commit overlay, the sole-holder skip of the unstable
-//! tree and the walk's own verdict on sole holders, with its fall-back
-//! to the full judge when a stale stable node names the page's
-//! content): any divergence it introduces shows up as a frame-table,
-//! PTE-table or stats mismatch against the oracle. The incrementally
-//! scanned world must additionally pass the full conservation audit.
+//! (the slot loop that leaves and re-enters a region at every merge,
+//! the sole-holder skip of the unstable tree and the walk's own verdict
+//! on sole holders, with its fall-back to the full judge when a stale
+//! stable node names the page's content): any divergence it introduces
+//! shows up as a frame-table, PTE-table or stats mismatch against the
+//! oracle. The incrementally scanned world must additionally pass the
+//! full conservation audit.
 
 use analysis::GuestView;
 use audit::{check_world, frame_table, pte_table, NaiveScanner, World};

@@ -14,7 +14,9 @@
 //! the ops here run at block granularity against guests large enough to
 //! hold several 2 MiB blocks, so KSM-split latching, collapse
 //! eligibility (full population, no shared subframes) and the
-//! madvise/balloon demote paths all engage.
+//! madvise/balloon demote paths all engage. It is the one differential
+//! check where merges land in the middle of a wake while KSM's huge-page
+//! splits wait for its end, so an ignored 4,096-case copy runs in CI.
 
 use analysis::GuestView;
 use audit::{check_world, frame_table, pte_table, NaiveScanner, World};
@@ -192,6 +194,57 @@ impl WorldState {
     }
 }
 
+/// Applies `ops` to two identical worlds under `policy`, one op and one
+/// wake of each scanner at a time, then lets both settle, and checks
+/// that the incremental scanner reached the oracle's physical state,
+/// statistics and huge-block count and that its world passes the
+/// huge-frame conservation audit.
+fn check_against_oracle(policy: ThpPolicy, ops: &[Op], budget: usize) {
+    let params = KsmParams::new(budget, 100);
+    let mut a = WorldState::build(policy);
+    let mut b = WorldState::build(policy);
+    let mut incremental = KsmScanner::new(params);
+    let mut naive = NaiveScanner::new(params);
+
+    let mut t = 1u64;
+    for &op in ops {
+        a.apply(op, Tick(t));
+        b.apply(op, Tick(t));
+        incremental.run(&mut a.mm, Tick(t));
+        naive.run(&mut b.mm, Tick(t));
+        t += 1;
+    }
+    // Idle settle: any huge block the cursor reaches is split and
+    // latched identically in both worlds.
+    for _ in 0..12 {
+        incremental.run(&mut a.mm, Tick(t));
+        naive.run(&mut b.mm, Tick(t));
+        t += 1;
+    }
+
+    incremental.recount(&a.mm);
+    naive.recount(&b.mm);
+    assert_eq!(incremental.stats(), naive.stats(), "scanner stats");
+    assert_eq!(a.huge_blocks(), b.huge_blocks(), "huge blocks");
+    assert_eq!(frame_table(&a.mm), frame_table(&b.mm));
+    assert_eq!(pte_table(&a.mm), pte_table(&b.mm));
+
+    let views: Vec<GuestView<'_>> = a
+        .guests
+        .iter()
+        .enumerate()
+        .map(|(i, g)| GuestView::new(NAMES[i], &g.os, vec![g.pid]))
+        .collect();
+    let world = World {
+        mm: &a.mm,
+        guests: views,
+        scanner: Some(&incremental),
+    };
+    if let Err(violation) = check_world(&world) {
+        panic!("audit failed after op sequence under thp={policy}: {violation}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -204,48 +257,22 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 0..24),
         budget in 200usize..1200,
     ) {
-        let params = KsmParams::new(budget, 100);
-        let mut a = WorldState::build(policy);
-        let mut b = WorldState::build(policy);
-        let mut incremental = KsmScanner::new(params);
-        let mut naive = NaiveScanner::new(params);
+        check_against_oracle(policy, &ops, budget);
+    }
+}
 
-        let mut t = 1u64;
-        for &op in &ops {
-            a.apply(op, Tick(t));
-            b.apply(op, Tick(t));
-            incremental.run(&mut a.mm, Tick(t));
-            naive.run(&mut b.mm, Tick(t));
-            t += 1;
-        }
-        // Idle settle: any huge block the cursor reaches is split and
-        // latched identically in both worlds.
-        for _ in 0..12 {
-            incremental.run(&mut a.mm, Tick(t));
-            naive.run(&mut b.mm, Tick(t));
-            t += 1;
-        }
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
 
-        incremental.recount(&a.mm);
-        naive.recount(&b.mm);
-        prop_assert_eq!(incremental.stats(), naive.stats());
-        prop_assert_eq!(a.huge_blocks(), b.huge_blocks());
-        prop_assert_eq!(frame_table(&a.mm), frame_table(&b.mm));
-        prop_assert_eq!(pte_table(&a.mm), pte_table(&b.mm));
-
-        let views: Vec<GuestView<'_>> = a
-            .guests
-            .iter()
-            .enumerate()
-            .map(|(i, g)| GuestView::new(NAMES[i], &g.os, vec![g.pid]))
-            .collect();
-        let world = World {
-            mm: &a.mm,
-            guests: views,
-            scanner: Some(&incremental),
-        };
-        if let Err(violation) = check_world(&world) {
-            panic!("audit failed after op sequence under thp={policy}: {violation}");
-        }
+    /// The same check over 4 096 cases: seconds in a release build, so
+    /// `cargo test --release -- --ignored` runs it (CI does).
+    #[test]
+    #[ignore = "4096 cases; CI runs it with --release -- --ignored"]
+    fn huge_frame_interleavings_match_oracle_and_audit_4096_cases(
+        policy in policy_strategy(),
+        ops in prop::collection::vec(op_strategy(), 0..24),
+        budget in 200usize..1200,
+    ) {
+        check_against_oracle(policy, &ops, budget);
     }
 }

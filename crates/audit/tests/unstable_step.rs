@@ -2,10 +2,10 @@
 //! per outcome of the unstable-tree step's single map probe (a vacant
 //! slot is filled; a huge-collapsed, unmapped or changed candidate is
 //! replaced; the same page re-encountered is kept; equal content is
-//! merged and the entry removed), plus the overlay check that skips a
-//! frame merged away earlier in the same wake, the sole-holder skip of
-//! the unstable tree, and the stale stable node behind a sole holder
-//! that sends the walk from its own verdict back to the judge.
+//! merged and the entry removed), plus a page whose frame was merged
+//! away earlier in the same wake, the sole-holder skip of the unstable
+//! tree, and the stale stable node behind a sole holder that sends the
+//! walk from its own verdict back to the judge.
 //!
 //! A sweep then maps, unmaps and writes pages of a region while the
 //! cursor is in it or past it, before every wake of several passes at
@@ -221,9 +221,9 @@ fn equal_content_merges_and_removes_the_entry() {
 /// Two page-table entries share one frame outside KSM (injected as in
 /// `same_page_re_encountered_is_kept`), and their content already has
 /// a stable node. Both fall in one wake: the first entry merges the
-/// frame into the node; the second still maps that frame in the
-/// wake-start state and must be skipped as already shared, because
-/// merging the same frame twice would read it after it was freed.
+/// frame into the node, which repoints both entries, so the walk meets
+/// the node's frame at the second and passes it over as shared.
+/// Merging the same frame twice would read it after it was freed.
 #[test]
 fn frame_merged_away_earlier_in_the_wake_is_skipped() {
     let mut pair = Pair::new(2, &[&[X], &[X], &[X], &[X]]);

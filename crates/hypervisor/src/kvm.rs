@@ -2,7 +2,7 @@
 
 use mem::{FingerprintBuilder, Tick};
 use oskernel::{GuestOs, OsImage, Pid};
-use paging::{HostMm, MemTag, ThpPolicy, Vpn};
+use paging::{HostMm, MemTag, ThpPolicy};
 
 /// VM-process overhead outside guest memory (QEMU device state, runtime
 /// heap) — "the pages used by the guest VM itself", which §II.D found to
@@ -75,8 +75,6 @@ pub struct KvmGuest {
     pub os: GuestOs,
     /// Pids of the guest's background daemons.
     pub daemon_pids: Vec<Pid>,
-    #[allow(dead_code)]
-    overhead_base: Vpn,
 }
 
 /// A host machine running KVM guests over one shared frame pool.
@@ -220,7 +218,6 @@ impl KvmHost {
             name,
             os,
             daemon_pids,
-            overhead_base,
         });
         self.guests.len() - 1
     }

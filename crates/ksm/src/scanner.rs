@@ -1,7 +1,7 @@
 //! The KSM scanning loop.
 
 use crate::{KsmParams, KsmStats};
-use mem::{Fingerprint, FrameId, IdMap, IdSet, Tick, HUGE_PAGE_SPAN};
+use mem::{Fingerprint, FrameId, IdMap, Tick, HUGE_PAGE_SPAN};
 use obs::{EventKind, Profiler};
 use paging::{AsId, HostMm, Mapping, SplitReason, Vpn};
 use std::collections::hash_map::Entry;
@@ -44,33 +44,30 @@ use std::time::Instant;
 /// # The walk
 ///
 /// Every pass walks every mergeable region. A region is resolved once
-/// per walk step and read in one loop over its page slots from the
-/// cursor ([`paging::Region::slots`]), holes skipped, each mapped
+/// per walk step, and again after each merge or promotion (below), and
+/// read in one loop over its page slots from the cursor
+/// ([`paging::Region::slots`]), holes skipped, each mapped
 /// page's frame read once and the page decided on the spot: a
 /// KSM-shared page is passed over, and a sole holder (one PTE, the
 /// only live holder of its content, the volatility filter active) that
 /// has no stable-tree node is settled in the loop, counted as judged
 /// and, if written inside the horizon, as a volatile skip. Every other
-/// candidate goes through the full judge below. The scanner keeps no
-/// per-region state beyond its scan list and its cursor (a region index
-/// and a page index).
+/// candidate goes through the full judge, which reads memory as it is
+/// now. The scanner keeps no per-region state beyond its scan list and
+/// its cursor (a region index and a page index).
 ///
-/// # Judge, then commit
+/// # Merging as it walks
 ///
-/// A wake is one serial pass over its window, in scan order, in two
-/// steps:
-///
-/// 1. **Judge.** The cursor and budget above walk the window and judge
-///    every unshared candidate page against the memory state at wake
-///    start plus an overlay of the wake's own decisions so far (frames
-///    merged away, frames that became stable nodes, refcount granted by
-///    earlier merges), so each verdict is the one a scan mutating
-///    memory as it goes would reach. The trees and counters are updated
-///    on the spot; each page-table mutation (merge, promotion,
-///    huge-page split) and each trace event goes on an ordered list
-///    instead.
-/// 2. **Commit.** Both lists are applied in scan order and the overlay
-///    is cleared.
+/// A wake is one serial pass over its window, in scan order, like
+/// `ksmd`'s. A merge or chain-split promotion the judge decides is
+/// applied to the [`HostMm`] at once; the loop then resolves its region
+/// again and resumes at the next page, so a later page that mapped a
+/// frame merged away reads the canonical, already shared. The trees and
+/// counters are updated on the spot. Two things wait for the end of the
+/// wake, in scan order: the huge-page split requests (a block's other
+/// subpages in the window stay under the huge mapping until the next
+/// pass) and then the trace events, so the splits' own events come
+/// first.
 ///
 /// A region entered at its first page whose populated-page count fits
 /// the remaining budget is walked to its end, trailing holes included,
@@ -96,22 +93,13 @@ pub struct KsmScanner {
     prev_pass_start: Tick,
     first_pass_done: bool,
     stats: KsmStats,
-    /// The wake's page-table mutations, in scan order. Huge-page splits
-    /// are idempotent per block, so the per-subpage split requests of
-    /// one block collapse to a single effective split at commit.
-    ops: Vec<CommitOp>,
+    /// The wake's huge-page split requests `(space, region base,
+    /// block)`, in scan order, applied at the end of the wake. Splits
+    /// are idempotent per block, so the per-subpage requests of one
+    /// block collapse to a single effective split.
+    splits: Vec<(AsId, Vpn, usize)>,
     /// The wake's trace events, in scan order.
     events: Vec<EventKind>,
-    /// Overlay: frames merged away this wake, to their canonical.
-    alias: IdMap<FrameId, FrameId>,
-    /// Overlay: frames that became stable nodes this wake (merge
-    /// canonicals and promoted chain heads).
-    spec_shared: IdSet<FrameId>,
-    /// Overlay: refcount granted to a canonical by this wake's merges
-    /// (each merge adds the duplicate's refcount, which is exactly the
-    /// number of users repointed), so the `max_page_sharing` cap check
-    /// sees the refcount a live scan would.
-    spec_ref: IdMap<FrameId, u32>,
     /// Every wake's work counters, summed; the nanos stay 0 here and
     /// [`wake_totals`](Self::wake_totals) reads them from `prof`.
     work: WakePhases,
@@ -135,8 +123,9 @@ pub struct KsmScanner {
 /// behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WakePhases {
-    /// The judging pass: cursor and budget bookkeeping plus every
-    /// candidate's verdict.
+    /// The walk: cursor and budget bookkeeping, every candidate's
+    /// verdict, and the merges and promotions applied as they are
+    /// decided.
     pub plan_nanos: u64,
     /// Always 0: the wake has no classify phase. Kept, like
     /// `resolve_nanos`, only because `perfbench` reads it; both go at
@@ -144,8 +133,8 @@ pub struct WakePhases {
     pub classify_nanos: u64,
     /// Always 0: the wake has no resolve phase (see `classify_nanos`).
     pub resolve_nanos: u64,
-    /// The commit (mutations and events applied in scan order) and the
-    /// pass boundary.
+    /// The end of the wake: the queued huge-page splits and trace
+    /// events, and the pass boundary.
     pub commit_nanos: u64,
     /// Deterministic: budget units the wake consumed, one per mapped
     /// page walked.
@@ -156,7 +145,9 @@ pub struct WakePhases {
     pub classify_tasks: u64,
     /// Deterministic: candidate pages judged.
     pub resolved_items: u64,
-    /// Deterministic: mutations (merges, promotions, splits) committed.
+    /// Deterministic: mutations applied. Merges and promotions count
+    /// one each; a huge-page split counts one per request, and every
+    /// subpage of a block in the window requests it.
     pub committed_ops: u64,
 }
 
@@ -168,32 +159,24 @@ struct ScanRegion {
     id: u64,
 }
 
-/// A page-table mutation decided while judging, applied to the `HostMm`
-/// at commit in scan order.
+/// A page-table mutation the judge decided, which the walk applies to
+/// the [`HostMm`] before it reads the next page.
 #[derive(Debug, Clone, Copy)]
-enum CommitOp {
+enum Mutation {
     /// Merge `dup` into the stable frame `canonical`.
     Merge { dup: FrameId, canonical: FrameId },
     /// Mark `frame` as a fresh stable-tree node.
     Promote { frame: FrameId },
-    /// Split the 2 MiB block `block` of the region based at `base` so
-    /// its subpages become merge candidates on a later pass.
-    Split {
-        space: AsId,
-        base: Vpn,
-        block: usize,
-    },
 }
 
-/// One unshared candidate page as the walk read it. Memory is frozen
-/// until the commit, so the read equals a live one at judging time.
+/// One unshared candidate page as the walk read it, right before it is
+/// judged.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     mapping: Mapping,
     frame: FrameId,
     fingerprint: Fingerprint,
     last_write: Tick,
-    refcount: u32,
     /// The volatility filter is active and the frame was written at or
     /// after its horizon: the checksum test fails.
     volatile: bool,
@@ -219,11 +202,8 @@ impl KsmScanner {
             prev_pass_start: Tick::ZERO,
             first_pass_done: false,
             stats: KsmStats::default(),
-            ops: Vec::new(),
+            splits: Vec::new(),
             events: Vec::new(),
-            alias: IdMap::default(),
-            spec_shared: IdSet::default(),
-            spec_ref: IdMap::default(),
             work: WakePhases::default(),
             prof: Profiler::default(),
         }
@@ -419,11 +399,11 @@ impl KsmScanner {
                 return;
             }
         }
-        // Judge this wake's window against its start state.
+        // Walk this wake's window, merging as it goes.
         let budget = self.params.pages_to_scan();
         let mut scanned = 0;
         let mut pass_complete = false;
-        let judge_start = Instant::now();
+        let walk_start = Instant::now();
         while scanned < budget {
             match self.walk(mm, budget - scanned) {
                 Advance::Scanned(n) => scanned += n,
@@ -433,7 +413,7 @@ impl KsmScanner {
                 }
             }
         }
-        self.prof.end("plan", judge_start, 0, scanned as u64);
+        self.prof.end("plan", walk_start, 0, scanned as u64);
         self.work.planned_pages += scanned as u64;
         let commit_start = Instant::now();
         self.commit(mm);
@@ -531,20 +511,23 @@ impl KsmScanner {
         self.cursor_page = 0;
     }
 
-    /// One bounded unit of the judging pass: a page walk within the
-    /// current region (judging each candidate) or a cursor transition.
-    /// Always either makes cursor progress or reports the pass complete.
+    /// One bounded unit of the wake: a page walk within the current
+    /// region (judging each candidate) or a cursor transition. Always
+    /// either makes cursor progress or reports the pass complete.
     ///
-    /// Memory is only read here; every mutation waits for the
-    /// [`commit`](Self::commit).
-    fn walk(&mut self, mm: &HostMm, budget_left: usize) -> Advance {
+    /// Short of the region's end and the budget, the walk leaves its
+    /// slot loop only at a page whose judge decided a mutation. It
+    /// applies the mutation, resolves the region again (a merge or
+    /// promotion never unmaps one) and resumes at the next page, under
+    /// the whole-region decision made when it entered the region.
+    fn walk(&mut self, mm: &mut HostMm, budget_left: usize) -> Advance {
         debug_assert!(budget_left > 0);
         let Some(&ScanRegion { space, base, id }) = self.scan_list.get(self.cursor_region) else {
             return Advance::PassComplete;
         };
-        // Resolve the region once for the whole walk (a single map
-        // lookup), not once per page.
-        let Some(region) = mm.space(space).region_at(base).filter(|r| r.id() == id) else {
+        // Resolve the region once per stretch of pages between
+        // mutations (a single map lookup), not once per page.
+        let Some(mut region) = mm.space(space).region_at(base).filter(|r| r.id() == id) else {
             // The region was unmapped (or replaced) mid-pass.
             self.next_region();
             return Advance::Scanned(0);
@@ -558,89 +541,100 @@ impl KsmScanner {
         if whole {
             self.work.classify_tasks += 1;
         }
-        // The wake's inputs, fixed for the walk: memory is frozen until
-        // the commit, and only the pass boundary after it moves the
-        // horizon.
-        let phys = mm.phys();
-        let holders = phys.holders();
+        // Fixed for the wake: only the pass boundary after the walk
+        // moves the horizon.
         let tracing = mm.tracer().is_enabled();
         let horizon = self.volatility_horizon();
         let filtering = horizon > Tick::ZERO;
-        let huge = region.huge_blocks() > 0;
         let limit = if whole { usize::MAX } else { budget_left };
         let mut scanned = 0usize;
-        let mut region_done = true;
-        let start = self.cursor_page as usize;
-        for (offset, slot) in region.slots()[start..].iter().enumerate() {
-            let Some(frame) = slot.frame() else { continue };
-            let index = start + offset;
-            scanned += 1;
-            'page: {
-                if huge && region.is_huge_block(index / HUGE_PAGE_SPAN) {
-                    // Under a 2 MiB mapping: KSM breaks the huge page
-                    // before its subpages can be considered
-                    // (split-before-merge). The page itself becomes a
-                    // candidate on a later pass.
-                    let block = index / HUGE_PAGE_SPAN;
-                    self.ops.push(CommitOp::Split { space, base, block });
-                    break 'page;
-                }
-                let f = phys.frame(frame);
-                if f.ksm_shared() {
-                    // Already a stable node (or a sharer of one).
-                    break 'page;
-                }
-                let fingerprint = f.fingerprint();
-                let page = Candidate {
-                    mapping: Mapping {
-                        space,
-                        vpn: base.offset(index as u64),
-                    },
-                    frame,
-                    fingerprint,
-                    last_write: f.last_write(),
-                    refcount: f.refcount(),
-                    volatile: filtering && f.last_write() >= horizon,
-                    sole: filtering && f.refcount() == 1 && holders.count(fingerprint) == 1,
-                };
-                if page.sole && !self.stable.contains_key(&fingerprint) {
-                    // The judge's verdict without the call: no overlay
-                    // entry (one PTE), no stable node to merge with or
-                    // drop, and the unstable tree left alone.
-                    self.work.resolved_items += 1;
-                    if page.volatile {
-                        self.skip_volatile(&page, tracing);
+        let mut start = self.cursor_page as usize;
+        loop {
+            let phys = mm.phys();
+            let holders = phys.holders();
+            let huge = region.huge_blocks() > 0;
+            // The page the loop stopped at, if it stopped inside the
+            // region, and the mutation decided there.
+            let mut stop = None;
+            let mut decided = None;
+            'slots: for (offset, slot) in region.slots()[start..].iter().enumerate() {
+                let Some(frame) = slot.frame() else { continue };
+                let index = start + offset;
+                scanned += 1;
+                'page: {
+                    if huge && region.is_huge_block(index / HUGE_PAGE_SPAN) {
+                        // Under a 2 MiB mapping: KSM breaks the huge page
+                        // before its subpages can be considered
+                        // (split-before-merge). The page itself becomes a
+                        // candidate on a later pass.
+                        self.splits.push((space, base, index / HUGE_PAGE_SPAN));
+                        break 'page;
                     }
-                    break 'page;
+                    let f = phys.frame(frame);
+                    if f.ksm_shared() {
+                        // Already a stable node (or a sharer of one).
+                        break 'page;
+                    }
+                    let fingerprint = f.fingerprint();
+                    let page = Candidate {
+                        mapping: Mapping {
+                            space,
+                            vpn: base.offset(index as u64),
+                        },
+                        frame,
+                        fingerprint,
+                        last_write: f.last_write(),
+                        volatile: filtering && f.last_write() >= horizon,
+                        sole: filtering && f.refcount() == 1 && holders.count(fingerprint) == 1,
+                    };
+                    if page.sole && !self.stable.contains_key(&fingerprint) {
+                        // The judge's verdict without the call: no stable
+                        // node to merge with or drop, and the unstable tree
+                        // left alone.
+                        self.work.resolved_items += 1;
+                        if page.volatile {
+                            self.skip_volatile(&page, tracing);
+                        }
+                        break 'page;
+                    }
+                    decided = self.judge(mm, &page, tracing);
+                    if decided.is_some() {
+                        stop = Some(index);
+                        break 'slots;
+                    }
                 }
-                self.judge(mm, &page, tracing);
+                if scanned == limit {
+                    stop = Some(index);
+                    break;
+                }
+            }
+            let Some(index) = stop else {
+                self.next_region();
+                break;
+            };
+            if let Some(mutation) = decided {
+                self.work.committed_ops += 1;
+                match mutation {
+                    Mutation::Merge { dup, canonical } => mm.merge_frames(dup, canonical),
+                    Mutation::Promote { frame } => mm.mark_ksm_stable(frame),
+                }
             }
             if scanned == limit {
                 self.cursor_page = index as u64 + 1;
-                region_done = false;
                 break;
             }
-        }
-        if region_done {
-            self.next_region();
+            start = index + 1;
+            region = mm
+                .space(space)
+                .region_at(base)
+                .expect("a merge or promotion never unmaps a region");
         }
         Advance::Scanned(scanned)
     }
 
-    /// Judges one unshared candidate page: the merge state machine,
-    /// run against the wake-start memory state plus the overlay.
-    ///
-    /// The overlay stands in for the wake's own mutations, which only
-    /// land at commit:
-    ///
-    /// * a frame in `alias` was merged away earlier this wake — a later
-    ///   page still mapping it would, live, have been repointed already
-    ///   and skipped as shared;
-    /// * a frame in `spec_shared` became a stable node this wake;
-    /// * `spec_ref` adds the refcount this wake's merges granted.
-    ///
-    /// Merges preserve content, so a fingerprint read through a frame
-    /// merged away this wake is still exact.
+    /// Judges one unshared candidate page: the merge state machine, run
+    /// against memory as it is now. Returns the page-table mutation it
+    /// decided, for the walk to apply before it reads the next page.
     ///
     /// A page whose frame is the only live holder of its content skips
     /// the unstable tree once the stable lookup and the volatility
@@ -648,29 +642,20 @@ impl KsmScanner {
     /// changes. The walk settles such a page itself when the stable tree
     /// has no node for its content, so here it is one whose stable
     /// lookup finds a node.
-    fn judge(&mut self, mm: &HostMm, page: &Candidate, tracing: bool) {
+    fn judge(&mut self, mm: &HostMm, page: &Candidate, tracing: bool) -> Option<Mutation> {
         let phys = mm.phys();
         let (mapping, frame, fp) = (page.mapping, page.frame, page.fingerprint);
         self.work.resolved_items += 1;
-        // The frame was merged away or became a stable node earlier this
-        // wake: live, the page is already shared and is skipped without
-        // touching the trees or counters. A frame with one PTE cannot
-        // be in the overlay: that PTE is walked once per pass, so no
-        // earlier page of this wake mapped the frame.
-        if page.refcount > 1
-            && (self.alias.contains_key(&frame) || self.spec_shared.contains(&frame))
-        {
-            return;
-        }
 
         // 1. Stable-tree lookup (with stale-node validation). Nodes
         // respect the max_page_sharing cap: a saturated chain head stops
-        // accepting duplicates and the page is left for a new node.
+        // accepting duplicates and the page is left for a new node. A
+        // valid node is KSM-shared and the page's frame is not, so the
+        // node is never the page's own frame.
         let mut stable_hit = None;
         if let Some(&node) = self.stable.get(&fp) {
-            let valid = phys.is_live(node)
-                && (phys.is_ksm_shared(node) || self.spec_shared.contains(&node))
-                && phys.fingerprint(node) == fp;
+            let valid =
+                phys.is_live(node) && phys.is_ksm_shared(node) && phys.fingerprint(node) == fp;
             if valid {
                 stable_hit = Some(node);
             } else {
@@ -684,13 +669,8 @@ impl KsmScanner {
             }
         }
         if let Some(canonical) = stable_hit {
-            if canonical == frame {
-                return;
-            }
-            let refs =
-                phys.refcount(canonical) + self.spec_ref.get(&canonical).copied().unwrap_or(0);
-            if refs < self.params.max_page_sharing() {
-                self.merge(page.refcount, frame, canonical);
+            if phys.refcount(canonical) < self.params.max_page_sharing() {
+                self.stats.merges += 1;
                 if tracing {
                     self.events.push(EventKind::MergeStable {
                         space: mapping.space.index() as u32,
@@ -699,28 +679,29 @@ impl KsmScanner {
                         stable_frame: canonical.index() as u64,
                     });
                 }
-            } else {
-                // Chain full: promote this page to a fresh stable node so
-                // later duplicates have somewhere to go.
-                self.stable.insert(fp, frame);
-                self.spec_shared.insert(frame);
-                self.stats.chain_splits += 1;
-                self.ops.push(CommitOp::Promote { frame });
-                if tracing {
-                    self.events.push(EventKind::ChainSplit {
-                        space: mapping.space.index() as u32,
-                        vpn: mapping.vpn.0,
-                        frame: frame.index() as u64,
-                    });
-                }
+                return Some(Mutation::Merge {
+                    dup: frame,
+                    canonical,
+                });
             }
-            return;
+            // Chain full: promote this page to a fresh stable node so
+            // later duplicates have somewhere to go.
+            self.stable.insert(fp, frame);
+            self.stats.chain_splits += 1;
+            if tracing {
+                self.events.push(EventKind::ChainSplit {
+                    space: mapping.space.index() as u32,
+                    vpn: mapping.vpn.0,
+                    frame: frame.index() as u64,
+                });
+            }
+            return Some(Mutation::Promote { frame });
         }
 
         // 2. Volatility filter: content must be stable across a full pass.
         if page.volatile {
             self.skip_volatile(page, tracing);
-            return;
+            return None;
         }
 
         // 3. Sole holder: with the volatility filter active, a frame that
@@ -728,7 +709,7 @@ impl KsmScanner {
         // merge now nor be found by a later page this pass, so the
         // unstable tree is left alone.
         if page.sole {
-            return;
+            return None;
         }
 
         // 4. Unstable-tree lookup: one probe, whose entry is then
@@ -736,7 +717,7 @@ impl KsmScanner {
         let mut entry = match self.unstable.entry(fp) {
             Entry::Vacant(slot) => {
                 slot.insert(mapping);
-                return;
+                return None;
             }
             Entry::Occupied(entry) => entry,
         };
@@ -751,28 +732,25 @@ impl KsmScanner {
             .is_some_and(|r| r.is_huge_page(candidate.vpn))
         {
             entry.insert(mapping);
-            return;
+            return None;
         }
         let Some(other) = candidate_space.frame_at(candidate.vpn) else {
             entry.insert(mapping);
-            return;
+            return None;
         };
         // Re-verify: the unstable tree holds no write protection, so the
-        // candidate may have changed since insertion. A frame merged
-        // away this wake resolves through the alias (same content, so
-        // the fingerprint test is unchanged either way).
-        let other = self.alias.get(&other).copied().unwrap_or(other);
+        // candidate may have changed since insertion.
         if other == frame {
             // Same page re-encountered; leave the entry in place.
-            return;
+            return None;
         }
         if phys.fingerprint(other) != fp {
             entry.insert(mapping);
-            return;
+            return None;
         }
         entry.remove();
         self.stable.insert(fp, other);
-        self.merge(page.refcount, frame, other);
+        self.stats.merges += 1;
         if tracing {
             self.events.push(EventKind::MergeUnstable {
                 space: mapping.space.index() as u32,
@@ -781,6 +759,10 @@ impl KsmScanner {
                 stable_frame: other.index() as u64,
             });
         }
+        Some(Mutation::Merge {
+            dup: frame,
+            canonical: other,
+        })
     }
 
     /// Counts a candidate the volatility filter rejects.
@@ -796,41 +778,22 @@ impl KsmScanner {
         }
     }
 
-    /// Decides the merge of `dup` (with `refs` users) into `canonical`
-    /// and records it in the overlay.
-    fn merge(&mut self, refs: u32, dup: FrameId, canonical: FrameId) {
-        self.alias.insert(dup, canonical);
-        *self.spec_ref.entry(canonical).or_insert(0) += refs;
-        self.spec_shared.insert(canonical);
-        self.stats.merges += 1;
-        self.ops.push(CommitOp::Merge { dup, canonical });
-    }
-
-    /// Applies the wake's mutations, then emits its trace events, both
-    /// in scan order, and clears the overlay. Huge-page splits are
-    /// idempotent per block, so `thp_splits` counts effective splits
-    /// only — the count is independent of how many of a block's
-    /// subpages fell inside the scan window.
+    /// Ends the wake: applies its huge-page split requests, then emits
+    /// its trace events, both in scan order. Splits are idempotent per
+    /// block, so `thp_splits` counts effective splits only — the count
+    /// is independent of how many of a block's subpages fell inside the
+    /// scan window.
     fn commit(&mut self, mm: &mut HostMm) {
-        self.work.committed_ops += self.ops.len() as u64;
-        for op in self.ops.drain(..) {
-            match op {
-                CommitOp::Merge { dup, canonical } => mm.merge_frames(dup, canonical),
-                CommitOp::Promote { frame } => mm.mark_ksm_stable(frame),
-                CommitOp::Split { space, base, block } => {
-                    if mm.split_block(space, base, block, SplitReason::Ksm) {
-                        self.stats.thp_splits += 1;
-                    }
-                }
+        self.work.committed_ops += self.splits.len() as u64;
+        for (space, base, block) in self.splits.drain(..) {
+            if mm.split_block(space, base, block, SplitReason::Ksm) {
+                self.stats.thp_splits += 1;
             }
         }
         let tracer = mm.tracer();
         for event in self.events.drain(..) {
             tracer.emit_with(|| event);
         }
-        self.alias.clear();
-        self.spec_shared.clear();
-        self.spec_ref.clear();
     }
 
     /// The oldest last-write tick a page may carry and still pass the
@@ -1257,8 +1220,8 @@ mod cap_tests {
     }
 
     /// The cap holds when one wake merges many duplicates into one
-    /// chain: the overlay's refcount must count this wake's merges or
-    /// the chain could overfill.
+    /// chain: the live refcount the cap check reads counts this wake's
+    /// earlier merges, so the chain cannot overfill.
     #[test]
     fn cap_holds_against_same_wake_merges() {
         let mut mm = HostMm::new();

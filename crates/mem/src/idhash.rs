@@ -1,34 +1,28 @@
 //! A multiplicative hasher for keys the simulator computes itself.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` hashed with [`IdHasher`].
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
-/// A `HashSet` hashed with [`IdHasher`].
-pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
-
 /// Odd multiplier: multiplying by it permutes the low bits a hash table
 /// indexes buckets by, and carries every input bit into the top bits.
 const MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
 
-/// Hasher for the keys of the KSM trees and their per-wake overlays:
-/// [`Fingerprint`](crate::Fingerprint) digests and dense
-/// [`FrameId`](crate::FrameId) indices.
+/// Hasher for the keys of the KSM trees:
+/// [`Fingerprint`](crate::Fingerprint) digests.
 ///
-/// Both are already well spread, so one multiply replaces the default
-/// SipHash-1-3 rounds. A `Fingerprint` hashes as the XOR of its two
-/// 64-bit halves times an odd constant; a `FrameId` as its index times
-/// the same constant, which gives dense ids distinct low bits. A key
-/// written as several words folds each in FxHash-style
-/// (rotate, XOR, multiply).
+/// A digest is already well spread, so one multiply replaces the default
+/// SipHash-1-3 rounds: a `Fingerprint` hashes as the XOR of its two
+/// 64-bit halves times an odd constant. A key written as several words
+/// folds each in FxHash-style (rotate, XOR, multiply).
 ///
 /// The default hasher's random keys protect a map against inputs crafted
-/// to collide; this one has none. That is sound only because none of
-/// these keys is decoded from outside input: fingerprints are digests the
-/// simulator computes and frame ids are indices its frame pool hands out.
-/// Keep the default hasher for any key that can come from outside.
+/// to collide; this one has none. That is sound only because no key is
+/// decoded from outside input: fingerprints are digests the simulator
+/// computes. Keep the default hasher for any key that can come from
+/// outside.
 ///
 /// # Example
 ///
@@ -64,11 +58,6 @@ impl Hasher for IdHasher {
     }
 
     #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
     fn write_u128(&mut self, n: u128) {
         self.add((n as u64) ^ ((n >> 64) as u64));
     }
@@ -77,7 +66,7 @@ impl Hasher for IdHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fingerprint, FrameId};
+    use crate::Fingerprint;
     use std::hash::BuildHasher;
 
     fn hash<T: std::hash::Hash>(key: &T) -> u64 {
@@ -92,12 +81,6 @@ mod tests {
             buckets[(h & 0xffff) as usize] += 1;
         }
         buckets.into_iter().max().unwrap_or(0)
-    }
-
-    #[test]
-    fn dense_frame_ids_fill_every_low_bucket_once() {
-        let max = max_low16_bucket((0..1usize << 16).map(|i| hash(&FrameId::from_index(i))));
-        assert_eq!(max, 1);
     }
 
     #[test]

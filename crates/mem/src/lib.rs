@@ -39,7 +39,7 @@ mod phys;
 mod tick;
 
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
-pub use idhash::{IdHasher, IdMap, IdSet};
+pub use idhash::{IdHasher, IdMap};
 pub use layout::{LayoutImage, LayoutWriter};
 pub use phys::{Frame, FrameId, HolderFilter, PhysMemory};
 pub use tick::{Tick, TICKS_PER_SECOND};

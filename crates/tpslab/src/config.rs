@@ -259,8 +259,10 @@ impl ExperimentConfig {
     }
 
     /// The extreme fleet preset: 1024 over-committed SPECjEnterprise
-    /// guests. A converged idle pass must stay O(#dirty regions) here
-    /// or KSM wakes dominate the run. See [`fleet`](Self::fleet).
+    /// guests, the fleet `perfbench`'s `flash-1024` workload drives.
+    /// Every KSM pass walks every mergeable page of all 1024 guests,
+    /// converged or not, so a pass costs in proportion to guest memory.
+    /// See [`fleet`](Self::fleet).
     #[must_use]
     pub fn scale1024(scale: f64) -> ExperimentConfig {
         ExperimentConfig::fleet(1024, scale)
